@@ -27,6 +27,8 @@ from .spherical import hc_c_function, spherical_fn_many
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _PANEL_WIDTH = 0.25
 _EXP_ARG_LIMIT = 700.0  # exp overflow guard for e^{2 rho t}
+_MIN_KNOTS = 32  # knot intervals of the smallest volume profile
+_NEWTON_STEPS = 40  # cap for the bracketed Newton radial inversion
 
 
 @dataclass(frozen=True)
@@ -131,6 +133,11 @@ class VolumeProfile:
     which is the scale that matters for the inverse-CDF sampling this cache
     exists for; very close to t = 0 the pointwise relative error of the
     cached value is worse than that (use ball_volume there instead).
+
+    sample_radius inverts the radial CDF directly on this table: a search
+    of `cumulative` picks each draw's knot interval, and a bracketed Newton
+    solve on that interval's cubic (coefficients `spline.c`) finds the
+    radius.  Every draw must reproduce its target mass to 1e-12 of m(B_t).
     """
 
     group: RankOneGroup
@@ -154,7 +161,17 @@ class VolumeProfile:
         return self.volume(tau) / total
 
     def sample_radius(self, t: float, u, cdf_tol: float = 1e-12) -> np.ndarray:
-        """Invert the radial CDF by bisection, tolerance measured in CDF space."""
+        """Invert the radial CDF of B_t at the uniform variates u.
+
+        One search of the knot table picks the interval holding each target
+        mass u m(B_t); the root of that interval's Hermite cubic is then
+        found by Newton steps on the stored coefficients, each kept inside
+        the interval's bracket (a step that would leave it bisects instead).
+        Iteration stops once every residual is within 1e-14 relative to its
+        target mass, or the bracket has shrunk to 1e-15 max(t, 1).  The
+        result must then reproduce u m(B_t) through volume() to cdf_tol
+        relative to m(B_t), or ConvergenceError is raised.
+        """
         u = np.atleast_1d(np.asarray(u, dtype=np.float64))
         if u.size and (np.min(u) < 0.0 or np.max(u) > 1.0):
             raise ValidationError("uniform variates must lie in [0, 1]")
@@ -162,16 +179,34 @@ class VolumeProfile:
         if total <= 0.0:
             raise ValidationError("cannot sample a zero-volume ball")
         target = u * total
-        lo = np.zeros_like(u)
-        hi = np.full_like(u, float(t))
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            below = self.spline(mid) < target
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if np.max(hi - lo) < 1e-15 * max(t, 1.0):
+        # The last usable interval is the one whose right knot is the first
+        # knot >= t; u = 1 at t = t_max would otherwise index one past the end.
+        last = min(max(int(np.searchsorted(self.knots, t)) - 1, 0), self.knots.size - 2)
+        k = np.minimum(np.searchsorted(self.cumulative, target, side="right") - 1, last)
+        left = self.knots[k]
+        right = self.knots[k + 1]
+        lo = np.zeros_like(left)
+        hi = np.minimum(right, t) - left  # keeps every draw inside the ball
+        c3, c2, c1, c0 = self.spline.c[:, k]
+        goal = target - c0
+        # Start from the chord of the interval.
+        rise = self.cumulative[k + 1] - c0
+        s = np.clip((right - left) * goal / np.where(rise > 0.0, rise, 1.0), lo, hi)
+        width_tol = 1e-15 * max(t, 1.0)
+        for _ in range(_NEWTON_STEPS):
+            resid = ((c3 * s + c2) * s + c1) * s - goal
+            done = (np.abs(resid) <= 1e-14 * target) | (hi - lo <= width_tol)
+            if np.all(done):
                 break
-        tau = 0.5 * (lo + hi)
+            lo = np.where(resid < 0.0, s, lo)
+            hi = np.where(resid > 0.0, s, hi)
+            slope = (3.0 * c3 * s + 2.0 * c2) * s + c1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = s - resid / slope
+            # Inclusive test: a step that rounds back onto s, now a bracket end,
+            # is kept; a strict one would bisect nearly converged points away.
+            s = np.where(done, s, np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi)))
+        tau = left + s
         err = np.max(np.abs(self.volume(tau) - target)) / total
         if err > cdf_tol:
             raise ConvergenceError(f"radial inversion missed CDF tolerance: {err:.3e}")
@@ -187,15 +222,18 @@ def build_volume_profile(
 
     The default knot spacing shrinks with rho so the quartic interpolation
     error, whose panel bound scales like (2 rho h)^4 / 384 relative to the
-    local mass, stays under the 1e-9 budget; the budget is spot-checked
-    against direct quadrature at build time.
+    local mass, stays under the 1e-9 budget.  Small balls get at least
+    _MIN_KNOTS intervals: near t = 0 the mass grows like t^(n1 + n2 + 1),
+    so a fixed spacing would leave the interpolation error large against
+    the tiny total.  The budget is spot-checked against direct quadrature
+    at build time.
     """
     _check_radius(group, t_max)
     if t_max <= 0.0:
         raise ValidationError("t_max must be positive")
     if knot_spacing is None:
         knot_spacing = 0.01 / max(1.0, group.rho)
-    n = max(2, int(math.ceil(t_max / knot_spacing)))
+    n = max(_MIN_KNOTS, int(math.ceil(t_max / knot_spacing)))
     knots = np.linspace(0.0, t_max, n + 1)
     nodes, weights = _gl_points(knots)
     increments = _segment_integrals(delta(group, nodes), weights)

@@ -142,6 +142,43 @@ def test_cartan_sample_radius_law():
         assert d <= 3.0 + 1e-9
 
 
+@pytest.mark.parametrize("t", [0.5, 2.0, 6.0, 10.0])
+def test_sample_radius_closed_form_oracle(t):
+    # On SO(2,1) m(B_tau) = 2 pi (cosh tau - 1), so the exact inverse of the
+    # radial law of B_t is tau = arccosh(1 + u (cosh t - 1)), written here as
+    # 2 arcsinh(sqrt(u) sinh(t/2)) to keep its digits at small u.
+    profile = build_volume_profile(surface_group(), t)
+    edges = np.array([0.0, 1e-12, 1e-6, 1.0 - 1e-12, 1.0])
+    us = np.concatenate([edges, np.random.default_rng(11).random(20000)])
+    taus = profile.sample_radius(t, us)
+    exact = 2.0 * np.arcsinh(np.sqrt(us) * math.sinh(t / 2.0))
+    assert np.max(np.abs(taus - exact)) <= 1e-8
+    # the exact CDF at the drawn radius carries the interpolant's 1e-9 budget;
+    # the profile's own CDF is inverted to the sampler's 1e-12 tolerance
+    exact_cdf = (np.sinh(taus / 2.0) / math.sinh(t / 2.0)) ** 2
+    np.testing.assert_allclose(exact_cdf, us, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(profile.cdf(taus, t), us, rtol=0.0, atol=1e-12)
+    assert taus[0] == 0.0
+    assert taus[4] <= t
+
+
+def test_sample_radius_sub_ball_off_knot():
+    profile = build_volume_profile(surface_group(), 5.0)
+    t = 3.005  # strictly between two knots of the t_max = 5 grid
+    assert not np.any(profile.knots == t)
+    taus = profile.sample_radius(t, np.array([0.25, 0.999999, 1.0]))
+    assert np.all(taus <= t)
+    exact = 2.0 * np.arcsinh(np.sqrt([0.25, 0.999999, 1.0]) * math.sinh(t / 2.0))
+    assert np.max(np.abs(taus - exact)) <= 1e-8
+
+
+@pytest.mark.parametrize("t", [0.01, 0.1, 0.25])
+def test_mc_small_radius(t):
+    run = mc_average(t, 20000, DiskIndicator(HPoint(0.1, 1.3), 0.2), 3)
+    assert math.isfinite(run.estimate) and math.isfinite(run.standard_error)
+    assert ks_radial_test(t, 20000, 4).ok
+
+
 def test_mc_constant_is_exact():
     run = mc_average(2.0, 5000, ConstantObservable(), 1)
     assert run.estimate == 1.0
