@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import ConvergenceError, ValidationError
 from .groups import RankOneGroup, SpectralParam, check_param, complementary
@@ -128,30 +127,45 @@ class VolumeProfile:
 
     The antiderivative of Delta is tabulated on an equispaced knot grid and
     interpolated by a cubic Hermite spline that uses the exact derivative
-    Delta at the knots, so the interpolant is monotone for this data.  The
-    verified error budget is 1e-9 relative to the total mass m(B_{t_max}),
-    which is the scale that matters for the inverse-CDF sampling this cache
-    exists for; very close to t = 0 the pointwise relative error of the
-    cached value is worse than that (use ball_volume there instead).
+    Delta at the knots, so the interpolant is monotone for this data.
+    `coeffs` has shape (4, intervals): on interval k the cubic is
+    coeffs[0, k] s^3 + coeffs[1, k] s^2 + coeffs[2, k] s + coeffs[3, k]
+    with s = t - knots[k].  The verified error budget is 1e-9 relative to
+    the total mass m(B_{t_max}), which is the scale that matters for the
+    inverse-CDF sampling this cache exists for; very close to t = 0 the
+    pointwise relative error of the cached value is worse than that (use
+    ball_volume there instead).
 
     sample_radius inverts the radial CDF directly on this table: a search
     of `cumulative` picks each draw's knot interval, and a bracketed Newton
-    solve on that interval's cubic (coefficients `spline.c`) finds the
-    radius.  Every draw must reproduce its target mass to 1e-12 of m(B_t).
+    solve on that interval's cubic finds the radius.  Every draw must
+    reproduce its target mass to 1e-12 of m(B_t).
     """
 
     group: RankOneGroup
     t_max: float
     knots: np.ndarray
     cumulative: np.ndarray
-    spline: CubicHermiteSpline
+    coeffs: np.ndarray
 
     def volume(self, t) -> np.ndarray:
         """m(B_t) for 0 <= t <= t_max (vectorized)."""
         t = np.asarray(t, dtype=np.float64)
         if t.size and (np.min(t) < -1e-12 or np.max(t) > self.t_max + 1e-12):
             raise ValidationError(f"radius outside profile range [0, {self.t_max}]")
-        return np.maximum(self.spline(np.clip(t, 0.0, self.t_max)), 0.0)
+        t = np.clip(t, 0.0, self.t_max)
+        # The knots are equispaced, so the scaled radius guesses the interval
+        # with knots[k] <= t < knots[k + 1] (the last one for t = t_max), and
+        # one step each way corrects its rounding.
+        last = self.knots.size - 2
+        k = np.clip((t * ((last + 1) / self.t_max)).astype(np.intp), 0, last)
+        k -= self.knots[k] > t
+        k += (k < last) & (self.knots[k + 1] <= t)
+        c3, c2, c1, c0 = self.coeffs.take(k, axis=1)
+        s = t - self.knots[k]
+        z = s * s
+        # Ascending powers, the summation order of scipy's PPoly.
+        return np.maximum(c0 + c1 * s + c2 * z + c3 * (z * s), 0.0)
 
     def cdf(self, tau, t: float) -> np.ndarray:
         """Radial law m(B_tau) / m(B_t) of the uniform average on B_t."""
@@ -187,7 +201,7 @@ class VolumeProfile:
         right = self.knots[k + 1]
         lo = np.zeros_like(left)
         hi = np.minimum(right, t) - left  # keeps every draw inside the ball
-        c3, c2, c1, c0 = self.spline.c[:, k]
+        c3, c2, c1, c0 = self.coeffs.take(k, axis=1)
         goal = target - c0
         # Start from the chord of the interval.
         rise = self.cumulative[k + 1] - c0
@@ -218,7 +232,7 @@ def build_volume_profile(
     t_max: float,
     knot_spacing: Optional[float] = None,
 ) -> VolumeProfile:
-    """Tabulate m(B_t) on [0, t_max] and attach the Hermite interpolant.
+    """Tabulate m(B_t) on [0, t_max] and the Hermite cubic on each interval.
 
     The default knot spacing shrinks with rho so the quartic interpolation
     error, whose panel bound scales like (2 rho h)^4 / 384 relative to the
@@ -238,9 +252,15 @@ def build_volume_profile(
     nodes, weights = _gl_points(knots)
     increments = _segment_integrals(delta(group, nodes), weights)
     cumulative = np.concatenate([[0.0], np.cumsum(increments)])
-    spline = CubicHermiteSpline(knots, cumulative, delta(group, knots))
+    # Hermite coefficients from the values and slopes at both ends of each
+    # interval, highest power first, in scipy's CubicHermiteSpline arithmetic.
+    d = delta(group, knots)
+    h = np.diff(knots)
+    slope = np.diff(cumulative) / h
+    bend = (d[:-1] + d[1:] - 2 * slope) / h
+    coeffs = np.array([bend / h, (slope - d[:-1]) / h - bend, d[:-1], cumulative[:-1]])
     profile = VolumeProfile(
-        group=group, t_max=float(t_max), knots=knots, cumulative=cumulative, spline=spline
+        group=group, t_max=float(t_max), knots=knots, cumulative=cumulative, coeffs=coeffs
     )
     _verify_profile(profile)
     return profile

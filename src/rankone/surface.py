@@ -335,21 +335,15 @@ def _chunk_sizes(n: int, chunk: int):
     return sizes
 
 
-def _run_chunk(profile, t, base, obs, seq, size, apply_inverse):
+def _run_chunk(profile, t, base, obs, seq, size):
     rng = np.random.Generator(np.random.PCG64(seq))
     theta1, theta2, tau = _draw_cartan(profile, t, rng, size)
-    if apply_inverse:
-        # g^{-1} x0 = k(-theta2) a_{-tau} k(-theta1) x0.
-        x, y = _mobius_xy(np.cos(theta1), np.sin(theta1), -np.sin(theta1), np.cos(theta1), base.x, base.y)
-        scale = np.exp(-tau)
-        x, y = x * scale, y * scale
-        x, y = _mobius_xy(np.cos(theta2), np.sin(theta2), -np.sin(theta2), np.cos(theta2), x, y)
-    else:
-        # g x0 = k(theta1) a_tau k(theta2) x0.
-        x, y = _mobius_xy(np.cos(theta2), -np.sin(theta2), np.sin(theta2), np.cos(theta2), base.x, base.y)
-        scale = np.exp(tau)
-        x, y = x * scale, y * scale
-        x, y = _mobius_xy(np.cos(theta1), -np.sin(theta1), np.sin(theta1), np.cos(theta1), x, y)
+    # g^{-1} x0 = k(-theta2) a_{-tau} k(-theta1) x0; Haar measure on the ball
+    # is inversion invariant, so this has the law of g x0.
+    x, y = _mobius_xy(np.cos(theta1), np.sin(theta1), -np.sin(theta1), np.cos(theta1), base.x, base.y)
+    scale = np.exp(-tau)
+    x, y = x * scale, y * scale
+    x, y = _mobius_xy(np.cos(theta2), np.sin(theta2), -np.sin(theta2), np.cos(theta2), x, y)
     xr, yr, _ = _reduce_batch(x, y)
     values = obs.eval_batch(xr, yr)
     return float(np.sum(values)), float(np.sum(values * values))
@@ -362,7 +356,6 @@ def mc_average(
     seed: int,
     base: Optional[HPoint] = None,
     threads: Optional[int] = None,
-    apply_inverse: bool = True,
 ) -> MCRun:
     """Monte Carlo estimate of the ball average of obs at the base point.
 
@@ -386,10 +379,7 @@ def mc_average(
     profile = build_volume_profile(surface_group(), float(t))
     sizes = _chunk_sizes(n, _CHUNK)
     seqs = np.random.SeedSequence(int(seed)).spawn(len(sizes))
-    jobs = [
-        (profile, float(t), base, obs, seq, size, apply_inverse)
-        for seq, size in zip(seqs, sizes)
-    ]
+    jobs = [(profile, float(t), base, obs, seq, size) for seq, size in zip(seqs, sizes)]
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
             partials = list(pool.map(lambda args: _run_chunk(*args), jobs))

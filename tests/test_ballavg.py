@@ -7,10 +7,15 @@ All oracles are elementary antiderivatives on H3:
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 
+import rankone
 from rankone.ballavg import (
     ball_volume,
     build_volume_profile,
@@ -131,6 +136,34 @@ def test_profile_sampling_distribution(h3):
     mean = np.trapezoid(xs * dens, xs)
     se = math.sqrt(np.trapezoid((xs - mean) ** 2 * dens, xs) / taus.size)
     assert abs(np.mean(taus) - mean) < 5.0 * se
+
+
+@pytest.mark.parametrize("group", [make_group("so", 2), make_group("so", 3), make_group("f4")])
+@pytest.mark.parametrize("t_max", [1.3, 6.0])
+def test_profile_table_matches_scipy_hermite(group, t_max):
+    # The profile evaluates its own Hermite table; scipy's spline through the
+    # same knots, values and slopes is the oracle, bit for bit.
+    profile = build_volume_profile(group, t_max)
+    knots = profile.knots
+    oracle = CubicHermiteSpline(knots, profile.cumulative, delta(group, knots))
+    ts = np.concatenate(
+        [
+            [0.0, t_max, 0.5 * (knots[5] + knots[6])],
+            knots,
+            np.clip(np.nextafter(knots, -np.inf), 0.0, t_max),
+            np.clip(np.nextafter(knots, np.inf), 0.0, t_max),
+            np.random.default_rng(11).uniform(0.0, t_max, 10000),
+        ]
+    )
+    np.testing.assert_array_equal(profile.volume(ts), np.maximum(oracle(ts), 0.0))
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only oracle; importing the package must not pull it in
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rankone.__file__)))
+    code = "import sys, rankone; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_psi_frozen_value(h3):
