@@ -8,6 +8,13 @@ strategy chosen so every series it sums has geometric term ratio < 0.9:
   * |x| > 3             two-term connection formula in powers of 1/(1-x)
                         (DLMF 15.8.4), argument below 1/4.
 
+Each series is summed by Horner's rule on coefficients built once in a
+scalar loop.  The term count comes from a geometric tail bound: past term N
+every term ratio is at most R_N |y| < 1, so the tail is bounded in advance.
+The count is first set so the bound at the largest |y| is below 1e-16, then
+checked at every point against 1e-16 of that point's sum and raised where
+it falls short.
+
 The connection coefficients degenerate when a - b is an integer; such
 points are evaluated by averaging two symmetric perturbations (a shift of
 1e-6 in the a - b direction) and flagged with a warning.
@@ -107,30 +114,87 @@ def _gamma_quotient(numerators, denominators) -> complex:
 _SERIES_TOL = 1e-16
 
 
+def _ratio_bound(abs_p: float, abs_q: float, re_c: float, n: int) -> float:
+    """R_n >= |(p+m)(q+m) / ((c+m)(m+1))| for every m >= n; needs Re c + n > 0."""
+    return max(1.0, (abs_p + n) / (re_c + n)) * max(1.0, (abs_q + n) / (n + 1.0))
+
+
+def _horner(coeffs, y: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] y^k with one in-place multiply and add per term."""
+    total = np.full(y.shape, coeffs[-1])
+    for ck in coeffs[-2::-1]:
+        total *= y
+        total += ck
+    return total
+
+
 def _series_sum(p: Number, q: Number, c: Number, y: np.ndarray, max_terms: int) -> np.ndarray:
-    """sum_n (p)_n (q)_n / ((c)_n n!) y^n by forward accumulation."""
+    """sum_n (p)_n (q)_n / ((c)_n n!) y^n at real points y, by Horner's rule.
+
+    The coefficients are scalars, built once.  Once Re c + N > 0 the term
+    ratio after N is bounded by R_N (see _ratio_bound), so with
+    r = R_N |y| < 1 the tail after term N is at most |c_N| |y|^N r / (1 - r).
+    N starts as the first count whose bound at max|y| is below 1e-16; after
+    the Horner pass every point must have its own bound below 1e-16 of its
+    |sum|, and the points that miss get more terms and another pass.
+    ConvergenceError is raised when max_terms terms do not suffice.
+    """
     use_complex = any(isinstance(v, complex) and v.imag != 0.0 for v in (p, q, c))
-    dtype = np.complex128 if use_complex else np.float64
     if not use_complex:
         p, q, c = float(np.real(p)), float(np.real(q)), float(np.real(c))
-    y = np.asarray(y, dtype=dtype)
-    term = np.ones_like(y)
-    total = term.copy()
-    small_streak = 0
-    for n in range(max_terms):
-        term = term * ((p + n) * (q + n) / ((c + n) * (n + 1.0))) * y
-        total += term
-        # two consecutive negligible terms: safe stop for alternating sums
-        if np.all(np.abs(term) <= _SERIES_TOL * (np.abs(total) + 1e-300)):
-            small_streak += 1
-            if small_streak >= 2:
-                return total
-        else:
-            small_streak = 0
-    raise ConvergenceError(
-        f"hypergeometric series did not converge in {max_terms} terms "
-        f"(p={p}, q={q}, c={c}, max|y|={np.max(np.abs(y)):.3g})"
-    )
+    y = np.asarray(y, dtype=np.float64)
+    if y.size == 0:
+        return np.zeros(y.shape, dtype=np.complex128 if use_complex else np.float64)
+    abs_p, abs_q, re_c = abs(p), abs(q), float(np.real(c))
+    coeffs = [complex(1.0) if use_complex else 1.0]
+
+    def grow(v: float, tol: float) -> float:
+        # Add terms until the tail bound at |y| = v is at most tol; return it.
+        n = len(coeffs) - 1
+        mag = abs(coeffs[n]) * v**n  # |c_n| v^n, kept as terms are added
+        while True:
+            # R_n >= 1 makes mag * v a lower bound on the tail bound.
+            if mag * v <= tol and re_c + n > 0.0:
+                r = _ratio_bound(abs_p, abs_q, re_c, n) * v
+                if r < 1.0 and mag * r <= tol * (1.0 - r):
+                    return mag * r / (1.0 - r)
+            if n >= max_terms:
+                raise ConvergenceError(
+                    f"hypergeometric series did not converge in {max_terms} terms "
+                    f"(p={p}, q={q}, c={c}, max|y|={np.max(np.abs(y)):.3g})"
+                )
+            ratio = (p + n) * (q + n) / ((c + n) * (n + 1.0))
+            coeffs.append(coeffs[n] * ratio)
+            mag *= abs(ratio) * v
+            n += 1
+
+    def horner(ys: np.ndarray) -> np.ndarray:
+        if not use_complex:
+            return _horner(coeffs, ys)
+        total = np.empty(ys.shape, dtype=np.complex128)
+        total.real = _horner([z.real for z in coeffs], ys)
+        imag = [z.imag for z in coeffs]
+        total.imag = _horner(imag, ys) if any(imag) else 0.0
+        return total
+
+    def misses(ys: np.ndarray, sums: np.ndarray) -> np.ndarray:
+        # Points whose own tail bound exceeds 1e-16 of their sum.
+        n = len(coeffs) - 1
+        ay = np.abs(ys)
+        r = _ratio_bound(abs_p, abs_q, re_c, n) * ay
+        return abs(coeffs[n]) * ay**n * r / (1.0 - r) > _SERIES_TOL * np.abs(sums)
+
+    bound = grow(float(np.max(np.abs(y))), _SERIES_TOL)
+    total = horner(y)
+    idx = np.arange(y.size)
+    while True:
+        # A point's own bound is at most `bound`, so only small sums can miss.
+        idx = idx[_SERIES_TOL * np.abs(total[idx]) < bound]
+        idx = idx[misses(y[idx], total[idx])]
+        if not idx.size:
+            return total
+        bound = grow(float(np.max(np.abs(y[idx]))), _SERIES_TOL * float(np.min(np.abs(total[idx]))))
+        total[idx] = horner(y[idx])
 
 
 def _direct_series(a: Number, b: Number, c: Number, x: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ All oracles are elementary antiderivatives on H3:
     int_0^t sin(a u) sinh u du = (cosh t sin(at) - a sinh t cos(at))/(1 + a^2).
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -17,6 +18,9 @@ from scipy.interpolate import CubicHermiteSpline
 
 import rankone
 from rankone.ballavg import (
+    _panel_edges,
+    _verify_profile,
+    _volumes_at,
     ball_volume,
     build_volume_profile,
     delta,
@@ -28,7 +32,7 @@ from rankone.ballavg import (
     psi_on_grid,
     volume_regularity,
 )
-from rankone.errors import ValidationError
+from rankone.errors import ConvergenceError, ValidationError
 from rankone.groups import complementary, make_group, principal, trivial
 
 
@@ -106,6 +110,57 @@ def test_profile_matches_direct_volume(h3):
         assert abs(float(profile.volume(t)) - ball_volume(h3, t)) <= 1e-9 * total
 
 
+def test_panel_edges_match_linspace_loop():
+    # reference: each gap split by np.linspace, as a loop
+    def reference(breaks, width):
+        edges = [breaks[:1]]
+        for lo, hi in zip(breaks[:-1], breaks[1:]):
+            n = max(1, int(math.ceil((hi - lo) / width - 1e-12)))
+            edges.append(np.linspace(lo, hi, n + 1)[1:])
+        return np.concatenate(edges)
+
+    rng = np.random.default_rng(4)
+    for t_max in (1e-3, 0.7, 6.0, 8.37, 40.0):
+        radii = np.sort(rng.uniform(0.0, t_max, 25))
+        for breaks in (
+            np.array([0.0, t_max]),
+            np.concatenate([[0.0], radii, [t_max]]),
+            np.concatenate([[0.0], radii[:3], radii[:3], [t_max]]),  # repeated breaks
+        ):
+            for width in (0.25, 0.125, 0.1, 1.0):
+                np.testing.assert_array_equal(_panel_edges(breaks, width), reference(breaks, width))
+
+
+def _check_radii(t_max: float) -> np.ndarray:
+    # the radii _verify_profile checks (up to rounding), and t_max
+    mids = (np.arange(17) + 0.5) * t_max / 17
+    return np.sort(np.concatenate([t_max * np.array([1e-3, 0.01, 0.03]), mids, [t_max]]))
+
+
+@pytest.mark.parametrize("group", [make_group("so", 2), make_group("f4")])
+def test_profile_check_shared_pass_matches_ball_volume(group):
+    radii = _check_radii(6.0)
+    shared = _volumes_at(group, radii, 0.125)
+    direct = np.array([ball_volume(group, float(t)) for t in radii])
+    np.testing.assert_allclose(shared, direct, rtol=1e-12)
+
+
+@pytest.mark.parametrize("group", [make_group("so", 2), make_group("f4")])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_profile_check_rejects_shifted_table(group, sign):
+    profile = build_volume_profile(group, 6.0)
+    total = ball_volume(group, 6.0)
+
+    def shifted(frac):
+        coeffs = profile.coeffs.copy()
+        coeffs[3] += sign * frac * total
+        return dataclasses.replace(profile, coeffs=coeffs)
+
+    with pytest.raises(ConvergenceError):
+        _verify_profile(shifted(2e-9))
+    _verify_profile(shifted(5e-10))  # inside the 1e-9 budget
+
+
 def test_profile_cdf_normalized(h3):
     profile = build_volume_profile(h3, 5.0)
     assert float(profile.cdf(5.0, 5.0)) == pytest.approx(1.0, abs=1e-12)
@@ -159,9 +214,16 @@ def test_profile_table_matches_scipy_hermite(group, t_max):
 
 
 def test_import_loads_no_scipy():
-    # scipy is a test-only oracle; importing the package must not pull it in
+    # scipy is a test-only oracle and numpy.ma is never needed: neither the
+    # import nor an MC call nor a psi grid may pull them in
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rankone.__file__)))
-    code = "import sys, rankone; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys, numpy as np, rankone as r\n"
+        "r.mc_average(6.0, 4096, r.parse_observable('cusp:2'), seed=1)\n"
+        "r.psi_on_grid(r.make_group('so', 3), r.principal(1.0), np.linspace(0.5, 4.0, 8))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 

@@ -7,8 +7,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from rankone.errors import ValidationError
-from rankone.hyper import DegenerateParamWarning, gauss_2f1_neg
+from rankone.errors import ConvergenceError, ValidationError
+from rankone.groups import complementary, make_group, principal
+from rankone.hyper import DegenerateParamWarning, _series_sum, gauss_2f1_neg
+from rankone.spherical import spherical_fn_many
 
 
 def test_elementary_closed_forms():
@@ -93,3 +95,50 @@ def test_positive_x_rejected():
         gauss_2f1_neg(0.5, 0.5, 1.0, 0.25)
     with pytest.raises(ValidationError):
         gauss_2f1_neg(0.5, 0.5, -1.0, -0.25)  # c at a pole
+
+
+# Inside each region, and exactly on the |x| = 1/2 and |x| = 3 cutoffs.
+_REGION_POINTS = (-0.2, -0.5, -1.4, -3.0, -11.0, -2500.0)
+
+
+@pytest.mark.parametrize(
+    "group", [make_group("so", 5), make_group("su", 3), make_group("sp", 2), make_group("f4")]
+)
+@pytest.mark.parametrize("kind", ["complementary", "principal"])
+def test_spherical_parameters_against_mpmath(group, kind):
+    # phi_s = 2F1((rho+s)/2, (rho-s)/2; alpha+1; x).  The complementary s
+    # exceeds 1, so the connection series in 1/(1-x) runs with c' = 1 - s < 0.
+    param = complementary(0.77 * group.rho) if kind == "complementary" else principal(2.7)
+    s = param.s_complex(group)
+    if kind == "complementary":
+        s = s.real
+        assert 1.0 - s < 0.0
+    a, b, c = (group.rho + s) / 2.0, (group.rho - s) / 2.0, group.alpha + 1.0
+    got = gauss_2f1_neg(a, b, c, np.array(_REGION_POINTS))
+    mpmath.mp.dps = 40
+    for x, value in zip(_REGION_POINTS, got):
+        ref = float(mpmath.re(mpmath.hyp2f1(a, b, c, x)))
+        assert abs(value - ref) <= max(1e-12 * abs(ref), 1e-13), (group.label, kind, x)
+
+
+def test_series_term_cap_raises():
+    # 2F1(1/2, 1/2; 1; -1/2) needs far more than three terms
+    with pytest.raises(ConvergenceError):
+        _series_sum(0.5, 0.5, 1.0, np.array([-0.5]), max_terms=3)
+
+
+def test_empty_argument_returns_empty():
+    assert _series_sum(0.5, 0.5, 1.0, np.zeros(0), max_terms=300).shape == (0,)
+    assert gauss_2f1_neg(0.5 + 0.3j, 0.5 - 0.3j, 1.0, np.zeros(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("lam", [0.25, 10.0])
+def test_so3_principal_closed_form_all_regions(lam):
+    # phi = sin(lam t)/(lam sinh t); x = -sinh(t)^2 crosses both cutoffs on [0, 8]
+    ts = np.linspace(0.0, 8.0, 1601)
+    x = -np.sinh(ts) ** 2
+    assert np.any(x >= -0.5) and np.any((x < -0.5) & (x >= -3.0)) and np.any(x < -3.0)
+    got = spherical_fn_many(make_group("so", 3), principal(lam), ts)
+    exact = np.ones_like(ts)
+    exact[1:] = np.sin(lam * ts[1:]) / (lam * np.sinh(ts[1:]))
+    assert np.max(np.abs(got - exact)) <= 1e-10
