@@ -138,10 +138,9 @@ class VolumeProfile:
     `coeffs` has shape (4, intervals): on interval k the cubic is
     coeffs[0, k] s^3 + coeffs[1, k] s^2 + coeffs[2, k] s + coeffs[3, k]
     with s = t - knots[k].  The verified error budget is 1e-9 relative to
-    the total mass m(B_{t_max}), which is the scale that matters for the
-    inverse-CDF sampling this cache exists for; very close to t = 0 the
-    pointwise relative error of the cached value is worse than that (use
-    ball_volume there instead).
+    the total mass m(B_{t_max}), the scale of the radial CDF; very close
+    to t = 0 the pointwise relative error of the cached value is worse
+    than that (use ball_volume there instead).
 
     sample_radius inverts the radial CDF directly on this table: a search
     of `cumulative` picks each draw's knot interval, and a bracketed Newton

@@ -2,10 +2,10 @@
 
 The group is PSL(2, R) acting on the upper half-plane, the quotient is by
 PSL(2, Z), and the uniform measure on a Riemannian ball is sampled in
-Cartan coordinates: two projective rotation angles plus a radius drawn by
-inverting the cached volume profile.  Orbit points are folded back into
-the standard fundamental domain, where indicator observables are compared
-against their exact normalized areas.
+Cartan coordinates: two projective rotation angles plus a radius from the
+exact radial law, m(B_tau) = 2 pi (cosh tau - 1), inverted in closed form.
+Orbit points are folded back into the standard fundamental domain, where
+indicator observables are compared against their exact normalized areas.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .ballavg import VolumeProfile, build_volume_profile
+from .ballavg import _check_radius, build_volume_profile
 from .errors import ConvergenceError, ValidationError
 from .groups import make_group
 from .model import DecayReport
@@ -128,31 +128,32 @@ def _rotation(theta: float) -> Mat2:
     return Mat2(math.cos(theta), -math.sin(theta), math.sin(theta), math.cos(theta))
 
 
-def cartan_sample(profile: VolumeProfile, t: float, rng: np.random.Generator) -> Mat2:
+def cartan_sample(t: float, rng: np.random.Generator) -> Mat2:
     """One draw from the uniform measure on the radius-t ball.
 
     The element is k(theta1) a_tau k(theta2) with both angles uniform on
-    [0, pi) and tau inverted from the cached radial CDF, so the distance
-    of g.i to i is exactly the drawn tau.
+    [0, pi) and tau drawn from the exact radial law, so the distance of
+    g.i to i is exactly the drawn tau.
     """
-    if t < 0.0:
-        raise ValidationError("radius t must be nonnegative")
-    if t == 0.0:
-        theta = rng.uniform(0.0, math.pi, 2)
-        return _rotation(theta[0]).mul(_rotation(theta[1]))
-    theta1, theta2, tau = _draw_cartan(profile, t, rng, 1)
+    _check_radius(surface_group(), t)
+    theta1, theta2, tau = _draw_cartan(t, rng, 1)
     half = math.exp(0.5 * float(tau[0]))
     a_tau = Mat2(half, 0.0, 0.0, 1.0 / half)
     return _rotation(float(theta1[0])).mul(a_tau).mul(_rotation(float(theta2[0])))
 
 
-def _draw_cartan(profile, t, rng, n):
+def _so21_radius(t, u):
+    # m(B_tau) / m(B_t) = sinh^2(tau/2) / sinh^2(t/2); arcsinh keeps the
+    # digits at small u that arccosh(1 + u (cosh t - 1)) would lose.
+    return 2.0 * np.arcsinh(np.sqrt(u) * math.sinh(0.5 * t))
+
+
+def _draw_cartan(t, rng, n):
     # Draw order is fixed: theta1, theta2, then the radial uniform.
     theta1 = rng.uniform(0.0, math.pi, n)
     theta2 = rng.uniform(0.0, math.pi, n)
     u = rng.uniform(0.0, 1.0, n)
-    tau = profile.sample_radius(float(t), u)
-    return theta1, theta2, tau
+    return theta1, theta2, _so21_radius(t, u)
 
 
 # --------------------------------------------------------------------------
@@ -335,9 +336,9 @@ def _chunk_sizes(n: int, chunk: int):
     return sizes
 
 
-def _run_chunk(profile, t, base, obs, seq, size):
+def _run_chunk(t, base, obs, seq, size):
     rng = np.random.Generator(np.random.PCG64(seq))
-    theta1, theta2, tau = _draw_cartan(profile, t, rng, size)
+    theta1, theta2, tau = _draw_cartan(t, rng, size)
     # g^{-1} x0 = k(-theta2) a_{-tau} k(-theta1) x0; Haar measure on the ball
     # is inversion invariant, so this has the law of g x0.
     x, y = _mobius_xy(np.cos(theta1), np.sin(theta1), -np.sin(theta1), np.cos(theta1), base.x, base.y)
@@ -361,25 +362,19 @@ def mc_average(
 
     Samples are drawn in fixed-size chunks, each from its own substream
     of the master seed, and reduced in chunk order, so the estimate is
-    bit-identical for any thread count.  At t = 0 the average degenerates
-    to the value at the base point.
+    bit-identical for any thread count.  At t = 0 the draws are the
+    average over the K-orbit of the base point, the limit as t -> 0+.
     """
-    if t < 0.0:
-        raise ValidationError("radius t must be nonnegative")
+    _check_radius(surface_group(), t)
     n = int(n)
     if n < 1:
         raise ValidationError("sample count must be positive")
     if base is None:
         base = HPoint(0.1, 1.3)
     label = obs.label()
-    if t == 0.0:
-        z, _ = reduce_to_domain(base)
-        value = observable_eval(obs, z)
-        return MCRun(0.0, n, int(seed), label, base, value, 0.0)
-    profile = build_volume_profile(surface_group(), float(t))
     sizes = _chunk_sizes(n, _CHUNK)
     seqs = np.random.SeedSequence(int(seed)).spawn(len(sizes))
-    jobs = [(profile, float(t), base, obs, seq, size) for seq, size in zip(seqs, sizes)]
+    jobs = [(float(t), base, obs, seq, size) for seq, size in zip(seqs, sizes)]
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
             partials = list(pool.map(lambda args: _run_chunk(*args), jobs))
@@ -410,21 +405,22 @@ class KSResult:
         return self.statistic < self.threshold
 
 
-def ks_radial_test(t: float, n: int, seed: int, profile: Optional[VolumeProfile] = None) -> KSResult:
-    """Compare the empirical law of the sampled radius with the exact CDF.
+def ks_radial_test(t: float, n: int, seed: int) -> KSResult:
+    """Compare the empirical law of the sampled radius with the Haar CDF.
 
-    The threshold 1.63 / sqrt(n) is the asymptotic 1 percent critical
-    value of the two-sided statistic.
+    The reference CDF is the volume profile of SO(2,1), the density
+    sinh(tau) integrated by quadrature, so it shares no algebra with the
+    closed-form radius it audits.  The threshold 1.63 / sqrt(n) is the
+    asymptotic 1 percent critical value of the two-sided statistic.
     """
     if not t > 0.0:
         raise ValidationError("radius t must be positive")
     n = int(n)
     if n < 100:
         raise ValidationError("KS test needs at least 100 samples")
-    if profile is None:
-        profile = build_volume_profile(surface_group(), float(t))
+    profile = build_volume_profile(surface_group(), float(t))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
-    _, _, tau = _draw_cartan(profile, t, rng, n)
+    _, _, tau = _draw_cartan(t, rng, n)
     tau = np.sort(tau)
     cdf = profile.cdf(tau, float(t))
     grid = np.arange(1, n + 1, dtype=np.float64) / n

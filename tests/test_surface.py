@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rankone import ballavg, surface
 from rankone.ballavg import build_volume_profile
 from rankone.errors import ValidationError
 from rankone.surface import (
@@ -133,11 +134,9 @@ def test_parse_observable():
 
 
 def test_cartan_sample_radius_law():
-    group = surface_group()
-    profile = build_volume_profile(group, 3.0)
     rng = np.random.default_rng(17)
     for _ in range(50):
-        g = cartan_sample(profile, 3.0, rng)
+        g = cartan_sample(3.0, rng)
         d = hyp_dist(I, g.act(I))
         assert d <= 3.0 + 1e-9
 
@@ -217,18 +216,50 @@ def test_mc_converges_to_space_mean():
     assert abs(run.estimate - target) <= 4.0 * run.standard_error
 
 
-def test_mc_t_zero_evaluates_at_base():
+def test_mc_t_zero_is_orbit_limit():
+    # As t -> 0+ the ball average tends to the average over the K-orbit of
+    # the base point, the circle about i through it, not to f(base).
     base = HPoint(0.1, 1.3)
-    run = mc_average(0.0, 100, CuspIndicator(1.2), 4, base=base)
-    assert run.estimate == observable_eval(CuspIndicator(1.2), base)
-    assert run.standard_error == 0.0
+    obs = DiskIndicator(base, 0.2)
+    at_zero = mc_average(0.0, 20000, obs, 3, base=base)
+    near_zero = mc_average(1e-9, 20000, obs, 3, base=base)
+    assert at_zero.estimate == near_zero.estimate
+    assert at_zero.standard_error == near_zero.standard_error
+    # The disk covers the arc of the circle within 0.2 of the base point.
+    # S fixes i and turns the circle by half a revolution, so the arc's
+    # image is folded onto the disk too: twice the arc's share.
+    r0 = hyp_dist(I, base)
+    cos_arc = (math.cosh(r0) ** 2 - math.cosh(0.2)) / math.sinh(r0) ** 2
+    orbit_mean = 2.0 * math.acos(cos_arc) / math.pi
+    assert abs(at_zero.estimate - orbit_mean) <= 4.0 * at_zero.standard_error
+    assert at_zero.estimate != observable_eval(obs, base)
 
 
 def test_mc_validation():
-    with pytest.raises(ValidationError):
-        mc_average(-1.0, 100, ConstantObservable(), 1)
+    # radii outside the domain are rejected before any variate is drawn
+    for t in (-1.0, math.nan, math.inf, -math.inf, 700.5):
+        with pytest.raises(ValidationError):
+            mc_average(t, 100, ConstantObservable(), 1)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError):
+            cartan_sample(t, rng)
+        assert rng.bit_generator.state == state
     with pytest.raises(ValidationError):
         mc_average(1.0, 0, ConstantObservable(), 1)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.01, 6.0])
+def test_mc_needs_no_volume_profile(t, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the MC path must not use the volume profile")
+
+    monkeypatch.setattr(surface, "build_volume_profile", refuse)
+    monkeypatch.setattr(ballavg, "_verify_profile", refuse)
+    monkeypatch.setattr(ballavg.VolumeProfile, "sample_radius", refuse)
+    run = mc_average(t, 5000, CuspIndicator(1.2), 2)
+    assert math.isfinite(run.estimate) and run.standard_error > 0.0
+    assert hyp_dist(I, cartan_sample(t, np.random.default_rng(1)).act(I)) <= t + 1e-9
 
 
 def test_ks_radial_sampler():
@@ -238,6 +269,20 @@ def test_ks_radial_sampler():
     assert ks_radial_test(3.0, 100000, 42).threshold == pytest.approx(
         1.63 / math.sqrt(100000)
     )
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0, 6.0])
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        lambda t, u: u * t,  # tau uniform on [0, t]
+        lambda t, u: 0.99 * 2.0 * np.arcsinh(np.sqrt(u) * math.sinh(0.5 * t)),
+    ],
+    ids=["uniform", "shrunk"],
+)
+def test_ks_rejects_wrong_radial_law(t, mutant, monkeypatch):
+    monkeypatch.setattr(surface, "_so21_radius", mutant)
+    assert not ks_radial_test(t, 20000, 4).ok
 
 
 def test_decay_scan_shapes():
