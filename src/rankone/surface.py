@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 _CHUNK = 65536
+# Points per block within a chunk: small enough that one block's working
+# arrays stay in cache through the reduction's sweeps.
+_BLOCK = 8192
 _DOMAIN_EDGE = 1.0 - 1e-15
 _WORD_TOL = 1e-9
 # Hyperbolic area of the modular surface.
@@ -165,49 +168,46 @@ def _reduce_batch(x, y, cap: int = 10**6):
 
     Word entries are integers carried in float64, exact up to 2^53; the
     accumulated matrix is verified against input and output before
-    returning.
+    returning.  A point that is not finite or has y <= 0 is rejected
+    before the first sweep, since it would never enter the domain.
     """
-    x = np.array(x, dtype=np.float64, copy=True)
-    y = np.array(y, dtype=np.float64, copy=True)
-    x_in = x.copy()
-    y_in = y.copy()
+    x_in = np.asarray(x, dtype=np.float64)
+    y_in = np.asarray(y, dtype=np.float64)
+    if not (np.all(np.isfinite(x_in)) and np.all(np.isfinite(y_in)) and np.all(y_in > 0.0)):
+        raise ValidationError("points to reduce need finite x and y > 0")
+    x = x_in.copy()
+    y = y_in.copy()
     wa = np.ones_like(x)
     wb = np.zeros_like(x)
     wc = np.zeros_like(x)
     wd = np.ones_like(x)
-    active = np.ones(x.shape, dtype=bool)
     for _ in range(cap):
-        n = np.round(x[active])
-        if n.size:
-            x[active] -= n
-            # T^{-n} on the left: top row picks up -n times the bottom row.
-            wa[active] -= n * wc[active]
-            wb[active] -= n * wd[active]
-        r2 = x[active] ** 2 + y[active] ** 2
-        inside = r2 < _DOMAIN_EDGE
-        if not np.any(inside):
-            # Translation alone may have finished other points too.
-            sub = np.abs(x[active]) <= 0.5
-            still = active.copy()
-            still[active] = ~sub
-            active = still
-            if not np.any(active):
-                break
-            continue
-        idx = np.flatnonzero(active)[inside]
-        r2i = r2[inside]
-        xi = x[idx]
-        x[idx] = -xi / r2i
+        # Every point is translated each sweep: one already in the strip
+        # gets n = 0 and keeps its coordinates and word, so no mask of
+        # finished points is needed.
+        n = np.round(x)
+        x -= n
+        # T^{-n} on the left: top row picks up -n times the bottom row.
+        wa -= n * wc
+        wb -= n * wd
+        r2 = x**2 + y**2
+        idx = np.flatnonzero(r2 < _DOMAIN_EDGE)
+        if idx.size == 0:
+            break
+        r2i = r2[idx]
+        x[idx] = -x[idx] / r2i
         y[idx] = y[idx] / r2i
         # S on the left swaps the rows with a sign.
         wa[idx], wb[idx], wc[idx], wd[idx] = -wc[idx], -wd[idx], wa[idx], wb[idx]
     else:
         raise ConvergenceError("reduction did not terminate within the iteration cap")
-    if np.any(np.abs(x) > 0.5 + 1e-12) or np.any(x**2 + y**2 < 1.0 - 1e-12):
+    # Written as "not all ok" so that a NaN, which fails every comparison,
+    # fails the check instead of slipping past "any error too large".
+    if not np.all((np.abs(x) <= 0.5 + 1e-12) & (x**2 + y**2 >= 1.0 - 1e-12)):
         raise ConvergenceError("reduction left a point outside the domain")
     vx, vy = _mobius_xy(wa, wb, wc, wd, x_in, y_in)
-    scale = np.maximum(1.0, y)
-    if np.any(np.abs(vx - x) > _WORD_TOL * scale) or np.any(np.abs(vy - y) > _WORD_TOL * scale):
+    tol = _WORD_TOL * np.maximum(1.0, y)
+    if not np.all((np.abs(vx - x) <= tol) & (np.abs(vy - y) <= tol)):
         raise ConvergenceError("accumulated word does not reproduce the reduced point")
     return x, y, (wa, wb, wc, wd)
 
@@ -336,17 +336,31 @@ def _chunk_sizes(n: int, chunk: int):
     return sizes
 
 
+def _rotate(theta, x, y):
+    # k(theta) acting on (x, y); cos and sin are taken once per angle and
+    # freed on return.
+    c = np.cos(theta)
+    s = np.sin(theta)
+    return _mobius_xy(c, s, -s, c, x, y)
+
+
 def _run_chunk(t, base, obs, seq, size):
     rng = np.random.Generator(np.random.PCG64(seq))
     theta1, theta2, tau = _draw_cartan(t, rng, size)
-    # g^{-1} x0 = k(-theta2) a_{-tau} k(-theta1) x0; Haar measure on the ball
-    # is inversion invariant, so this has the law of g x0.
-    x, y = _mobius_xy(np.cos(theta1), np.sin(theta1), -np.sin(theta1), np.cos(theta1), base.x, base.y)
-    scale = np.exp(-tau)
-    x, y = x * scale, y * scale
-    x, y = _mobius_xy(np.cos(theta2), np.sin(theta2), -np.sin(theta2), np.cos(theta2), x, y)
-    xr, yr, _ = _reduce_batch(x, y)
-    values = obs.eval_batch(xr, yr)
+    # The chunk is drawn whole, so the substream order does not depend on
+    # the block size.  Each block's temporaries stay in cache through the
+    # reduction's sweeps, and the values are summed once at the end, so
+    # the pairwise sums match an unblocked chunk bit for bit.
+    values = np.empty(size)
+    for lo in range(0, size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        # g^{-1} x0 = k(-theta2) a_{-tau} k(-theta1) x0; Haar measure on the
+        # ball is inversion invariant, so this has the law of g x0.
+        x, y = _rotate(theta1[block], base.x, base.y)
+        scale = np.exp(-tau[block])
+        x, y = _rotate(theta2[block], x * scale, y * scale)
+        xr, yr, _ = _reduce_batch(x, y)
+        values[block] = obs.eval_batch(xr, yr)
     return float(np.sum(values)), float(np.sum(values * values))
 
 

@@ -44,3 +44,18 @@ def test_tracer_patches_and_restores(monkeypatch):
         assert (surface, "_reduce_batch") in wrapped
     assert replaced() == []
     assert [set(vars(owner)) for owner in OWNERS] == [set(saved) for saved in before]
+
+
+def test_tracer_sees_every_point_once(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    obs = surface.CuspIndicator(2.0)
+    untraced = surface.mc_average(6.0, 20000, obs, 1)
+    tracer = spans.Tracer()
+    with spans.patched(tracer):
+        traced = surface.mc_average(6.0, 20000, obs, 1)
+    # the chunk runs in blocks; together they reduce each sample once
+    reduced = [span.counts["points"] for span in tracer.spans if span.name == "surface.reduce"]
+    assert sum(reduced) == 20000
+    assert traced.estimate.hex() == untraced.estimate.hex()
+    assert traced.standard_error.hex() == untraced.standard_error.hex()

@@ -1,13 +1,14 @@
 """Hyperbolic geometry, domain reduction, and Monte Carlo on the modular surface."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from rankone import ballavg, surface
 from rankone.ballavg import build_volume_profile
-from rankone.errors import ValidationError
+from rankone.errors import ConvergenceError, ValidationError
 from rankone.surface import (
     ConstantObservable,
     CuspIndicator,
@@ -95,6 +96,80 @@ def test_reduction_translation_invariance():
     r2, _ = reduce_to_domain(shifted)
     assert r1.x == pytest.approx(r2.x, abs=1e-12)
     assert r1.y == pytest.approx(r2.y, abs=1e-12)
+
+
+def _masked_reduce(x, y):
+    # reference: the fold loop that gathers and scatters through a mask of
+    # still-active points on every sweep
+    x = np.array(x, dtype=np.float64)
+    y = np.array(y, dtype=np.float64)
+    wa, wb, wc, wd = np.ones_like(x), np.zeros_like(x), np.zeros_like(x), np.ones_like(x)
+    active = np.ones(x.shape, dtype=bool)
+    while np.any(active):
+        n = np.round(x[active])
+        x[active] -= n
+        wa[active] -= n * wc[active]
+        wb[active] -= n * wd[active]
+        r2 = x[active] ** 2 + y[active] ** 2
+        inside = r2 < surface._DOMAIN_EDGE
+        if not np.any(inside):
+            still = active.copy()
+            still[active] = np.abs(x[active]) > 0.5
+            active = still
+            continue
+        idx = np.flatnonzero(active)[inside]
+        r2i = r2[inside]
+        x[idx] = -x[idx] / r2i
+        y[idx] = y[idx] / r2i
+        wa[idx], wb[idx], wc[idx], wd[idx] = -wc[idx], -wd[idx], wa[idx], wb[idx]
+    return x, y, (wa, wb, wc, wd)
+
+
+def _orbit_points(t, size, seed):
+    # the MC pipeline's points before reduction, for the whole draw at once
+    rng = np.random.default_rng(seed)
+    theta1, theta2, tau = surface._draw_cartan(t, rng, size)
+    c1, s1, c2, s2 = np.cos(theta1), np.sin(theta1), np.cos(theta2), np.sin(theta2)
+    x, y = surface._mobius_xy(c1, s1, -s1, c1, 0.1, 1.3)
+    scale = np.exp(-tau)
+    return surface._mobius_xy(c2, s2, -s2, c2, x * scale, y * scale)
+
+
+@pytest.mark.parametrize("t", [0.01, 2.0, 6.0, 10.0, 15.0])
+def test_reduction_matches_masked_loop(t):
+    # boundary points: the lines |x| = 1/2 (where rounding ties), the
+    # corners, and the unit circle
+    phi = np.linspace(math.pi / 3.0, 2.0 * math.pi / 3.0, 9)
+    edge_x = np.concatenate([[0.5, -0.5, 0.5, -0.5, 1.5, -2.5, 0.5, 0.5], np.cos(phi)])
+    edge_y = np.concatenate([[math.sqrt(3.0) / 2.0] * 2 + [0.3, 2.0, 0.7, 1.0, 1e-3, 1.0], np.sin(phi)])
+    for seed, size in enumerate((1, 1000, 8191, 8192, 8193, 65536)):
+        x, y = _orbit_points(t, size, seed)
+        x, y = np.concatenate([x, edge_x]), np.concatenate([y, edge_y])
+        got_x, got_y, got_word = surface._reduce_batch(x, y)
+        ref_x, ref_y, ref_word = _masked_reduce(x, y)
+        assert np.array_equal(got_x, ref_x) and np.array_equal(got_y, ref_y)
+        for got, ref in zip(got_word, ref_word):
+            assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(math.nan, 1.0), (0.2, math.nan), (math.inf, 1.0), (-math.inf, 1.0), (0.2, math.inf), (0.2, 0.0), (0.2, -1.0)],
+)
+def test_reduction_rejects_bad_points_at_once(x, y):
+    start = time.perf_counter()
+    with pytest.raises(ValidationError):
+        surface._reduce_batch(np.array([0.3, x]), np.array([0.8, y]))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_reduction_flags_nan_from_underflow():
+    # |z|^2 underflows to 0, so S makes x = 0/0: the domain check must
+    # see the NaN rather than return it
+    start = time.perf_counter()
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(ConvergenceError):
+        surface._reduce_batch(np.array([0.0]), np.array([1e-300]))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_observable_means():
@@ -198,6 +273,25 @@ def test_mc_thread_count_invariance():
     multi = mc_average(3.0, 150000, CuspIndicator(2.0), 5, threads=4)
     assert single.estimate == multi.estimate
     assert single.standard_error == multi.standard_error
+
+
+# float.hex of (estimate, standard error), recorded before the MC pipeline
+# ran in blocks.  No n is a multiple of the block or chunk size, so partial
+# blocks and a partial final chunk both run.
+PINNED_MC = [
+    (2.0, 100000, "cusp:2", 1, "0x1.6ef34d6a161e5p-2", "0x1.8d81d1b9d16d7p-10"),
+    (8.0, 100000, "disk:0,1.5,0.25", 42, "0x1.86a2b1704ff43p-3", "0x1.45b1236a18784p-10"),
+    (15.0, 70001, "const", 5, "0x1.0000000000000p+0", "0x0.0p+0"),
+    (15.0, 100003, "cusp:1.5", 9, "0x1.44a8e21ce6caep-1", "0x1.8f4be21ac03d3p-10"),
+    (2.0, 9000, "disk:0.1,1.3,0.2", 3, "0x1.3b2a1907f6e5dp-3", "0x1.f29317a13c00ap-9"),
+    (8.0, 131073, "cusp:2", 2, "0x1.e6b50ca579ad4p-2", "0x1.6998be187dcdfp-10"),
+]
+
+
+@pytest.mark.parametrize("t, n, obs, seed, estimate, stderr", PINNED_MC)
+def test_mc_output_pinned_bitwise(t, n, obs, seed, estimate, stderr):
+    run = mc_average(t, n, parse_observable(obs), seed)
+    assert (run.estimate.hex(), run.standard_error.hex()) == (estimate, stderr)
 
 
 def test_mc_error_scaling():
