@@ -4,7 +4,9 @@ The group is PSL(2, R) acting on the upper half-plane, the quotient is by
 PSL(2, Z), and the uniform measure on a Riemannian ball is sampled in
 Cartan coordinates: two projective rotation angles plus a radius from the
 exact radial law, m(B_tau) = 2 pi (cosh tau - 1), inverted in closed form.
-Orbit points are folded back into the standard fundamental domain, where
+Each sample moves the base point by one Moebius map built from the tangents
+of the two angles and e^{-tau}, so no sine or cosine is taken.  Orbit
+points are folded back into the standard fundamental domain, where
 indicator observables are compared against their exact normalized areas.
 """
 
@@ -47,14 +49,19 @@ _CHUNK = 65536
 # arrays stay in cache through the reduction's sweeps.
 _BLOCK = 8192
 _DOMAIN_EDGE = 1.0 - 1e-15
+# Smallest imaginary part the reduction takes: y^2 is then a normal double,
+# so |z|^2 cannot underflow to 0 and turn S into 0/0.
+_Y_FLOOR = 1e-150
 _WORD_TOL = 1e-9
 # Hyperbolic area of the modular surface.
 _SURFACE_AREA = math.pi / 3.0
+# Built once: make_group builds Fractions on every call.
+_GROUP = make_group("so", 2)
 
 
 def surface_group():
     """The rank-one group realized here: SO(2,1), rho = 1/2."""
-    return make_group("so", 2)
+    return _GROUP
 
 
 @dataclass(frozen=True)
@@ -138,7 +145,7 @@ def cartan_sample(t: float, rng: np.random.Generator) -> Mat2:
     [0, pi) and tau drawn from the exact radial law, so the distance of
     g.i to i is exactly the drawn tau.
     """
-    _check_radius(surface_group(), t)
+    _check_radius(_GROUP, t)
     theta1, theta2, tau = _draw_cartan(t, rng, 1)
     half = math.exp(0.5 * float(tau[0]))
     a_tau = Mat2(half, 0.0, 0.0, 1.0 / half)
@@ -168,13 +175,14 @@ def _reduce_batch(x, y, cap: int = 10**6):
 
     Word entries are integers carried in float64, exact up to 2^53; the
     accumulated matrix is verified against input and output before
-    returning.  A point that is not finite or has y <= 0 is rejected
-    before the first sweep, since it would never enter the domain.
+    returning.  A point that is not finite or has y < 1e-150 is rejected
+    before the first sweep: with y <= 0 it would never enter the domain,
+    and below the floor |z|^2 can underflow to 0.
     """
     x_in = np.asarray(x, dtype=np.float64)
     y_in = np.asarray(y, dtype=np.float64)
-    if not (np.all(np.isfinite(x_in)) and np.all(np.isfinite(y_in)) and np.all(y_in > 0.0)):
-        raise ValidationError("points to reduce need finite x and y > 0")
+    if not (np.all(np.isfinite(x_in)) and np.all(np.isfinite(y_in)) and np.all(y_in >= _Y_FLOOR)):
+        raise ValidationError(f"points to reduce need finite x and y >= {_Y_FLOOR:g}")
     x = x_in.copy()
     y = y_in.copy()
     wa = np.ones_like(x)
@@ -336,12 +344,19 @@ def _chunk_sizes(n: int, chunk: int):
     return sizes
 
 
-def _rotate(theta, x, y):
-    # k(theta) acting on (x, y); cos and sin are taken once per angle and
-    # freed on return.
-    c = np.cos(theta)
-    s = np.sin(theta)
-    return _mobius_xy(c, s, -s, c, x, y)
+def _orbit_xy(theta1, theta2, tau, x0, y0):
+    """g^{-1} x0 = k(-theta2) a_{-tau} k(-theta1) x0 as one Moebius map.
+
+    Projectively k(-theta) = [[1, tan theta], [-tan theta, 1]] and
+    a_{-tau} = diag(e^{-tau}, 1), so the product needs tan and exp only;
+    its determinant s (1 + t1^2)(1 + t2^2) goes into the imaginary part.
+    """
+    t1 = np.tan(theta1)
+    t2 = np.tan(theta2)
+    s = np.exp(-tau)
+    u = t2 * s
+    x, y = _mobius_xy(s - t2 * t1, s * t1 + t2, -(u + t1), 1.0 - u * t1, x0, y0)
+    return x, y * (s * (1.0 + t1 * t1) * (1.0 + t2 * t2))
 
 
 def _run_chunk(t, base, obs, seq, size):
@@ -354,11 +369,10 @@ def _run_chunk(t, base, obs, seq, size):
     values = np.empty(size)
     for lo in range(0, size, _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        # g^{-1} x0 = k(-theta2) a_{-tau} k(-theta1) x0; Haar measure on the
-        # ball is inversion invariant, so this has the law of g x0.
-        x, y = _rotate(theta1[block], base.x, base.y)
-        scale = np.exp(-tau[block])
-        x, y = _rotate(theta2[block], x * scale, y * scale)
+        # g^{-1} x0, one Moebius map built from tan of the angles; Haar
+        # measure on the ball is inversion invariant, so this has the law
+        # of g x0.
+        x, y = _orbit_xy(theta1[block], theta2[block], tau[block], base.x, base.y)
         xr, yr, _ = _reduce_batch(x, y)
         values[block] = obs.eval_batch(xr, yr)
     return float(np.sum(values)), float(np.sum(values * values))
@@ -379,7 +393,7 @@ def mc_average(
     bit-identical for any thread count.  At t = 0 the draws are the
     average over the K-orbit of the base point, the limit as t -> 0+.
     """
-    _check_radius(surface_group(), t)
+    _check_radius(_GROUP, t)
     n = int(n)
     if n < 1:
         raise ValidationError("sample count must be positive")

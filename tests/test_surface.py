@@ -3,12 +3,13 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
 from rankone import ballavg, surface
 from rankone.ballavg import build_volume_profile
-from rankone.errors import ConvergenceError, ValidationError
+from rankone.errors import ValidationError
 from rankone.surface import (
     ConstantObservable,
     CuspIndicator,
@@ -128,11 +129,38 @@ def _masked_reduce(x, y):
 def _orbit_points(t, size, seed):
     # the MC pipeline's points before reduction, for the whole draw at once
     rng = np.random.default_rng(seed)
-    theta1, theta2, tau = surface._draw_cartan(t, rng, size)
-    c1, s1, c2, s2 = np.cos(theta1), np.sin(theta1), np.cos(theta2), np.sin(theta2)
-    x, y = surface._mobius_xy(c1, s1, -s1, c1, 0.1, 1.3)
-    scale = np.exp(-tau)
-    return surface._mobius_xy(c2, s2, -s2, c2, x * scale, y * scale)
+    return surface._orbit_xy(*surface._draw_cartan(t, rng, size), 0.1, 1.3)
+
+
+def _orbit_mp(theta1, theta2, tau, x0, y0):
+    # k(-theta2) a_{-tau} k(-theta1) z0 with cos and sin at 40 digits
+    with mpmath.workdps(40):
+        def k_inv(theta):
+            c, s = mpmath.cos(mpmath.mpf(theta)), mpmath.sin(mpmath.mpf(theta))
+            return mpmath.matrix([[c, s], [-s, c]])
+
+        half = mpmath.exp(-mpmath.mpf(tau) / 2)
+        g = k_inv(theta2) * mpmath.matrix([[half, 0], [0, 1 / half]]) * k_inv(theta1)
+        z = mpmath.mpc(x0, y0)
+        w = (g[0, 0] * z + g[0, 1]) / (g[1, 0] * z + g[1, 1])
+        return float(w.real), float(w.imag)
+
+
+@pytest.mark.parametrize("t", [1e-9, 2.0, 10.0, 15.0])
+def test_orbit_map_matches_mpmath(t):
+    # the tangent-form map against the rotation-matrix product in mpmath,
+    # on the sampler's draws and on the angles where tan is 0 or huge
+    theta1, theta2, tau = surface._draw_cartan(t, np.random.default_rng(17), 300)
+    edges = [0.0, math.nextafter(math.pi / 2, 0.0), math.pi / 2, math.nextafter(math.pi / 2, 4.0), math.nextafter(math.pi, 0.0)]
+    pairs = [(a, b, r) for a in edges for b in edges for r in (0.0, t)]
+    theta1 = np.concatenate([theta1, [p[0] for p in pairs]])
+    theta2 = np.concatenate([theta2, [p[1] for p in pairs]])
+    tau = np.concatenate([tau, [p[2] for p in pairs]])
+    for x0, y0 in ((0.1, 1.3), (-0.37, 0.6)):
+        x, y = surface._orbit_xy(theta1, theta2, tau, x0, y0)
+        ref = np.array([_orbit_mp(a, b, r, x0, y0) for a, b, r in zip(theta1, theta2, tau)])
+        assert np.all(np.abs(x - ref[:, 0]) <= 1e-13 * np.maximum(1.0, np.abs(ref[:, 0])))
+        assert np.all(np.abs(y - ref[:, 1]) <= 1e-13 * ref[:, 1])
 
 
 @pytest.mark.parametrize("t", [0.01, 2.0, 6.0, 10.0, 15.0])
@@ -164,12 +192,17 @@ def test_reduction_rejects_bad_points_at_once(x, y):
 
 
 def test_reduction_flags_nan_from_underflow():
-    # |z|^2 underflows to 0, so S makes x = 0/0: the domain check must
-    # see the NaN rather than return it
-    start = time.perf_counter()
-    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(ConvergenceError):
-        surface._reduce_batch(np.array([0.0]), np.array([1e-300]))
-    assert time.perf_counter() - start < 1.0
+    # below the floor |z|^2 can underflow to 0, and S would make x = 0/0;
+    # such a point is outside the reduction's range and is rejected before
+    # the first sweep, not left to the domain check
+    for y in (1e-300, 5e-324, math.nextafter(1e-150, 0.0)):
+        start = time.perf_counter()
+        with pytest.raises(ValidationError):
+            surface._reduce_batch(np.array([0.3, 0.0]), np.array([0.8, y]))
+        assert time.perf_counter() - start < 1.0
+    # at the floor itself y^2 is a normal double and S is exact
+    reduced, _ = reduce_to_domain(HPoint(0.0, 1e-150))
+    assert (reduced.x, reduced.y) == (0.0, 1e150)
 
 
 def test_observable_means():
@@ -285,6 +318,9 @@ PINNED_MC = [
     (15.0, 100003, "cusp:1.5", 9, "0x1.44a8e21ce6caep-1", "0x1.8f4be21ac03d3p-10"),
     (2.0, 9000, "disk:0.1,1.3,0.2", 3, "0x1.3b2a1907f6e5dp-3", "0x1.f29317a13c00ap-9"),
     (8.0, 131073, "cusp:2", 2, "0x1.e6b50ca579ad4p-2", "0x1.6998be187dcdfp-10"),
+    (0.0, 30001, "disk:0.1,1.3,0.2", 7, "0x1.dd82691c2f45fp-2", "0x1.7983454b7d2fdp-9"),
+    (10.0, 100001, "cusp:2", 11, "0x1.e79d1a62ba5c7p-2", "0x1.9e04014dceec4p-10"),
+    (10.0, 90001, "disk:0,1.5,0.25", 13, "0x1.80d6722b465fap-3", "0x1.555893eec2c4cp-10"),
 ]
 
 
