@@ -43,9 +43,6 @@ from .model import (
 from .spherical import hc_c_function, spherical_fn_many
 from .surface import HPoint, decay_scan, mc_average, observable_mean, parse_observable
 
-THREADS_ENV = "RANKONE_THREADS"
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage failures exit with code 1."""
 
@@ -101,18 +98,6 @@ def _emit_table(args, columns: Sequence[str], rows: List[list], comments: Sequen
 
 def _group(args):
     return parse_group(args.group, rho_prime=args.rho_prime)
-
-
-def _threads(args) -> Optional[int]:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get(THREADS_ENV)
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ValidationError(f"{THREADS_ENV} must be an integer, got {env!r}") from exc
 
 
 def _linspace(args) -> np.ndarray:
@@ -244,8 +229,7 @@ def _append_csv_row(path: str, invocation: str, columns: Sequence[str], row: lis
 def cmd_mc(args) -> int:
     obs = parse_observable(args.obs)
     base = _parse_base(args.base)
-    run = mc_average(args.t, args.samples, obs, args.seed,
-                     base=base, threads=_threads(args))
+    run = mc_average(args.t, args.samples, obs, args.seed, base=base)
     target = observable_mean(obs)
     line = (
         f"t={args.t:g} samples={args.samples} seed={args.seed} obs={run.observable} "
@@ -279,8 +263,7 @@ def cmd_mc_scan(args) -> int:
     obs = parse_observable(args.obs)
     base = _parse_base(args.base)
     ts = _parse_t_grid(args.t_grid)
-    report = decay_scan(ts, args.samples, obs, args.seed,
-                        base=base, threads=_threads(args))
+    report = decay_scan(ts, args.samples, obs, args.seed, base=base)
     rows = [[float(t), float(est), float(se), float(dev), float(env)]
             for t, est, se, dev, env in zip(
                 report.ts, report.estimates, report.stderrs,
@@ -397,7 +380,6 @@ def build_parser() -> _Parser:
     p.add_argument("--obs", required=True, help="cusp:Y | disk:cx,cy,r | const")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--base", default="0.1,1.3", help="base point x,y")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(fn=cmd_mc)
 
     p = sub.add_parser("mc-scan",
@@ -408,7 +390,6 @@ def build_parser() -> _Parser:
     p.add_argument("--obs", required=True, help="cusp:Y | disk:cx,cy,r | const")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--base", default="0.1,1.3", help="base point x,y")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(fn=cmd_mc_scan)
 
     p = sub.add_parser("grid",

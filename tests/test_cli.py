@@ -200,16 +200,6 @@ def test_json_format(capsys):
     assert "sphfn" in payload["invocation"]
 
 
-def test_threads_env_override(tmp_path, monkeypatch):
-    # env var supplies the default; flag overrides; results identical anyway
-    args = ["mc", "--t", "1.0", "--samples", "4000", "--obs", "const", "--seed", "1"]
-    monkeypatch.setenv("RANKONE_THREADS", "2")
-    assert cli.main(args) == 0
-    monkeypatch.setenv("RANKONE_THREADS", "not-a-number")
-    assert cli.main(args) == 1
-    assert cli.main(args + ["--threads", "1"]) == 0
-
-
 def test_trivial_param_ratio_is_nan(capsys):
     assert cli.main(
         ["sphfn", "--param", "trivial", "--t-min", "1", "--t-max", "2", "--steps", "2"]

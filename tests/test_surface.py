@@ -9,7 +9,7 @@ import pytest
 
 from rankone import ballavg, surface
 from rankone.ballavg import build_volume_profile
-from rankone.errors import ValidationError
+from rankone.errors import ConvergenceError, ValidationError
 from rankone.surface import (
     ConstantObservable,
     CuspIndicator,
@@ -180,29 +180,173 @@ def test_reduction_matches_masked_loop(t):
             assert np.array_equal(got, ref)
 
 
+# The reduction's range is d(i, z) <= 28, that is (x^2 + 1) / y + y <= 2 cosh 28.
+# Just outside it: below y = e^-28 at x = 0, below 1.25 / (2 cosh 28) at
+# x = 1/2, above e^28, and far out along the real axis.
+_Y_EDGE = math.exp(-surface._REACH)
+_Y_EDGE_HALF = 1.25 / surface._TWO_COSH_REACH
+_OUTSIDE = [
+    (0.0, _Y_EDGE * (1.0 - 1e-9)),
+    (0.5, _Y_EDGE_HALF * (1.0 - 1e-9)),
+    (-0.5, 1e-13),
+    (0.0, math.exp(surface._REACH) * (1.0 + 1e-9)),
+    (1e6, 1e-3),
+    (0.3, 1e-20),
+    (1e200, 1.0),
+]
+
+
 @pytest.mark.parametrize(
     "x, y",
-    [(math.nan, 1.0), (0.2, math.nan), (math.inf, 1.0), (-math.inf, 1.0), (0.2, math.inf), (0.2, 0.0), (0.2, -1.0)],
+    [(math.nan, 1.0), (0.2, math.nan), (math.inf, 1.0), (-math.inf, 1.0), (0.2, math.inf), (0.2, 0.0), (0.2, -1.0)]
+    + _OUTSIDE,
 )
 def test_reduction_rejects_bad_points_at_once(x, y):
     start = time.perf_counter()
     with pytest.raises(ValidationError):
         surface._reduce_batch(np.array([0.3, x]), np.array([0.8, y]))
     assert time.perf_counter() - start < 1.0
+    # before any sweep: with no sweeps allowed, a point in range would
+    # fail the iteration cap with ConvergenceError instead
+    with pytest.raises(ValidationError):
+        surface._reduce_batch(np.array([0.3, x]), np.array([0.8, y]), cap=0)
+    with pytest.raises(ConvergenceError):
+        surface._reduce_batch(np.array([0.3]), np.array([0.8]), cap=0)
 
 
 def test_reduction_flags_nan_from_underflow():
-    # below the floor |z|^2 can underflow to 0, and S would make x = 0/0;
-    # such a point is outside the reduction's range and is rejected before
-    # the first sweep, not left to the domain check
-    for y in (1e-300, 5e-324, math.nextafter(1e-150, 0.0)):
+    # far below the range |z|^2 can underflow to 0, and S would make
+    # x = 0/0; such a point is rejected before the first sweep, not left
+    # to the domain check
+    for y in (1e-300, 5e-324, 1e-150, 1e-20):
         start = time.perf_counter()
         with pytest.raises(ValidationError):
             surface._reduce_batch(np.array([0.3, 0.0]), np.array([0.8, y]))
         assert time.perf_counter() - start < 1.0
-    # at the floor itself y^2 is a normal double and S is exact
-    reduced, _ = reduce_to_domain(HPoint(0.0, 1e-150))
-    assert (reduced.x, reduced.y) == (0.0, 1e150)
+    # just inside the range S is exact at a power of two
+    assert 2.0**-40 > _Y_EDGE
+    reduced, _ = reduce_to_domain(HPoint(0.0, 2.0**-40))
+    assert (reduced.x, reduced.y) == (0.0, 2.0**40)
+    # and the edges of the range itself reduce
+    for x, y in ((0.0, _Y_EDGE * (1.0 + 1e-9)), (0.5, _Y_EDGE_HALF * (1.0 + 1e-9))):
+        reduced, _ = reduce_to_domain(HPoint(x, y))
+        assert reduced.x**2 + reduced.y**2 >= 1.0 - 1e-12
+
+
+def _reduced(x, y):
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    xr, yr, word = surface._reduce_batch(x, y)
+    return x, y, xr.copy(), yr.copy(), [w.copy() for w in word]
+
+
+def _edge_points():
+    # the edges of the range: MC orbit points at t = 20 and 27.7, and
+    # points at y = 1e-12 with x uniform on [-1/2, 1/2]
+    xs, ys = zip(_orbit_points(20.0, 40, 3), _orbit_points(27.7, 40, 4))
+    x12 = np.random.default_rng(8).uniform(-0.5, 0.5, 40)
+    return np.concatenate(xs + (x12,)), np.concatenate(ys + (np.full(40, 1e-12),))
+
+
+def test_certificate_accepts_the_reduction():
+    x_in, y_in, x, y, word = _reduced(*_edge_points())
+    # the residual stays far inside the tolerance: K = 8 has room to spare
+    assert surface._certify_word(x_in, y_in, x, y, word) < 0.25
+
+
+@pytest.mark.parametrize("row", [0, 1, 2, 3])
+@pytest.mark.parametrize("step", [1.0, -1.0])
+def test_certificate_rejects_a_word_entry_off_by_one(row, step):
+    x_in, y_in, x, y, word = _reduced(*_edge_points())
+    for i in range(0, x.size, 7):
+        broken = [w.copy() for w in word]
+        broken[row][i] += step
+        with pytest.raises(ConvergenceError):
+            surface._certify_word(x_in, y_in, x, y, broken)
+
+
+def test_certificate_rejects_a_moved_iterate():
+    x_in, y_in, x, y, word = _reduced(*_edge_points())
+    for i in range(0, x.size, 7):
+        for step in (1.0, -1.0):
+            moved = x.copy()
+            moved[i] += step
+            with pytest.raises(ConvergenceError):
+                surface._certify_word(x_in, y_in, moved, y, word)
+
+
+def test_certificate_rejects_one_translation_too_many():
+    # T gamma keeps the determinant and carries the input to x + 1, so
+    # only the image test can see it; at every point of this set the
+    # reduced y is below 320, where the tolerance is below 1
+    x_in, y_in, x, y, word = _reduced(*_edge_points())
+    assert np.max(y) < 320.0
+    wa, wb, wc, wd = word
+    for i in range(0, x.size, 7):
+        shifted = [wa.copy(), wb.copy(), wc, wd]
+        shifted[0][i] += wc[i]
+        shifted[1][i] += wd[i]
+        with pytest.raises(ConvergenceError, match="reproduce"):
+            surface._certify_word(x_in, y_in, x, y, shifted)
+
+
+def test_certificate_rejects_determinant_two():
+    # [[1, 1], [-1, 1]] has determinant 2 and fixes i, so the domain and
+    # image tests both pass; only the exact ad - bc = 1 test can fail
+    ident = [np.array([1.0, 1.0]), np.array([0.0, 0.0]), np.array([0.0, 0.0]), np.array([1.0, 1.0])]
+    word = [np.array([1.0, 1.0]), np.array([0.0, 1.0]), np.array([0.0, -1.0]), np.array([1.0, 1.0])]
+    z = (np.array([0.3, 0.0]), np.array([1.1, 1.0]))
+    assert surface._certify_word(*z, *z, ident) == 0.0
+    with pytest.raises(ConvergenceError, match="determinant"):
+        surface._certify_word(*z, *z, word)
+
+
+@pytest.mark.parametrize("part", ["x", "y", "a", "d"])
+def test_certificate_rejects_nan(part):
+    x_in, y_in, x, y, word = _reduced(*_edge_points())
+    arrays = {"x": x, "y": y, "a": word[0], "d": word[3]}
+    arrays[part][5] = math.nan
+    with pytest.raises(ConvergenceError):
+        surface._certify_word(x_in, y_in, x, y, word)
+
+
+@pytest.mark.parametrize("y", [1e-8, 1e-10, 1e-12])
+def test_reduction_at_small_y(y):
+    xs = np.random.default_rng(int(-math.log10(y))).uniform(-0.5, 0.5, 200)
+    for x in xs:
+        reduced, word = reduce_to_domain(HPoint(float(x), y))
+        assert abs(reduced.x) <= 0.5 and reduced.x**2 + reduced.y**2 >= 1.0 - 1e-12
+        assert word.a * word.d - word.b * word.c == 1.0
+
+
+def _image_mp(word, x, y):
+    # gamma z at 50 digits from the exact integer word and the exact input
+    with mpmath.workdps(50):
+        a, b, c, d = (mpmath.mpf(float(v)) for v in word)
+        z = mpmath.mpc(float(x), float(y))
+        w = (a * z + b) / (c * z + d)
+        return w.real, w.imag
+
+
+@pytest.mark.parametrize(
+    "source", [("t", 10.0), ("t", 16.0), ("t", 20.0), ("y", 1e-8), ("y", 1e-12)], ids=str
+)
+def test_reduced_point_matches_mpmath(source):
+    # the returned point is the sweep's iterate; it lies within the
+    # certificate's tolerance of the exact image of the input
+    kind, value = source
+    if kind == "t":
+        x_in, y_in = _orbit_points(value, 60, 21)
+    else:
+        x_in = np.random.default_rng(22).uniform(-0.5, 0.5, 60)
+        y_in = np.full(60, value)
+    x, y, word = surface._reduce_batch(x_in, y_in)
+    eps = np.finfo(np.float64).eps
+    tol = surface._WORD_K * eps * (1.0 + (1.0 + np.abs(x_in)) / y_in) * y
+    for i in range(x.size):
+        ex, ey = _image_mp([w[i] for w in word], x_in[i], y_in[i])
+        with mpmath.workdps(50):
+            assert abs(mpmath.mpf(float(x[i])) - ex) <= tol[i]
+            assert abs(mpmath.mpf(float(y[i])) - ey) <= tol[i]
 
 
 def test_observable_means():
@@ -300,14 +444,6 @@ def test_mc_seed_determinism():
     assert a.estimate != c.estimate
 
 
-def test_mc_thread_count_invariance():
-    # fixed chunking and substreams: worker count cannot move the estimate
-    single = mc_average(3.0, 150000, CuspIndicator(2.0), 5, threads=1)
-    multi = mc_average(3.0, 150000, CuspIndicator(2.0), 5, threads=4)
-    assert single.estimate == multi.estimate
-    assert single.standard_error == multi.standard_error
-
-
 # float.hex of (estimate, standard error), recorded before the MC pipeline
 # ran in blocks.  No n is a multiple of the block or chunk size, so partial
 # blocks and a partial final chunk both run.
@@ -365,7 +501,7 @@ def test_mc_t_zero_is_orbit_limit():
     assert at_zero.estimate != observable_eval(obs, base)
 
 
-def test_mc_validation():
+def test_mc_validation(monkeypatch):
     # radii outside the domain are rejected before any variate is drawn
     for t in (-1.0, math.nan, math.inf, -math.inf, 700.5):
         with pytest.raises(ValidationError):
@@ -377,6 +513,37 @@ def test_mc_validation():
         assert rng.bit_generator.state == state
     with pytest.raises(ValidationError):
         mc_average(1.0, 0, ConstantObservable(), 1)
+    # t + d(i, base) must stay inside the reduction's range, d(i, z) <= 28;
+    # just past it the call fails before any variate is drawn
+    def refuse(*args, **kwargs):
+        raise AssertionError("no draw may happen outside the range")
+
+    base = HPoint(0.1, 1.3)
+    edge = surface._REACH - hyp_dist(I, base)
+    monkeypatch.setattr(surface, "_draw_cartan", refuse)
+    for t, b in ((edge + 1e-6, base), (edge + 1e-6, None), (30.0, base), (20.0, HPoint(0.0, 1e-5))):
+        with pytest.raises(ValidationError):
+            mc_average(t, 1000, CuspIndicator(2.0), 1, base=b)
+    # the scan checks its largest radius before its first run: here t = 1
+    # is in range and t = 2 is not
+    far = HPoint(0.0, math.exp(-26.5))
+    with pytest.raises(ValidationError):
+        decay_scan(np.array([1.0, 2.0]), 1000, CuspIndicator(2.0), 1, base=far)
+    monkeypatch.undo()
+    # just inside the range the run completes
+    run = mc_average(edge - 1e-5, 2000, CuspIndicator(2.0), 1, base=base)
+    assert 0.0 <= run.estimate <= 1.0
+
+
+@pytest.mark.parametrize("t", [16.0, 18.0, 20.0])
+def test_mc_at_large_radius(t):
+    # 10^5 samples per seed keeps the three radii near 0.7 s together; at
+    # these radii the ball average is within e^-t of the space mean, far
+    # below the 4-sigma band
+    obs = CuspIndicator(2.0)
+    for seed in range(8):
+        run = mc_average(t, 100_000, obs, seed)
+        assert abs(run.estimate - observable_mean(obs)) <= 4.0 * run.standard_error
 
 
 @pytest.mark.parametrize("t", [0.0, 0.01, 6.0])
