@@ -59,3 +59,11 @@ def test_tracer_sees_every_point_once(monkeypatch):
     assert sum(reduced) == 20000
     assert traced.estimate.hex() == untraced.estimate.hex()
     assert traced.standard_error.hex() == untraced.standard_error.hex()
+
+
+def test_tracer_regions_match_engine(monkeypatch):
+    # hyper.<region>.* metrics are labelled by the tracer's own copy of the
+    # region cutoffs; they must be the ones gauss_2f1_neg switches on.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    assert (spans._DIRECT_MAX, spans._PFAFF_MAX) == (hyper._DIRECT_MAX, hyper._PFAFF_MAX)

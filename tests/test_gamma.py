@@ -1,8 +1,9 @@
-"""Log-gamma kernel against frozen values and an independent library."""
+"""Log-gamma kernel against frozen values, scipy and an mpmath oracle."""
 
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -36,6 +37,24 @@ def test_against_scipy_grid():
             ours = ln_gamma(z)
             ref = sps.loggamma(z)
             assert abs(ours - ref) < 1e-11 * max(1.0, abs(ref))
+
+
+def test_against_mpmath_over_stated_range():
+    # The docstring's range: Re z in [-10, 50], |Im z| <= 50, 1e-13 relative.
+    # Left of Re z = 1/2 the values are compared as exponentials, so a
+    # branch shift of 2 pi i cannot count as an error.
+    mpmath.mp.dps = 30
+    for x in np.linspace(-10.0, 50.0, 41):
+        for y in np.linspace(-50.0, 50.0, 21):
+            z = complex(x, y)
+            if y == 0.0 and x <= 0.0 and x == round(x):
+                continue  # pole
+            ours = ln_gamma(z)
+            ref = complex(mpmath.loggamma(mpmath.mpc(x, y)))
+            if x >= 0.5:
+                assert abs(ours - ref) <= 1e-13 * max(1.0, abs(ref)), z
+            else:
+                assert abs(cmath.exp(ours - ref) - 1.0) <= 1e-13, z
 
 
 def test_reflection_half_plane():

@@ -7,10 +7,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from rankone import hyper
 from rankone.errors import ConvergenceError, ValidationError
 from rankone.groups import complementary, make_group, principal
 from rankone.hyper import DegenerateParamWarning, _series_sum, gauss_2f1_neg
-from rankone.spherical import spherical_fn_many
+from rankone.spherical import MAX_PRINCIPAL_LAMBDA, spherical_fn_many
 
 
 def test_elementary_closed_forms():
@@ -94,6 +95,8 @@ def test_positive_x_rejected():
     with pytest.raises(ValidationError):
         gauss_2f1_neg(0.5, 0.5, 1.0, 0.25)
     with pytest.raises(ValidationError):
+        gauss_2f1_neg(0.5, 0.5, 1.0, [-0.2, math.nan])  # NaN fails the guard too
+    with pytest.raises(ValidationError):
         gauss_2f1_neg(0.5, 0.5, -1.0, -0.25)  # c at a pole
 
 
@@ -142,3 +145,77 @@ def test_so3_principal_closed_form_all_regions(lam):
     exact = np.ones_like(ts)
     exact[1:] = np.sin(lam * ts[1:]) / (lam * np.sinh(ts[1:]))
     assert np.max(np.abs(got - exact)) <= 1e-10
+
+
+# (p, q, c, y range), each with a zero of its sum inside the range, so some
+# points miss their tail bound and take the re-pass:
+#   real: real coefficients with a sign change near y = 0.297;
+#   conjugate: the direct series of so:3 at lam = 5, q = conj(p), whose
+#     coefficients are real, with the zero of phi at t = pi/5;
+#   pfaff: the Pfaff series of the same phi, complex and not conjugate,
+#     with the zero of phi at t = 2 pi/5.
+_LAM5 = 0.5 + 2.5j
+_SERIES_CASES = {
+    "real": (-4.5, 2.25, 1.5, 0.0, 0.75),
+    "conjugate": (_LAM5, _LAM5.conjugate(), 1.5, -0.5, 0.0),
+    "pfaff": (_LAM5, 1.5 - _LAM5.conjugate(), 1.5, 0.5 / 1.5, 0.75),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SERIES_CASES))
+def test_series_sum_over_two_blocks_against_mpmath(case, monkeypatch):
+    p, q, c, lo, hi = _SERIES_CASES[case]
+    probe = hyper._Series(p, q, c, max_terms=1200)
+    probe.grow(max(abs(lo), abs(hi)), hyper._SERIES_TOL)
+    block = hyper._TABLE_BYTES // (8 * len(probe.coeffs))
+    y = np.linspace(lo, hi, block + 1)  # one point past the first block
+
+    fills = []
+    fill = hyper._fill_powers
+
+    def spy(table, ys):
+        fills.append((table.nbytes, ys.copy()))
+        fill(table, ys)
+
+    monkeypatch.setattr(hyper, "_fill_powers", spy)
+    got = _series_sum(p, q, c, y, max_terms=1200)
+    assert [ys.size for _, ys in fills[:2]] == [block, 1]
+    assert len(fills) > 2, "no point took the re-pass"
+    assert all(nbytes <= hyper._TABLE_BYTES for nbytes, _ in fills)
+
+    repassed = np.flatnonzero(np.isin(y, np.concatenate([ys for _, ys in fills[2:]])))
+    check = np.union1d(np.union1d(repassed, np.arange(0, y.size, 40)), [block - 1, block])
+    mpmath.mp.dps = 30
+    for i in check:
+        ref = complex(mpmath.hyp2f1(p, q, c, y[i]))
+        assert abs(got[i] - ref) <= 1e-14 * max(1.0, abs(ref)), (case, y[i])
+
+
+@pytest.mark.parametrize("rho, lam, c", [(1.0, 5.0, 1.5), (2.0, 0.3, 2.5), (3.0, 9.3, 2.0), (11.0, 7.0, 8.5)])
+def test_conjugate_pair_connection_against_mpmath(rho, lam, c):
+    # b = conj(a), c real: the connection formula evaluates one term and
+    # doubles its real part
+    a = complex(rho, lam) / 2.0
+    xs = np.array([-3.5, -50.0, -2500.0])
+    got = gauss_2f1_neg(a, a.conjugate(), c, xs)
+    mpmath.mp.dps = 30
+    for x, value in zip(xs, got):
+        ref = float(mpmath.re(mpmath.hyp2f1(a, a.conjugate(), c, x)))
+        assert abs(value - ref) <= 1e-12 * abs(ref), (rho, lam, x)
+
+
+@pytest.mark.parametrize(
+    "group", [make_group("so", 5), make_group("su", 3), make_group("sp", 2), make_group("f4")]
+)
+def test_principal_frequency_bound_against_mpmath(group):
+    # The bound is measured on so:3; the larger groups are no worse there.
+    # Radii straddle both region cutoffs, where the series cancel most.
+    lam = MAX_PRINCIPAL_LAMBDA
+    ts = np.array([0.3, 0.658, 0.66, 1.0, 1.298, 1.316, 1.32, 3.0, 12.0])
+    got = spherical_fn_many(group, principal(lam), ts)
+    a, c = complex(group.rho, lam) / 2.0, group.alpha + 1.0
+    mpmath.mp.dps = 40
+    for t, value in zip(ts, got):
+        x = -mpmath.sinh(mpmath.mpf(t)) ** 2
+        ref = float(mpmath.re(mpmath.hyp2f1(a, a.conjugate(), c, x)))
+        assert abs(value - ref) <= 1e-10, (group.label, t)

@@ -10,9 +10,12 @@ import math
 import numpy as np
 import pytest
 
+from rankone import spherical
+from rankone.ballavg import psi_on_grid
 from rankone.errors import ValidationError
 from rankone.groups import complementary, make_group, principal, trivial
 from rankone.spherical import (
+    MAX_PRINCIPAL_LAMBDA,
     certify_decay_bound,
     hc_c_function,
     spherical_fn,
@@ -99,6 +102,29 @@ def test_c_function_rejects_trivial_and_zero(h3):
 def test_negative_radius_rejected(h3):
     with pytest.raises(ValidationError):
         spherical_fn_many(h3, trivial(), np.array([-0.5]))
+    # NaN is rejected up front too, not after a 2F1 pass
+    with pytest.raises(ValidationError):
+        spherical_fn_many(h3, principal(1.0), np.array([0.5, np.nan]))
+
+
+def test_principal_at_frequency_bound(h3):
+    lam = MAX_PRINCIPAL_LAMBDA
+    ts = np.linspace(0.01, 25.0, 2000)
+    got = spherical_fn_many(h3, principal(lam), ts)
+    oracle = np.sin(lam * ts) / (lam * np.sinh(ts))
+    assert np.max(np.abs(got - oracle)) <= 1e-10
+
+
+@pytest.mark.parametrize("lam", [np.nextafter(MAX_PRINCIPAL_LAMBDA, np.inf), 20.0, 50.0, 100.0, 1000.0])
+def test_principal_above_frequency_bound_rejected(h3, lam, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("2F1 evaluated for an unsupported parameter")
+
+    monkeypatch.setattr(spherical, "gauss_2f1_neg", no_work)
+    with pytest.raises(ValidationError):
+        spherical_fn_many(h3, principal(lam), np.linspace(0.0, 5.0, 11))
+    with pytest.raises(ValidationError):
+        psi_on_grid(h3, principal(lam), np.linspace(0.5, 5.0, 10))
 
 
 def test_param_outside_dual_rejected(h3):
