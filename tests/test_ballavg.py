@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline
@@ -211,6 +212,86 @@ def test_profile_table_matches_scipy_hermite(group, t_max):
         ]
     )
     np.testing.assert_array_equal(profile.volume(ts), np.maximum(oracle(ts), 0.0))
+
+
+_BAD_SPACINGS = [0.0, -0.25, float("nan"), float("inf")]
+
+
+@pytest.fixture
+def no_quadrature(monkeypatch):
+    # any evaluation of Delta or phi means work started before validation
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature ran before its input was validated")
+
+    monkeypatch.setattr(rankone.ballavg, "delta", refuse)
+    monkeypatch.setattr(rankone.ballavg, "spherical_fn_many", refuse)
+
+
+@pytest.mark.parametrize("spacing", _BAD_SPACINGS)
+def test_profile_rejects_bad_knot_spacing(h3, spacing, no_quadrature):
+    with pytest.raises(ValidationError, match="knot_spacing"):
+        build_volume_profile(h3, 6.0, knot_spacing=spacing)
+
+
+@pytest.mark.parametrize("width", _BAD_SPACINGS)
+def test_ball_volume_rejects_bad_panel_width(h3, width, no_quadrature):
+    with pytest.raises(ValidationError, match="panel_width"):
+        ball_volume(h3, 2.0, panel_width=width)
+
+
+@pytest.mark.parametrize("width", _BAD_SPACINGS)
+def test_psi_rejects_bad_panel_width(h3, width, no_quadrature):
+    with pytest.raises(ValidationError, match="panel_width"):
+        psi_on_grid(h3, principal(1.0), np.array([0.5, 2.0]), panel_width=width)
+
+
+# The profile's domain: t_max >= 1 once n1 + n2 >= 2.  Without the floor,
+# the last radius on a 0.002 grid whose table missed its budget was about
+# 0.87 (so:3), 0.94 (so:5), 0.75 (su:3), 0.65 (sp:2) and 0.57 (f4).
+_PROFILE_RADII = np.concatenate([np.arange(1.0, 3.0, 0.05), np.arange(3.0, 25.0 + 1e-9, 0.25)])
+
+
+@pytest.mark.parametrize("name", ["so:3", "so:5", "su:3", "sp:2", "f4"])
+def test_profile_domain_starts_at_one(name):
+    group = rankone.parse_group(name)
+    for t_max in _PROFILE_RADII:
+        build_volume_profile(group, float(t_max))
+    for t_max in (0.999, 0.5):
+        with pytest.raises(ValidationError, match="t_max >= 1"):
+            build_volume_profile(group, t_max)
+
+
+def test_profile_small_radius_on_so2():
+    # the mass of so:2 grows like t^2, which the first cubic follows
+    profile = build_volume_profile(make_group("so", 2), 0.01)
+    assert float(profile.volume(0.01)) == pytest.approx(2.0 * math.sinh(0.005) ** 2, rel=1e-9)
+
+
+@pytest.mark.parametrize("t_max", [1.3, 6.0, 20.0])
+def test_profile_cumulative_closed_forms(t_max):
+    # every knot, to 1e-14 of the total: the knot rule's own error is far
+    # smaller, so a cruder rule (Simpson's: about 5e-11) fails here
+    for group, exact in (
+        (make_group("so", 2), lambda t: 2.0 * np.sinh(0.5 * t) ** 2),  # cosh t - 1
+        (make_group("so", 3), lambda t: 0.5 * (np.sinh(t) * np.cosh(t) - t)),
+    ):
+        profile = build_volume_profile(group, t_max)
+        ref = exact(profile.knots)
+        assert np.max(np.abs(profile.cumulative - ref)) <= 1e-14 * ref[-1]
+
+
+@pytest.mark.parametrize("name", ["so:5", "su:3", "sp:2", "f4"])
+@pytest.mark.parametrize("t_max", [1.3, 6.0, 20.0])
+def test_profile_cumulative_mpmath(name, t_max):
+    group = rankone.parse_group(name)
+    profile = build_volume_profile(group, t_max)
+    picks = np.linspace(0, profile.knots.size - 1, 11).round().astype(int)[1:]
+    ends = [0.0] + [float(profile.knots[k]) for k in picks]
+    with mpmath.workdps(25):
+        dens = lambda x: mpmath.sinh(x) ** group.n1 * mpmath.sinh(2 * x) ** group.n2
+        pieces = [mpmath.quad(dens, [a, b]) for a, b in zip(ends[:-1], ends[1:])]
+        ref = np.array([float(v) for v in np.cumsum(pieces)])
+    assert np.max(np.abs(profile.cumulative[picks] - ref)) <= 1e-14 * ref[-1]
 
 
 def test_import_loads_no_scipy():
