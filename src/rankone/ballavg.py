@@ -360,9 +360,10 @@ def psi_on_grid(
     ts = np.asarray(ts, dtype=np.float64)
     if ts.size == 0:
         return np.zeros(0)
-    if np.min(ts) <= 0.0:
+    # Written so that NaN fails both tests too.
+    if not np.min(ts) > 0.0:
         raise ValidationError("psi needs t > 0")
-    if np.any(np.diff(ts) <= 0.0):
+    if not np.all(np.diff(ts) > 0.0):
         raise ValidationError("radius grid must be strictly increasing")
     _check_radius(group, float(ts[-1]))
     _check_spacing("panel_width", panel_width)

@@ -1,12 +1,17 @@
 """Log-gamma and the Gauss hypergeometric function at nonpositive argument.
 
-gauss_2f1_neg evaluates 2F1(a, b; c; x) for x <= 0 with a three-region
+gauss_2f1_neg evaluates 2F1(a, b; c; x) for x <= 0 with a two-region
 strategy chosen so every series it sums has geometric term ratio < 0.9:
 
-  * |x| <= 1/2          direct defining series,
-  * 1/2 < |x| <= 3      Pfaff transform, series at x/(x-1) in [0, 3/4],
+  * |x| <= 3            Pfaff transform (DLMF 15.8.1), series at
+                        x/(x-1) in [0, 3/4],
   * |x| > 3             two-term connection formula in powers of 1/(1-x)
                         (DLMF 15.8.4), argument below 1/4.
+
+The defining series at x itself is not summed.  For x < 0 the Pfaff
+argument |x|/(1+|x|) is the smaller one, and for real a, b, c > 0 the
+defining series alternates in sign at every term, while the Pfaff terms
+keep one sign once n > b - c.
 
 A series' coefficients are built once in a scalar loop.  The sum is one
 matrix product of the coefficient rows (real parts, and imaginary parts
@@ -120,8 +125,7 @@ def _gamma_quotient(numerators, denominators) -> complex:
 _SERIES_TOL = 1e-16
 # Byte cap on one power table; points are summed in blocks that fit under it.
 _TABLE_BYTES = 1 << 20
-# Regions of gauss_2f1_neg by |x|: direct series, Pfaff transform, connection.
-_DIRECT_MAX = 0.5
+# gauss_2f1_neg's one cutoff: Pfaff transform up to |x| = 3, connection beyond.
 _PFAFF_MAX = 3.0
 
 
@@ -254,10 +258,6 @@ def _series_sum(p: Number, q: Number, c: Number, y: np.ndarray, max_terms: int) 
     return _sums([series], y)[0]
 
 
-def _direct_series(a: Number, b: Number, c: Number, x: np.ndarray) -> np.ndarray:
-    return _series_sum(a, b, c, x, max_terms=300)
-
-
 def _pfaff_series(a: Number, b: Number, c: Number, x: np.ndarray) -> np.ndarray:
     # 2F1(a,b;c;x) = (1-x)^(-a) 2F1(a, c-b; c; x/(x-1)); maps x<=0 into [0,1)
     x = np.asarray(x, dtype=np.float64)
@@ -325,10 +325,12 @@ def _as_scalar(v: Number) -> Number:
 def gauss_2f1_neg(a: Number, b: Number, c: Number, x) -> Union[float, complex, np.ndarray]:
     """2F1(a, b; c; x) for x <= 0 (scalar or array x).
 
-    a and b may be real or a complex-conjugate pair; the result is real for
-    real-valued inputs (conjugate pairs included).  Degenerate connection
-    parameters (a - b within 1e-5 of an integer at large |x|) are handled
-    by perturbation and reported through DegenerateParamWarning.
+    Points with |x| <= 3 are summed by the Pfaff series, the rest by the
+    connection formula; see the module docstring.  a and b may be real or
+    a complex-conjugate pair; the result is real for real-valued inputs
+    (conjugate pairs included).  Degenerate connection parameters (a - b
+    within 1e-5 of an integer at large |x|) are handled by perturbation
+    and reported through DegenerateParamWarning.
     """
     scalar_in = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -346,12 +348,8 @@ def gauss_2f1_neg(a: Number, b: Number, c: Number, x) -> Union[float, complex, n
     if complex(a) == 0.0 or complex(b) == 0.0:
         out[:] = 1.0
     else:
-        ax = np.abs(xs)
-        direct = ax <= _DIRECT_MAX
-        conn = ax > _PFAFF_MAX
-        pfaff = ~(direct | conn)
-        if np.any(direct):
-            out[direct] = _cast(_direct_series(a, b, c, xs[direct]), out_dtype)
+        conn = np.abs(xs) > _PFAFF_MAX
+        pfaff = ~conn
         if np.any(pfaff):
             out[pfaff] = _cast(_pfaff_series(a, b, c, xs[pfaff]), out_dtype)
         if np.any(conn):

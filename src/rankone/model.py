@@ -143,9 +143,10 @@ def _as_grid(ts, minimum: float) -> np.ndarray:
     ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
     if ts.size == 0:
         raise ValidationError("time grid must be nonempty")
-    if np.min(ts) < minimum:
+    # Written so that NaN fails both tests too.
+    if not np.min(ts) >= minimum:
         raise ValidationError(f"time grid must start at {minimum} or later")
-    if ts.size > 1 and np.min(np.diff(ts)) <= 0.0:
+    if not np.all(np.diff(ts) > 0.0):
         raise ValidationError("time grid must be strictly increasing")
     return ts
 

@@ -28,9 +28,10 @@ from .hyper import gauss_2f1_neg, ln_gamma
 _LN2 = math.log(2.0)
 _UNIT_SLACK = 1e-11  # |phi| may exceed 1 by roundoff only
 # Largest principal lam evaluated.  On so:3, the worst case among the
-# groups, phi stays within 6e-11 of sin(lam t)/(lam sinh t) for every
-# lam <= 16 and first misses 1e-10 near lam = 16.8, where the direct and
-# Pfaff series lose digits to cancellation.
+# groups, phi stays within 6.3e-11 of sin(lam t)/(lam sinh t) for every
+# lam <= 16, and no lam <= 16.5 misses 1e-10 (steps of 0.01, radii in
+# [0.01, 25] and dense near t = 1.3169).  Beyond, the Pfaff series loses
+# digits to cancellation at its edge |x| = 3, t = 1.3169.
 MAX_PRINCIPAL_LAMBDA = 16.0
 
 

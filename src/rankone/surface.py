@@ -591,9 +591,10 @@ def decay_scan(
     ts = np.atleast_1d(np.asarray(t_grid, dtype=np.float64))
     if ts.size == 0:
         raise ValidationError("scan grid must be nonempty")
-    if np.min(ts) < 1.0 or np.max(ts) > 10.0:
+    # Written so that NaN fails both tests too.
+    if not (np.min(ts) >= 1.0 and np.max(ts) <= 10.0):
         raise ValidationError("scan grid must lie in [1, 10]")
-    if ts.size > 1 and np.min(np.diff(ts)) <= 0.0:
+    if not np.all(np.diff(ts) > 0.0):
         raise ValidationError("scan grid must be strictly increasing")
     if base is None:
         base = _DEFAULT_BASE

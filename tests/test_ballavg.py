@@ -245,6 +245,12 @@ def test_psi_rejects_bad_panel_width(h3, width, no_quadrature):
         psi_on_grid(h3, principal(1.0), np.array([0.5, 2.0]), panel_width=width)
 
 
+@pytest.mark.parametrize("grid", [[math.nan], [math.nan, 2.0, 3.0], [1.0, math.nan, 3.0], [1.0, 2.0, math.nan]])
+def test_psi_rejects_nan_in_grid(h3, grid, no_quadrature):
+    with pytest.raises(ValidationError):
+        psi_on_grid(h3, principal(1.0), np.array(grid))
+
+
 # The profile's domain: t_max >= 1 once n1 + n2 >= 2.  Without the floor,
 # the last radius on a 0.002 grid whose table missed its budget was about
 # 0.87 (so:3), 0.94 (so:5), 0.75 (su:3), 0.65 (sp:2) and 0.57 (f4).

@@ -63,7 +63,11 @@ def test_tracer_sees_every_point_once(monkeypatch):
 
 def test_tracer_regions_match_engine(monkeypatch):
     # hyper.<region>.* metrics are labelled by the tracer's own copy of the
-    # region cutoffs; they must be the ones gauss_2f1_neg switches on.
+    # region cutoffs.  gauss_2f1_neg switches only at _PFAFF_MAX, which the
+    # tracer must share; its "direct" label (|x| <= 1/2) marks calls that
+    # lie wholly inside the Pfaff region.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spans = importlib.import_module("spans")
-    assert (spans._DIRECT_MAX, spans._PFAFF_MAX) == (hyper._DIRECT_MAX, hyper._PFAFF_MAX)
+    assert spans._PFAFF_MAX == hyper._PFAFF_MAX
+    assert 0.0 < spans._DIRECT_MAX < hyper._PFAFF_MAX
+    assert not hasattr(hyper, "_DIRECT_MAX")

@@ -40,14 +40,87 @@ def test_parameter_symmetry():
 
 
 def test_region_overlap_consistency():
-    """The three evaluation regions agree where their domains meet."""
+    """The two evaluation regions agree where they meet, at |x| = 3."""
     a, b, c = 0.35, 0.95, 1.0
-    # straddle the cutoffs closely enough that the function's own motion
+    # straddle the cutoff closely enough that the function's own motion
     # (about 2e-13 relative here) stays below the comparison tolerance
-    for x0 in (-0.5, -3.0):
-        left = gauss_2f1_neg(a, b, c, x0 * (1.0 + 1e-12))
-        right = gauss_2f1_neg(a, b, c, x0 * (1.0 - 1e-12))
-        assert left == pytest.approx(right, rel=1e-10)
+    x0 = -hyper._PFAFF_MAX
+    left = gauss_2f1_neg(a, b, c, x0 * (1.0 + 1e-12))
+    right = gauss_2f1_neg(a, b, c, x0 * (1.0 - 1e-12))
+    assert left == pytest.approx(right, rel=1e-10)
+
+
+@pytest.mark.parametrize("a, b, c", [(0.35, 0.95, 1.0), (0.5 + 8.0j, 0.5 - 8.0j, 1.5)])
+def test_dispatch_splits_at_pfaff_max(a, b, c, monkeypatch):
+    # every point goes to exactly one region: the Pfaff series up to
+    # |x| = 3 inclusive, the connection formula beyond
+    cut = hyper._PFAFF_MAX
+    xs = np.array([-0.5, -3.5, 0.0, -cut, -1e4, -1e-300, np.nextafter(-cut, -np.inf), -0.25, -1.0])
+    seen = {"pfaff": [], "connection": []}
+
+    def spy(name, fn):
+        def wrapped(a, b, c, x):
+            seen[name].append(np.array(x, copy=True))
+            return fn(a, b, c, x)
+
+        return wrapped
+
+    monkeypatch.setattr(hyper, "_pfaff_series", spy("pfaff", hyper._pfaff_series))
+    monkeypatch.setattr(hyper, "_connection_formula", spy("connection", hyper._connection_formula))
+    gauss_2f1_neg(a, b, c, xs)
+    assert [len(calls) for calls in seen.values()] == [1, 1]
+    pfaff, connection = seen["pfaff"][0], seen["connection"][0]
+    assert sorted(pfaff) == sorted(xs[np.abs(xs) <= cut])
+    assert sorted(connection) == sorted(xs[np.abs(xs) > cut])
+    assert pfaff.size + connection.size == xs.size
+
+
+# The alternating defining series at x cancels here, to a relative error
+# of 9.2e-4 at x = -1/2; the Pfaff series does not.
+_CANCELLING_CASE = (26.660979201249983, 2.748971804920209, 1.6095898853313744)
+
+
+def test_generic_real_parameters_small_x_against_mpmath():
+    # The Pfaff series at y = x/(x-1) has coefficients (a)_n (c-b)_n /
+    # ((c)_n n!), which alternate in sign while n < b - c, so the sampled
+    # domain keeps c - b >= -5.  Far outside it both the Pfaff and the
+    # defining series cancel; see CHANGES.md.
+    rng = np.random.default_rng(2024)
+    cases = [_CANCELLING_CASE]
+    for _ in range(60):
+        a, c = rng.uniform(0.05, 30.0), rng.uniform(0.5, 30.0)
+        cases.append((a, rng.uniform(0.05, c + 5.0), c))
+    xs = np.array([-0.01, -0.1, -0.25, -0.4, -0.5])
+    mpmath.mp.dps = 30
+    for a, b, c in cases:
+        got = gauss_2f1_neg(a, b, c, xs)
+        for x, value in zip(xs, got):
+            ref = float(mpmath.hyp2f1(a, b, c, x))
+            assert abs(value - ref) <= 1e-10 * abs(ref), (a, b, c, x)
+
+
+# lam = 16 on t in (0, 0.658], where |x| = sinh(t)^2 <= 1/2
+_SMALL_RADII = np.linspace(0.0, 0.658, 330)[1:]
+
+
+def test_so3_principal_bound_at_small_radius():
+    lam, ts = MAX_PRINCIPAL_LAMBDA, _SMALL_RADII
+    got = spherical_fn_many(make_group("so", 3), principal(lam), ts)
+    assert np.max(np.abs(got - np.sin(lam * ts) / (lam * np.sinh(ts)))) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "group", [make_group("so", 5), make_group("su", 3), make_group("sp", 2), make_group("f4")]
+)
+def test_principal_bound_at_small_radius_against_mpmath(group):
+    lam, ts = MAX_PRINCIPAL_LAMBDA, _SMALL_RADII
+    got = spherical_fn_many(group, principal(lam), ts)
+    a, c = complex(group.rho, lam) / 2.0, group.alpha + 1.0
+    mpmath.mp.dps = 40
+    for t, value in zip(ts, got):
+        x = -mpmath.sinh(mpmath.mpf(t)) ** 2
+        ref = float(mpmath.re(mpmath.hyp2f1(a, a.conjugate(), c, x)))
+        assert abs(value - ref) <= 1e-14, (group.label, t)
 
 
 def test_against_mpmath_spots():
@@ -100,7 +173,7 @@ def test_positive_x_rejected():
         gauss_2f1_neg(0.5, 0.5, -1.0, -0.25)  # c at a pole
 
 
-# Inside each region, and exactly on the |x| = 1/2 and |x| = 3 cutoffs.
+# Inside each region, and exactly on the |x| = 3 cutoff.
 _REGION_POINTS = (-0.2, -0.5, -1.4, -3.0, -11.0, -2500.0)
 
 
@@ -137,10 +210,10 @@ def test_empty_argument_returns_empty():
 
 @pytest.mark.parametrize("lam", [0.25, 10.0])
 def test_so3_principal_closed_form_all_regions(lam):
-    # phi = sin(lam t)/(lam sinh t); x = -sinh(t)^2 crosses both cutoffs on [0, 8]
+    # phi = sin(lam t)/(lam sinh t); x = -sinh(t)^2 crosses the cutoff on [0, 8]
     ts = np.linspace(0.0, 8.0, 1601)
     x = -np.sinh(ts) ** 2
-    assert np.any(x >= -0.5) and np.any((x < -0.5) & (x >= -3.0)) and np.any(x < -3.0)
+    assert np.any(x >= -3.0) and np.any(x < -3.0)
     got = spherical_fn_many(make_group("so", 3), principal(lam), ts)
     exact = np.ones_like(ts)
     exact[1:] = np.sin(lam * ts[1:]) / (lam * np.sinh(ts[1:]))
@@ -150,7 +223,7 @@ def test_so3_principal_closed_form_all_regions(lam):
 # (p, q, c, y range), each with a zero of its sum inside the range, so some
 # points miss their tail bound and take the re-pass:
 #   real: real coefficients with a sign change near y = 0.297;
-#   conjugate: the direct series of so:3 at lam = 5, q = conj(p), whose
+#   conjugate: the defining series of so:3 at lam = 5, q = conj(p), whose
 #     coefficients are real, with the zero of phi at t = pi/5;
 #   pfaff: the Pfaff series of the same phi, complex and not conjugate,
 #     with the zero of phi at t = 2 pi/5.
@@ -209,7 +282,8 @@ def test_conjugate_pair_connection_against_mpmath(rho, lam, c):
 )
 def test_principal_frequency_bound_against_mpmath(group):
     # The bound is measured on so:3; the larger groups are no worse there.
-    # Radii straddle both region cutoffs, where the series cancel most.
+    # Radii straddle the region cutoff |x| = 3 (t = 1.3169), where the
+    # Pfaff series cancels most.
     lam = MAX_PRINCIPAL_LAMBDA
     ts = np.array([0.3, 0.658, 0.66, 1.0, 1.298, 1.316, 1.32, 3.0, 12.0])
     got = spherical_fn_many(group, principal(lam), ts)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import rankone.ballavg
 from rankone.ballavg import psi_on_grid
 from rankone.errors import ValidationError
 from rankone.groups import complementary, make_group, principal
@@ -96,6 +97,19 @@ def test_mean_report_grid_validation(spec, unit_f):
         theorem_mean_report(spec, unit_f, np.array([0.5, 2.0]))  # below t = 1
     with pytest.raises(ValidationError):
         theorem_mean_report(spec, unit_f, np.array([2.0, 2.0]))  # not increasing
+
+
+@pytest.mark.parametrize("report", [theorem_mean_report, direction_convergence, deviation_on_grid])
+@pytest.mark.parametrize("grid", [[math.nan], [math.nan, 2.0, 3.0], [1.0, math.nan, 3.0], [1.0, 2.0, math.nan]])
+def test_reports_reject_nan_in_grid(spec, unit_f, report, grid, monkeypatch):
+    # any evaluation of Delta or phi means work started before validation
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature ran before the grid was validated")
+
+    monkeypatch.setattr(rankone.ballavg, "delta", refuse)
+    monkeypatch.setattr(rankone.ballavg, "spherical_fn_many", refuse)
+    with pytest.raises(ValidationError, match="time grid"):
+        report(spec, unit_f, np.array(grid))
 
 
 def test_direction_convergence_monotone(spec, unit_f):

@@ -599,3 +599,13 @@ def test_decay_scan_grid_validation():
         decay_scan(np.array([0.5, 2.0]), 1000, ConstantObservable(), 1)
     with pytest.raises(ValidationError):
         decay_scan(np.array([3.0, 2.0]), 1000, ConstantObservable(), 1)
+
+
+@pytest.mark.parametrize("grid", [[math.nan], [math.nan, 2.0, 3.0], [1.0, math.nan, 3.0], [1.0, 2.0, math.nan]])
+def test_decay_scan_rejects_nan_in_grid(grid, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Monte Carlo run started before the grid was validated")
+
+    monkeypatch.setattr(surface, "mc_average", refuse)
+    with pytest.raises(ValidationError, match="scan grid"):
+        decay_scan(np.array(grid), 1000, CuspIndicator(2.0), 1)
