@@ -7,11 +7,18 @@ The ball average of a spherical function,
     psi_s(t) = int_0^t phi_s Delta dtau / int_0^t Delta dtau,
 
 inherits |psi| <= 1 and decays like c(s) * (2 rho / (rho + s)) e^{-(rho-s)t}
-for complementary parameters.  Ball volumes and ball averages use composite
-Gauss-Legendre panels (20 nodes, width at most 0.25) with interval-halving
-verification.  The volume profile integrates each knot interval with the
-4-point Gauss-Lobatto rule, whose end nodes are the knots where its Hermite
-slopes already need Delta, and is checked against the 20-node panels.
+for complementary parameters.  Differentiating phi_s's 2F1 (DLMF 15.5.1)
+in the Jacobi equation (Delta phi')' = -(rho^2 - s^2) Delta phi gives the
+numerator in closed form (Koornwinder 1984, section 2):
+
+    int_0^t phi_s Delta = Delta(t) sinh t cosh t 2F1(a+1, b+1; c+1; -sinh(t)^2) / (2c),
+
+with a, b = (rho +- s)/2 and c = alpha + 1.  Ball volumes use composite
+Gauss-Legendre panels (20 nodes, width at most 0.25), with interval-halving
+verification in ball_volume.  The volume profile integrates each knot
+interval with the 4-point Gauss-Lobatto rule, whose end nodes are the knots
+where its Hermite slopes already need Delta, and is checked against the
+20-node panels.
 """
 
 from __future__ import annotations
@@ -24,10 +31,14 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 from .groups import RankOneGroup, SpectralParam, check_param, complementary
-from .spherical import hc_c_function, spherical_fn_many
+from .spherical import _jacobi_2f1, hc_c_function
+# Unused here: perfbench/spans.py traces this name and needs it to stay.
+from .spherical import spherical_fn_many  # noqa: F401
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _PANEL_WIDTH = 0.25
+_REL_TOL = 1e-10  # two panel refinements of a ball volume must agree to these
+_ABS_TOL = 1e-12
 _EXP_ARG_LIMIT = 700.0  # exp overflow guard for e^{2 rho t}
 _MIN_KNOTS = 32  # knot intervals of the smallest volume profile
 _NEWTON_STEPS = 40  # cap for the bracketed Newton radial inversion
@@ -88,21 +99,12 @@ def _gl_points(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _segment_integrals(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return np.sum(values * weights, axis=1)
-
-
-def ball_volume(
-    group: RankOneGroup,
-    t: float,
-    panel_width: float = _PANEL_WIDTH,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
-) -> float:
+def ball_volume(group: RankOneGroup, t: float, panel_width: float = _PANEL_WIDTH) -> float:
     """m(B_t) by adaptive composite quadrature.
 
     The panel width is halved until two successive refinements agree to
-    the requested tolerance; failure to stabilize raises ConvergenceError.
+    1e-10 relative (or 1e-12 absolute); failure to stabilize raises
+    ConvergenceError.
     """
     _check_radius(group, t)
     _check_spacing("panel_width", panel_width)
@@ -111,10 +113,8 @@ def ball_volume(
     previous = None
     width = panel_width
     for _ in range(6):
-        edges = _panel_edges(np.array([0.0, t]), width)
-        nodes, weights = _gl_points(edges)
-        value = float(np.sum(_segment_integrals(delta(group, nodes), weights)))
-        if previous is not None and abs(value - previous) <= max(abs_tol, rel_tol * abs(value)):
+        value = float(_volumes_at(group, np.array([t]), width)[0])
+        if previous is not None and abs(value - previous) <= max(_ABS_TOL, _REL_TOL * abs(value)):
             return value
         previous = value
         width *= 0.5
@@ -308,7 +308,7 @@ def _volumes_at(group: RankOneGroup, radii: np.ndarray, width: float) -> np.ndar
     """m(B_t) at sorted positive radii from one composite pass with panel ends at each."""
     edges = _panel_edges(np.concatenate([[0.0], radii]), width)
     nodes, weights = _gl_points(edges)
-    increments = _segment_integrals(delta(group, nodes), weights)
+    increments = np.sum(delta(group, nodes) * weights, axis=1)
     return np.concatenate([[0.0], np.cumsum(increments)])[np.searchsorted(edges, radii)]
 
 
@@ -326,7 +326,7 @@ def _verify_profile(profile: VolumeProfile, samples: int = 17, budget: float = 1
     radii = np.sort(np.concatenate([near_zero, mids, [profile.t_max]]))
     coarse = _volumes_at(profile.group, radii, _PANEL_WIDTH)
     direct = _volumes_at(profile.group, radii, 0.5 * _PANEL_WIDTH)
-    unstable = np.abs(coarse - direct) > np.maximum(1e-12, 1e-10 * np.abs(direct))
+    unstable = np.abs(coarse - direct) > np.maximum(_ABS_TOL, _REL_TOL * np.abs(direct))
     if np.any(unstable):
         raise ConvergenceError(
             f"volume check quadrature did not stabilize at t={radii[np.argmax(unstable)]} "
@@ -345,17 +345,13 @@ def _verify_profile(profile: VolumeProfile, samples: int = 17, budget: float = 1
 # Ball averages of spherical functions.
 
 
-def psi_on_grid(
-    group: RankOneGroup,
-    param: SpectralParam,
-    ts: Sequence[float],
-    panel_width: float = _PANEL_WIDTH,
-) -> np.ndarray:
-    """psi_s at every point of an increasing radius grid in one sweep.
+def psi_on_grid(group: RankOneGroup, param: SpectralParam, ts: Sequence[float]) -> np.ndarray:
+    """psi_s at every point of an increasing radius grid.
 
-    The numerator and denominator share one composite quadrature over
-    [0, max(ts)] whose panel boundaries include every grid point, so the
-    whole grid costs a single pass of spherical-function evaluations.
+    One 2F1 per radius by the identity in the module docstring, divided by
+    m(B_t) from one composite quadrature of Delta with a panel end at every
+    radius.  Delta / m(B_t) is formed first: Delta sinh t cosh t alone
+    overflows near the radius bound (f4 at 2 rho t = 700).
     """
     ts = np.asarray(ts, dtype=np.float64)
     if ts.size == 0:
@@ -366,36 +362,24 @@ def psi_on_grid(
     if not np.all(np.diff(ts) > 0.0):
         raise ValidationError("radius grid must be strictly increasing")
     _check_radius(group, float(ts[-1]))
-    _check_spacing("panel_width", panel_width)
-    check_param(group, param)
     if param.is_trivial:
         # Averaging the constant function is exact, no quadrature involved.
         return np.ones_like(ts)
 
-    breaks = np.concatenate([[0.0], ts])
-    edges = _panel_edges(breaks, panel_width)
-    nodes, weights = _gl_points(edges)
-    flat = nodes.reshape(-1)
-    dens = delta(group, flat).reshape(nodes.shape)
-    phis = spherical_fn_many(group, param, flat).reshape(nodes.shape)
-    num_cum = np.concatenate([[0.0], np.cumsum(_segment_integrals(phis * dens, weights))])
-    den_cum = np.concatenate([[0.0], np.cumsum(_segment_integrals(dens, weights))])
-    idx = np.searchsorted(edges, ts)
-    values = num_cum[idx] / den_cum[idx]
+    # The 2F1 comes first: _jacobi_2f1 checks the parameter and the
+    # principal bound before any Delta or 2F1 work.
+    kernel = _jacobi_2f1(group, param, ts, 1.0)
+    ratio = delta(group, ts) / _volumes_at(group, ts, _PANEL_WIDTH)
+    values = ratio * np.sinh(ts) * np.cosh(ts) * kernel / (2.0 * (group.alpha + 1.0))
     overshoot = np.max(np.abs(values)) - 1.0
     if overshoot > 1e-9:
-        raise ConvergenceError(f"|psi| exceeded 1 by {overshoot:.3e}; quadrature unreliable")
+        raise ConvergenceError(f"|psi| exceeded 1 by {overshoot:.3e}; evaluation unreliable")
     return np.clip(values, -1.0, 1.0)
 
 
-def psi(
-    group: RankOneGroup,
-    param: SpectralParam,
-    t: float,
-    panel_width: float = _PANEL_WIDTH,
-) -> PsiValue:
+def psi(group: RankOneGroup, param: SpectralParam, t: float) -> PsiValue:
     """Ball-averaged spherical function at a single radius."""
-    value = psi_on_grid(group, param, np.array([float(t)]), panel_width=panel_width)[0]
+    value = psi_on_grid(group, param, np.array([float(t)]))[0]
     return PsiValue(t=float(t), param=param, value=float(value))
 
 

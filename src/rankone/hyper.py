@@ -331,6 +331,11 @@ def gauss_2f1_neg(a: Number, b: Number, c: Number, x) -> Union[float, complex, n
     (conjugate pairs included).  Degenerate connection parameters (a - b
     within 1e-5 of an integer at large |x|) are handled by perturbation
     and reported through DegenerateParamWarning.
+
+    Verified domain: real a, b, c with c - b > 0, or a conjugate pair a, b
+    with real c and c - Re b > 0.  psi's kernel shifts a, b and c by 1, which
+    leaves c - b unchanged.  Real c - b far below 0 stays outside: the Pfaff
+    coefficients then alternate in sign while n < b - c, and cancel.
     """
     scalar_in = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))

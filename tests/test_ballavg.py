@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -35,6 +36,8 @@ from rankone.ballavg import (
 )
 from rankone.errors import ConvergenceError, ValidationError
 from rankone.groups import complementary, make_group, principal, trivial
+from rankone.hyper import DegenerateParamWarning
+from rankone.spherical import MAX_PRINCIPAL_LAMBDA
 
 
 @pytest.fixture(scope="module")
@@ -219,12 +222,12 @@ _BAD_SPACINGS = [0.0, -0.25, float("nan"), float("inf")]
 
 @pytest.fixture
 def no_quadrature(monkeypatch):
-    # any evaluation of Delta or phi means work started before validation
+    # any evaluation of Delta or a 2F1 means work started before validation
     def refuse(*args, **kwargs):
         raise AssertionError("quadrature ran before its input was validated")
 
     monkeypatch.setattr(rankone.ballavg, "delta", refuse)
-    monkeypatch.setattr(rankone.ballavg, "spherical_fn_many", refuse)
+    monkeypatch.setattr(rankone.ballavg, "_jacobi_2f1", refuse)
 
 
 @pytest.mark.parametrize("spacing", _BAD_SPACINGS)
@@ -237,12 +240,6 @@ def test_profile_rejects_bad_knot_spacing(h3, spacing, no_quadrature):
 def test_ball_volume_rejects_bad_panel_width(h3, width, no_quadrature):
     with pytest.raises(ValidationError, match="panel_width"):
         ball_volume(h3, 2.0, panel_width=width)
-
-
-@pytest.mark.parametrize("width", _BAD_SPACINGS)
-def test_psi_rejects_bad_panel_width(h3, width, no_quadrature):
-    with pytest.raises(ValidationError, match="panel_width"):
-        psi_on_grid(h3, principal(1.0), np.array([0.5, 2.0]), panel_width=width)
 
 
 @pytest.mark.parametrize("grid", [[math.nan], [math.nan, 2.0, 3.0], [1.0, math.nan, 3.0], [1.0, 2.0, math.nan]])
@@ -340,6 +337,57 @@ def test_psi_principal_oracle_grid(h3):
         got = psi_on_grid(h3, principal(lam), ts)
         oracle = np.array([_psi_prin_oracle(lam, float(t)) for t in ts])
         np.testing.assert_allclose(got, oracle, rtol=1e-10, atol=1e-14)
+    # the principal bound, with radii dense about t = asinh(sqrt 3), where
+    # the shifted 2F1 meets the Pfaff region's edge |x| = 3
+    lam = MAX_PRINCIPAL_LAMBDA
+    ts = np.unique(np.concatenate([ts, np.linspace(1.2, 1.45, 251)]))
+    got = psi_on_grid(h3, principal(lam), ts)
+    oracle = np.array([_psi_prin_oracle(lam, float(t)) for t in ts])
+    assert np.max(np.abs(got - oracle)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "name, param",
+    [("so:3", principal(1.0)), ("su:3", complementary(1.0)), ("f4", principal(MAX_PRINCIPAL_LAMBDA))],
+)
+def test_psi_is_one_2f1_per_radius(name, param, monkeypatch):
+    # psi sums one 2F1 at each radius, the degenerate su:3 c:1 included,
+    # and evaluates no spherical function
+    sizes = []
+    original = rankone.spherical.gauss_2f1_neg
+
+    def counting(a, b, c, x):
+        sizes.append(np.size(x))
+        return original(a, b, c, x)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("psi evaluated phi")
+
+    monkeypatch.setattr(rankone.spherical, "gauss_2f1_neg", counting)
+    monkeypatch.setattr(rankone.spherical, "spherical_fn_many", refuse)
+    monkeypatch.setattr(rankone.ballavg, "spherical_fn_many", refuse)
+    ts = np.linspace(0.5, 30.0, 60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateParamWarning)
+        psi_on_grid(rankone.parse_group(name), param, ts)
+    assert sizes == [ts.size]
+
+
+@pytest.mark.parametrize("name", ["so:2", "so:3", "so:5", "su:3", "sp:2", "f4"])
+def test_ball_volume_against_jacobi_identity(name):
+    # At s = rho the psi identity gives the volume itself:
+    # m(B_t) = Delta sinh t cosh t 2F1(rho+1, 1; alpha+2; -sinh^2 t) / (2 (alpha+1)),
+    # here with mpmath's 2F1 at 30 digits: for integer rho, a - b = rho puts
+    # gauss_2f1_neg on its degenerate path, 1.9e-10 relative off at t = 20
+    group = rankone.parse_group(name)
+    for t in (0.1, 1.0, 5.0, 20.0):
+        with mpmath.workdps(30):
+            x = mpmath.mpf(t)
+            c = mpmath.mpf(group.alpha) + 1
+            kernel = mpmath.hyp2f1(mpmath.mpf(group.rho) + 1, 1, c + 1, -mpmath.sinh(x) ** 2)
+            dens = mpmath.sinh(x) ** group.n1 * mpmath.sinh(2 * x) ** group.n2
+            exact = float(dens * mpmath.sinh(x) * mpmath.cosh(x) * kernel / (2 * c))
+        assert ball_volume(group, t) == pytest.approx(exact, rel=1e-12)
 
 
 def test_psi_grid_requires_increasing_positive(h3):
@@ -398,8 +446,6 @@ def test_other_group_psi_sane():
     # no closed form for su:3; check range and monotone decay instead.
     # s = 1 makes the connection parameters degenerate, which must be
     # reported but still evaluated
-    from rankone.hyper import DegenerateParamWarning
-
     g = make_group("su", 3)
     ts = np.linspace(0.5, 8.0, 16)
     with pytest.warns(DegenerateParamWarning):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from rankone import spherical
+from rankone import ballavg, spherical
 from rankone.ballavg import psi_on_grid
 from rankone.errors import ValidationError
 from rankone.groups import complementary, make_group, principal, trivial
@@ -118,9 +118,10 @@ def test_principal_at_frequency_bound(h3):
 @pytest.mark.parametrize("lam", [np.nextafter(MAX_PRINCIPAL_LAMBDA, np.inf), 20.0, 50.0, 100.0, 1000.0])
 def test_principal_above_frequency_bound_rejected(h3, lam, monkeypatch):
     def no_work(*args):
-        raise AssertionError("2F1 evaluated for an unsupported parameter")
+        raise AssertionError("2F1 or Delta evaluated for an unsupported parameter")
 
     monkeypatch.setattr(spherical, "gauss_2f1_neg", no_work)
+    monkeypatch.setattr(ballavg, "delta", no_work)
     with pytest.raises(ValidationError):
         spherical_fn_many(h3, principal(lam), np.linspace(0.0, 5.0, 11))
     with pytest.raises(ValidationError):
