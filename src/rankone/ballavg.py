@@ -13,19 +13,21 @@ numerator in closed form (Koornwinder 1984, section 2):
 
     int_0^t phi_s Delta = Delta(t) sinh t cosh t 2F1(a+1, b+1; c+1; -sinh(t)^2) / (2c),
 
-with a, b = (rho +- s)/2 and c = alpha + 1.  Ball volumes use composite
-Gauss-Legendre panels (20 nodes, width at most 0.25), with interval-halving
-verification in ball_volume.  The volume profile integrates each knot
-interval with the 4-point Gauss-Lobatto rule, whose end nodes are the knots
-where its Hermite slopes already need Delta, and is checked against the
-20-node panels.
+with a, b = (rho +- s)/2 and c = alpha + 1.  Every ball volume, psi's
+denominator, the shell bounds and the profile check included, comes from
+one routine, _ball_volumes: composite 20-node Gauss-Legendre panels,
+checked by the 10-node rule on the same panels to 1e-10 relative and
+halved from width 0.25 until they pass.  The volume profile integrates
+each knot interval with the 4-point Gauss-Lobatto rule, whose end nodes
+are the knots where its Hermite slopes already need Delta, and is checked
+against _ball_volumes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -35,10 +37,17 @@ from .spherical import _jacobi_2f1, hc_c_function
 # Unused here: perfbench/spans.py traces this name and needs it to stay.
 from .spherical import spherical_fn_many  # noqa: F401
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
-_PANEL_WIDTH = 0.25
-_REL_TOL = 1e-10  # two panel refinements of a ball volume must agree to these
-_ABS_TOL = 1e-12
+# One evaluation of Delta serves two Gauss-Legendre rules on the same panels:
+# the 20-node sums are returned and the 10-node sums check them.
+_GL20, _GL10 = (np.polynomial.legendre.leggauss(n) for n in (20, 10))
+_NODES = np.concatenate([_GL20[0], _GL10[0]])
+_WEIGHTS = np.zeros((_NODES.size, 2))
+_WEIGHTS[:20, 0], _WEIGHTS[20:, 1] = _GL20[1], _GL10[1]
+_PANEL_WIDTH = 0.25  # first panel width; each refinement halves it
+_REFINEMENTS = 6
+_REL_TOL = 1e-10  # the two rules must agree to this, relative to each volume
+_ABS_FLOOR = np.finfo(np.float64).tiny
+_SMALL_BREAKS = 0.5 ** np.arange(8, 0, -1)  # r0 2^-k, k = 8, ..., 1
 _EXP_ARG_LIMIT = 700.0  # exp overflow guard for e^{2 rho t}
 _MIN_KNOTS = 32  # knot intervals of the smallest volume profile
 _NEWTON_STEPS = 40  # cap for the bracketed Newton radial inversion
@@ -56,7 +65,8 @@ class PsiValue:
 def delta(group: RankOneGroup, t) -> np.ndarray:
     """Radial Haar density sinh(t)^n1 * sinh(2t)^n2."""
     t = np.asarray(t, dtype=np.float64)
-    return np.sinh(t) ** group.n1 * np.sinh(2.0 * t) ** group.n2
+    # n2 = 0 skips sinh(2t), which overflows first (so:2 beyond t = 355).
+    return np.sinh(t) ** group.n1 * (np.sinh(2.0 * t) ** group.n2 if group.n2 else 1.0)
 
 
 def _check_radius(group: RankOneGroup, t: float) -> None:
@@ -66,11 +76,6 @@ def _check_radius(group: RankOneGroup, t: float) -> None:
         raise ValidationError(
             f"e^(2 rho t) overflows double precision for rho={group.rho}, t={t}"
         )
-
-
-def _check_spacing(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValidationError(f"{name} = {value} must be finite and > 0")
 
 
 def _panel_edges(breaks: np.ndarray, width: float) -> np.ndarray:
@@ -89,48 +94,59 @@ def _panel_edges(breaks: np.ndarray, width: float) -> np.ndarray:
     return np.concatenate([breaks[:1], edges])
 
 
-def _gl_points(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights for each panel, shape (panels, 20)."""
-    lo = edges[:-1, None]
-    hi = edges[1:, None]
-    half = 0.5 * (hi - lo)
-    nodes = 0.5 * (hi + lo) + half * _GL_NODES[None, :]
-    weights = half * _GL_WEIGHTS[None, :]
-    return nodes, weights
+def _ball_volumes(group: RankOneGroup, radii) -> np.ndarray:
+    """Verified m(B_t) at radii t >= 0, in any order, at least one of them positive.
 
-
-def ball_volume(group: RankOneGroup, t: float, panel_width: float = _PANEL_WIDTH) -> float:
-    """m(B_t) by adaptive composite quadrature.
-
-    The panel width is halved until two successive refinements agree to
-    1e-10 relative (or 1e-12 absolute); failure to stabilize raises
-    ConvergenceError.
+    One composite pass puts a panel end at every radius, and at r0 2^-k
+    (k = 1..8) below the smallest positive radius r0: near 0, Delta grows
+    like t^(n1 + n2), which no panel touching 0 integrates to a relative
+    tolerance once n1 + n2 is large, and the breaks shrink that panel's
+    share of the volume below rounding.  Delta is evaluated once per pass,
+    at the 20-node and 10-node Gauss-Legendre points of every panel.  The
+    20-node volumes are returned once the summed panel differences of the
+    two rules are within 1e-10 of every volume (or below the smallest
+    normal double); otherwise the panel width, 0.25 at first, is halved.
+    ConvergenceError after six passes.
     """
-    _check_radius(group, t)
-    _check_spacing("panel_width", panel_width)
-    if t == 0.0:
-        return 0.0
-    previous = None
-    width = panel_width
-    for _ in range(6):
-        value = float(_volumes_at(group, np.array([t]), width)[0])
-        if previous is not None and abs(value - previous) <= max(_ABS_TOL, _REL_TOL * abs(value)):
-            return value
-        previous = value
+    radii = np.asarray(radii, dtype=np.float64)
+    # Written so that NaN fails the check too.
+    _check_radius(group, float(np.min(radii)))
+    _check_radius(group, float(np.max(radii)))
+    smallest = np.min(radii[radii > 0.0])
+    # Repeated breaks only make panels of width 0.
+    breaks = np.sort(np.concatenate([[0.0], smallest * _SMALL_BREAKS, radii]))
+    width = _PANEL_WIDTH
+    for _ in range(_REFINEMENTS):
+        edges = _panel_edges(breaks, width)
+        half = 0.5 * np.diff(edges)[:, None]
+        sums = (delta(group, (edges[:-1, None] + half) + half * _NODES) * half) @ _WEIGHTS
+        at = np.searchsorted(edges, radii)
+        volumes = np.concatenate([[0.0], np.cumsum(sums[:, 0])])[at]
+        error = np.concatenate([[0.0], np.cumsum(np.abs(sums[:, 0] - sums[:, 1]))])[at]
+        missed = error > np.maximum(_ABS_FLOOR, _REL_TOL * volumes)
+        if not np.any(missed):
+            return volumes
         width *= 0.5
     raise ConvergenceError(
-        f"ball volume quadrature did not stabilize at t={t} for {group.label}: "
-        f"last two values {previous:.17g} (width {2*width:.3g}) vs next refinement"
+        f"ball volume quadrature did not converge at t={radii[np.argmax(missed)]} "
+        f"for {group.label} with panels {2 * width:.3g} wide"
     )
+
+
+def ball_volume(group: RankOneGroup, t: float) -> float:
+    """m(B_t) to 1e-10 relative, from the verified pass of _ball_volumes."""
+    _check_radius(group, t)
+    if t == 0.0:
+        return 0.0
+    return float(_ball_volumes(group, np.array([t]))[0])
 
 
 def volume_regularity(group: RankOneGroup, t: float, eps: float) -> float:
     """Relative shell growth (m(B_{t+eps}) - m(B_t)) / (eps * m(B_t))."""
     if not (t > 0.0 and eps > 0.0):
         raise ValidationError("volume_regularity needs t > 0 and eps > 0")
-    base = ball_volume(group, t)
-    grown = ball_volume(group, t + eps)
-    return (grown - base) / (eps * base)
+    base, grown = _ball_volumes(group, np.array([t, t + eps]))
+    return float((grown - base) / (eps * base))
 
 
 # --------------------------------------------------------------------------
@@ -242,17 +258,13 @@ class VolumeProfile:
         return tau
 
 
-def build_volume_profile(
-    group: RankOneGroup,
-    t_max: float,
-    knot_spacing: Optional[float] = None,
-) -> VolumeProfile:
+def build_volume_profile(group: RankOneGroup, t_max: float) -> VolumeProfile:
     """Tabulate m(B_t) on [0, t_max] and the Hermite cubic on each interval.
 
-    The default knot spacing h shrinks with rho so the quartic interpolation
-    error, whose bound on an interval is (kappa h)^4 / 384 relative to the
-    local mass, with kappa the log-derivative of Delta (it tends to 2 rho),
-    stays under the 1e-9 budget; at the default 2 rho h <= 0.02.  Small
+    The knot spacing h = 0.01 / max(1, rho) shrinks with rho so the quartic
+    interpolation error, whose bound on an interval is (kappa h)^4 / 384
+    relative to the local mass, with kappa the log-derivative of Delta (it
+    tends to 2 rho), stays under the 1e-9 budget: 2 rho h <= 0.02.  Small
     balls get at least _MIN_KNOTS intervals: near t = 0 the mass grows like
     t^(n1 + n2 + 1), so a fixed spacing would leave the interpolation error
     large against the tiny total.
@@ -264,8 +276,7 @@ def build_volume_profile(
     rule is exact through degree 5 and its error is about
     6.6e-7 (kappa h)^6 relative to the interval: wherever the cubic meets
     its budget, kappa h <= 0.025 and the rule is at rounding level.  The
-    budget is checked at build time against independent 20-node
-    Gauss-Legendre quadrature.
+    budget is checked at build time against _ball_volumes.
 
     A group with n1 + n2 >= 2 needs t_max >= 1, or ValidationError is raised
     up front.  Below that the table can miss its budget, because a cubic
@@ -280,10 +291,7 @@ def build_volume_profile(
             f"volume profile of {group.label} needs t_max >= 1 (got {t_max}); "
             "use ball_volume for smaller balls"
         )
-    if knot_spacing is None:
-        knot_spacing = 0.01 / max(1.0, group.rho)
-    _check_spacing("knot_spacing", knot_spacing)
-    n = max(_MIN_KNOTS, int(math.ceil(t_max / knot_spacing)))
+    n = max(_MIN_KNOTS, int(math.ceil(t_max / (0.01 / max(1.0, group.rho)))))
     knots = np.linspace(0.0, t_max, n + 1)
     h = np.diff(knots)
     d = delta(group, knots)
@@ -304,34 +312,16 @@ def build_volume_profile(
     return profile
 
 
-def _volumes_at(group: RankOneGroup, radii: np.ndarray, width: float) -> np.ndarray:
-    """m(B_t) at sorted positive radii from one composite pass with panel ends at each."""
-    edges = _panel_edges(np.concatenate([[0.0], radii]), width)
-    nodes, weights = _gl_points(edges)
-    increments = np.sum(delta(group, nodes) * weights, axis=1)
-    return np.concatenate([[0.0], np.cumsum(increments)])[np.searchsorted(edges, radii)]
-
-
 def _verify_profile(profile: VolumeProfile, samples: int = 17, budget: float = 1e-9) -> None:
     """Check the table against quadrature at 20 radii, to budget * m(B_{t_max}).
 
-    The radii are three near zero and `samples` interval midpoints.  They and
-    t_max share one composite Gauss-Legendre pass, run at panel widths 0.25
-    and 0.125 (ball_volume's first two refinements); the two passes must
-    agree to ball_volume's tolerance at every radius, or ConvergenceError.
+    The radii are three near zero and `samples` interval midpoints; they and
+    t_max share one verified pass of _ball_volumes.
     """
     mids = np.linspace(profile.t_max / samples, profile.t_max, samples) - profile.t_max / (2 * samples)
     near_zero = profile.t_max * np.array([1e-3, 0.01, 0.03])
-    # np.sort, not np.unique: the latter imports numpy.ma on first use.
-    radii = np.sort(np.concatenate([near_zero, mids, [profile.t_max]]))
-    coarse = _volumes_at(profile.group, radii, _PANEL_WIDTH)
-    direct = _volumes_at(profile.group, radii, 0.5 * _PANEL_WIDTH)
-    unstable = np.abs(coarse - direct) > np.maximum(_ABS_TOL, _REL_TOL * np.abs(direct))
-    if np.any(unstable):
-        raise ConvergenceError(
-            f"volume check quadrature did not stabilize at t={radii[np.argmax(unstable)]} "
-            f"for {profile.group.label}"
-        )
+    radii = np.concatenate([near_zero, mids, [profile.t_max]])
+    direct = _ball_volumes(profile.group, radii)
     cached = profile.volume(radii)
     miss = np.abs(cached - direct) > budget * direct[-1]
     if np.any(miss):
@@ -349,9 +339,9 @@ def psi_on_grid(group: RankOneGroup, param: SpectralParam, ts: Sequence[float]) 
     """psi_s at every point of an increasing radius grid.
 
     One 2F1 per radius by the identity in the module docstring, divided by
-    m(B_t) from one composite quadrature of Delta with a panel end at every
-    radius.  Delta / m(B_t) is formed first: Delta sinh t cosh t alone
-    overflows near the radius bound (f4 at 2 rho t = 700).
+    m(B_t) from one verified pass of _ball_volumes over the grid.
+    Delta / m(B_t) is formed first: Delta sinh t cosh t alone overflows
+    near the radius bound (f4 at 2 rho t = 700).
     """
     ts = np.asarray(ts, dtype=np.float64)
     if ts.size == 0:
@@ -369,7 +359,7 @@ def psi_on_grid(group: RankOneGroup, param: SpectralParam, ts: Sequence[float]) 
     # The 2F1 comes first: _jacobi_2f1 checks the parameter and the
     # principal bound before any Delta or 2F1 work.
     kernel = _jacobi_2f1(group, param, ts, 1.0)
-    ratio = delta(group, ts) / _volumes_at(group, ts, _PANEL_WIDTH)
+    ratio = delta(group, ts) / _ball_volumes(group, ts)
     values = ratio * np.sinh(ts) * np.cosh(ts) * kernel / (2.0 * (group.alpha + 1.0))
     overshoot = np.max(np.abs(values)) - 1.0
     if overshoot > 1e-9:
@@ -474,7 +464,6 @@ def psi_lipschitz_check(
         raise ValidationError("need t > 0 and eps > 0")
     pair = psi_on_grid(group, param, np.array([t, t + eps]))
     jump = float(abs(pair[1] - pair[0]))
-    v_t = ball_volume(group, t)
-    v_te = ball_volume(group, t + eps)
+    v_t, v_te = _ball_volumes(group, np.array([t, t + eps]))
     bound = (v_te - v_t) / v_te
     return jump, float(bound)

@@ -24,13 +24,7 @@ import numpy as np
 
 from . import __version__
 from .acceptance import run_all
-from .ballavg import (
-    ball_volume,
-    psi_bound_check,
-    psi_lipschitz_check,
-    psi_on_grid,
-    volume_regularity,
-)
+from .ballavg import _ball_volumes, ball_volume, psi_bound_check, psi_on_grid
 from .errors import ConvergenceError, ValidationError
 from .groups import parse_group, parse_param
 from .model import (
@@ -164,12 +158,16 @@ def cmd_psi(args) -> int:
     else:
         bound_ratio = np.full_like(ts, math.nan)
     if args.check_lipschitz:
-        for left, right in zip(ts[:-1], ts[1:]):
-            jump, bound = psi_lipschitz_check(group, param, float(left), float(right - left))
-            if jump > bound + 1e-9:
-                raise ConvergenceError(
-                    f"shell bound violated at t={left:g}: jump {jump:.3e} > {bound:.3e}"
-                )
+        # psi_lipschitz_check on every step, from the grid's values and volumes
+        volumes = _ball_volumes(group, ts)
+        jumps = np.abs(np.diff(values))
+        bounds = np.diff(volumes) / volumes[1:]
+        violated = jumps > bounds + 1e-9
+        if np.any(violated):
+            k = int(np.argmax(violated))
+            raise ConvergenceError(
+                f"shell bound violated at t={ts[k]:g}: jump {jumps[k]:.3e} > {bounds[k]:.3e}"
+            )
         comments.append(f"shell bound verified on {ts.size - 1} consecutive steps")
     rows = [[float(t), float(v), float(s), float(b)]
             for t, v, s, b in zip(ts, values, scaled, bound_ratio)]
@@ -185,11 +183,15 @@ def cmd_volume(args) -> int:
     if args.t_max is None:
         raise ValidationError("need --t or --t-min/--t-max/--steps")
     ts = _linspace(args)
-    rows = []
-    for t in ts:
-        v = ball_volume(group, float(t))
-        reg = volume_regularity(group, float(t), args.eps) if args.eps else math.nan
-        rows.append([float(t), float(v), float(reg)])
+    if args.eps:
+        # volume_regularity at every radius, from one pass over t and t + eps
+        if not (ts[0] > 0.0 and args.eps > 0.0):
+            raise ValidationError("volume_regularity needs t > 0 and eps > 0")
+        volumes, grown = np.split(_ball_volumes(group, np.concatenate([ts, ts + args.eps])), 2)
+        regularity = (grown - volumes) / (args.eps * volumes)
+    else:
+        volumes, regularity = _ball_volumes(group, ts), np.full_like(ts, math.nan)
+    rows = [[float(t), float(v), float(r)] for t, v, r in zip(ts, volumes, regularity)]
     _emit_table(args, ["t", "volume", "regularity"], rows)
     return 0
 

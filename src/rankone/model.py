@@ -14,7 +14,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 

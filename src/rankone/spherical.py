@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
@@ -74,7 +73,7 @@ def _jacobi_2f1(group: RankOneGroup, param: SpectralParam, ts: np.ndarray, shift
     a = (group.rho + s) / 2.0 + shift
     b = (group.rho - s) / 2.0 + shift
     c = group.alpha + 1.0 + shift
-    return np.real(np.atleast_1d(gauss_2f1_neg(_tidy(a), _tidy(b), c, -np.sinh(ts) ** 2)))
+    return np.real(np.atleast_1d(gauss_2f1_neg(a, b, c, -np.sinh(ts) ** 2)))
 
 
 def spherical_fn_many(group: RankOneGroup, param: SpectralParam, ts) -> np.ndarray:
@@ -106,10 +105,6 @@ def spherical_fn(group: RankOneGroup, param: SpectralParam, t: float) -> Spheric
     return SphericalValue(t=float(t), param=param, value=float(value))
 
 
-def _tidy(z: complex):
-    return z if z.imag != 0.0 else float(z.real)
-
-
 def hc_c_function(group: RankOneGroup, param: SpectralParam) -> CFunctionValue:
     """Gamma-quotient decay coefficient.
 
@@ -130,9 +125,9 @@ def hc_c_function(group: RankOneGroup, param: SpectralParam) -> CFunctionValue:
     log_value = (
         (rho - s) * _LN2
         + ln_gamma(alpha + 1.0)
-        + ln_gamma(_tidy(s))
-        - ln_gamma(_tidy((rho + s) / 2.0))
-        - ln_gamma(_tidy((s + alpha - beta + 1.0) / 2.0))
+        + ln_gamma(s)
+        - ln_gamma((rho + s) / 2.0)
+        - ln_gamma((s + alpha - beta + 1.0) / 2.0)
     )
     return CFunctionValue(param=param, value=cmath.exp(log_value))
 

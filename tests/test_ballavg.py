@@ -19,10 +19,11 @@ import pytest
 from scipy.interpolate import CubicHermiteSpline
 
 import rankone
+from rankone import ballavg
 from rankone.ballavg import (
+    _ball_volumes,
     _panel_edges,
     _verify_profile,
-    _volumes_at,
     ball_volume,
     build_volume_profile,
     delta,
@@ -82,11 +83,46 @@ def test_volume_closed_form_grid(h3):
         assert ball_volume(h3, float(t)) == pytest.approx(_vol_oracle(t), rel=1e-10)
 
 
-def test_volume_quadrature_halving(h3):
+def test_volume_quadrature_halving(h3, monkeypatch):
     # panel refinement must not move the answer at the advertised accuracy
-    coarse = ball_volume(h3, 12.0, panel_width=0.5)
-    fine = ball_volume(h3, 12.0, panel_width=0.25)
+    coarse = ball_volume(h3, 12.0)
+    monkeypatch.setattr(ballavg, "_PANEL_WIDTH", 0.125)
+    fine = ball_volume(h3, 12.0)
     assert coarse == pytest.approx(fine, rel=1e-12)
+
+
+def _count_passes(monkeypatch):
+    # panel count of every pass, from the shape of Delta's node array
+    panels = []
+    original = ballavg.delta
+
+    def counting(group, t):
+        panels.append(np.shape(t)[0])
+        return original(group, t)
+
+    monkeypatch.setattr(ballavg, "delta", counting)
+    return panels
+
+
+@pytest.mark.parametrize("name", ["so:2", "so:3", "so:5", "su:3", "sp:2", "f4"])
+def test_volume_passes_at_first_width(name, monkeypatch):
+    # the named groups need no refinement on a grid from near 0 to the radius bound
+    group = rankone.parse_group(name)
+    panels = _count_passes(monkeypatch)
+    _ball_volumes(group, np.linspace(1e-3, 690.0 / (2.0 * group.rho), 40))
+    assert len(panels) == 1
+
+
+def test_volume_refines_six_times_then_raises(h3, monkeypatch):
+    # with no tolerance the check never passes: six passes, from width 0.25
+    # and halving, on the breaks 0, 3 2^-8, ..., 3/2 and 3, then ConvergenceError
+    monkeypatch.setattr(ballavg, "_REL_TOL", 0.0)
+    panels = _count_passes(monkeypatch)
+    with pytest.raises(ConvergenceError, match="did not converge at t=3.0"):
+        ball_volume(h3, 3.0)
+    breaks = np.concatenate([[0.0], 3.0 * 0.5 ** np.arange(8, -1, -1)])
+    assert panels == [_panel_edges(breaks, 0.25 * 0.5**k).size - 1 for k in range(6)]
+    assert panels[0] == 17
 
 
 def test_volume_growth_constant(h3):
@@ -144,9 +180,11 @@ def _check_radii(t_max: float) -> np.ndarray:
 @pytest.mark.parametrize("group", [make_group("so", 2), make_group("f4")])
 def test_profile_check_shared_pass_matches_ball_volume(group):
     radii = _check_radii(6.0)
-    shared = _volumes_at(group, radii, 0.125)
+    shared = _ball_volumes(group, radii)
     direct = np.array([ball_volume(group, float(t)) for t in radii])
     np.testing.assert_allclose(shared, direct, rtol=1e-12)
+    # any order of the radii gives the same volumes
+    np.testing.assert_allclose(_ball_volumes(group, radii[::-1])[::-1], shared, rtol=1e-14)
 
 
 @pytest.mark.parametrize("group", [make_group("so", 2), make_group("f4")])
@@ -217,9 +255,6 @@ def test_profile_table_matches_scipy_hermite(group, t_max):
     np.testing.assert_array_equal(profile.volume(ts), np.maximum(oracle(ts), 0.0))
 
 
-_BAD_SPACINGS = [0.0, -0.25, float("nan"), float("inf")]
-
-
 @pytest.fixture
 def no_quadrature(monkeypatch):
     # any evaluation of Delta or a 2F1 means work started before validation
@@ -228,18 +263,6 @@ def no_quadrature(monkeypatch):
 
     monkeypatch.setattr(rankone.ballavg, "delta", refuse)
     monkeypatch.setattr(rankone.ballavg, "_jacobi_2f1", refuse)
-
-
-@pytest.mark.parametrize("spacing", _BAD_SPACINGS)
-def test_profile_rejects_bad_knot_spacing(h3, spacing, no_quadrature):
-    with pytest.raises(ValidationError, match="knot_spacing"):
-        build_volume_profile(h3, 6.0, knot_spacing=spacing)
-
-
-@pytest.mark.parametrize("width", _BAD_SPACINGS)
-def test_ball_volume_rejects_bad_panel_width(h3, width, no_quadrature):
-    with pytest.raises(ValidationError, match="panel_width"):
-        ball_volume(h3, 2.0, panel_width=width)
 
 
 @pytest.mark.parametrize("grid", [[math.nan], [math.nan, 2.0, 3.0], [1.0, math.nan, 3.0], [1.0, 2.0, math.nan]])
@@ -373,6 +396,24 @@ def test_psi_is_one_2f1_per_radius(name, param, monkeypatch):
     assert sizes == [ts.size]
 
 
+def test_psi_is_one_volume_pass_per_grid(h3, monkeypatch):
+    # psi divides by one verified _ball_volumes pass over the whole grid
+    calls = []
+    original = ballavg._ball_volumes
+
+    def counting(group, radii):
+        calls.append(np.array(radii))
+        return original(group, radii)
+
+    monkeypatch.setattr(ballavg, "_ball_volumes", counting)
+    ts = np.linspace(0.5, 30.0, 60)
+    psi_on_grid(h3, principal(1.0), ts)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], ts)
+    psi_on_grid(h3, trivial(), ts)  # the constant's average needs no volume
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("name", ["so:2", "so:3", "so:5", "su:3", "sp:2", "f4"])
 def test_ball_volume_against_jacobi_identity(name):
     # At s = rho the psi identity gives the volume itself:
@@ -387,7 +428,7 @@ def test_ball_volume_against_jacobi_identity(name):
             kernel = mpmath.hyp2f1(mpmath.mpf(group.rho) + 1, 1, c + 1, -mpmath.sinh(x) ** 2)
             dens = mpmath.sinh(x) ** group.n1 * mpmath.sinh(2 * x) ** group.n2
             exact = float(dens * mpmath.sinh(x) * mpmath.cosh(x) * kernel / (2 * c))
-        assert ball_volume(group, t) == pytest.approx(exact, rel=1e-12)
+        assert ball_volume(group, t) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_psi_grid_requires_increasing_positive(h3):

@@ -1,4 +1,4 @@
-"""psi on six groups against ratios of mpmath quadratures at 30 digits.
+"""psi and ball volumes against mpmath at 30 digits.
 
 _PSI_MPMATH holds psi_s(t) = int_0^t phi_s Delta / int_0^t Delta at
 _RADII for each group and parameter, both integrals by mpmath's
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import rankone
-from rankone.ballavg import psi_on_grid
+from rankone.ballavg import ball_volume, psi, psi_on_grid
 from rankone.groups import complementary, principal
 from rankone.hyper import DegenerateParamWarning
 
@@ -208,6 +208,56 @@ def test_table_is_mpmath_psi():
         group = rankone.parse_group(name)
         got = _mpmath_psi(group, _param(group, "c", 0.3), _RADII[:3])
         assert got == list(_PSI_MPMATH[name, "c", 0.3][:3])
+
+
+def _mpmath_volume(group, t):
+    """m(B_t) as Delta(t) times the tanh-sinh quadrature of Delta / Delta(t).
+
+    The scaling keeps the integrand at most 1: mpmath's quad stops on an
+    absolute error estimate, so it misreports tiny volumes unscaled.
+    """
+    x = mpmath.mpf(t)
+    dens = lambda u: mpmath.sinh(u) ** group.n1 * mpmath.sinh(2 * u) ** group.n2
+    top = dens(x)
+    return top * mpmath.quad(lambda u: dens(u) / top, [0, x / 2, x])
+
+
+def _mpmath_psi_identity(group, param, t):
+    """psi_s(t) = Delta sinh t cosh t 2F1(a+1, b+1; c+1; -sinh(t)^2) / (2c m(B_t))."""
+    s = param.s_complex(group)
+    s = mpmath.mpc(s) if s.imag else mpmath.mpf(s.real)
+    a, b = (group.rho + s) / 2, (group.rho - s) / 2
+    c = mpmath.mpf(group.alpha) + 1
+    x = mpmath.mpf(t)
+    dens = mpmath.sinh(x) ** group.n1 * mpmath.sinh(2 * x) ** group.n2
+    kernel = mpmath.hyp2f1(a + 1, b + 1, c + 1, -mpmath.sinh(x) ** 2)
+    numer = dens * mpmath.sinh(x) * mpmath.cosh(x) * kernel / (2 * c)
+    return mpmath.re(numer / _mpmath_volume(group, t))
+
+
+@pytest.mark.parametrize("name, t", [("custom:100,100", 0.315), ("custom:100,100", 0.69),
+                                     ("custom:100,100", 2.0), ("custom:40,20", 0.08),
+                                     ("custom:40,20", 0.5)])
+def test_high_dimension_volume_against_mpmath(name, t):
+    # Delta ~ t^(n1 + n2) near 0: m(B_0.315) on custom:100,100 is 3e-70, and
+    # a volume check with an absolute floor let it through 3.8e-9 off
+    group = rankone.parse_group(name)
+    with mpmath.workdps(30):
+        want = float(_mpmath_volume(group, t))
+    assert ball_volume(group, t) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("param", [complementary(37.5), principal(3.7)], ids=["c:37.5", "p:3.7"])
+def test_high_dimension_psi_against_mpmath(param):
+    # psi's volumes on custom:100,100 were off by 2.8e-6 at t = 0.3 and
+    # 2.7e-7 at t = 0.69 while they went unchecked
+    group = rankone.parse_group("custom:100,100")
+    ts = np.array([0.3, 0.69, 1.0, 2.0] if param.kind == "complementary" else [0.3, 0.69, 1.0])
+    with mpmath.workdps(30):
+        want = np.array([float(_mpmath_psi_identity(group, param, t)) for t in ts])
+    np.testing.assert_allclose(psi_on_grid(group, param, ts), want, rtol=1e-12, atol=0.0)
+    for t, w in zip(ts, want):
+        assert psi(group, param, float(t)).value == pytest.approx(w, rel=1e-12, abs=0.0)
 
 
 if __name__ == "__main__":
