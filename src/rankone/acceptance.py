@@ -184,8 +184,8 @@ def criterion_shell_lipschitz() -> CriterionResult:
     for t in (1.0, 2.0, 5.0, 10.0):
         for eps in (0.01, 0.1, 0.5):
             for param in params:
-                jump, bound = psi_lipschitz_check(group, param, t, eps)
-                min_slack = min(min_slack, bound - jump)
+                jump, bound = psi_lipschitz_check(group, param, [t, t + eps])
+                min_slack = min(min_slack, float(bound[0] - jump[0]))
     elapsed = time.perf_counter() - start
     passed = min_slack >= -1e-9
     return CriterionResult(

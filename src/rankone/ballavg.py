@@ -13,14 +13,11 @@ numerator in closed form (Koornwinder 1984, section 2):
 
     int_0^t phi_s Delta = Delta(t) sinh t cosh t 2F1(a+1, b+1; c+1; -sinh(t)^2) / (2c),
 
-with a, b = (rho +- s)/2 and c = alpha + 1.  Every ball volume, psi's
-denominator, the shell bounds and the profile check included, comes from
-one routine, _ball_volumes: composite 20-node Gauss-Legendre panels,
-checked by the 10-node rule on the same panels to 1e-10 relative and
-halved from width 0.25 until they pass.  The volume profile integrates
-each knot interval with the 4-point Gauss-Lobatto rule, whose end nodes
-are the knots where its Hermite slopes already need Delta, and is checked
-against _ball_volumes.
+with a, b = (rho +- s)/2 and c = alpha + 1.  Every ball volume comes
+from one verified quadrature, _ball_volumes.  The volume profile
+integrates each knot interval with the 4-point Gauss-Lobatto rule, whose
+end nodes are the knots where its Hermite slopes already need Delta, and
+is checked against _ball_volumes.
 """
 
 from __future__ import annotations
@@ -95,26 +92,39 @@ def _panel_edges(breaks: np.ndarray, width: float) -> np.ndarray:
 
 
 def _ball_volumes(group: RankOneGroup, radii) -> np.ndarray:
-    """Verified m(B_t) at radii t >= 0, in any order, at least one of them positive.
+    """Verified m(B_t) at radii t >= 0, in any order.
 
-    One composite pass puts a panel end at every radius, and at r0 2^-k
-    (k = 1..8) below the smallest positive radius r0: near 0, Delta grows
-    like t^(n1 + n2), which no panel touching 0 integrates to a relative
-    tolerance once n1 + n2 is large, and the breaks shrink that panel's
-    share of the volume below rounding.  Delta is evaluated once per pass,
-    at the 20-node and 10-node Gauss-Legendre points of every panel.  The
-    20-node volumes are returned once the summed panel differences of the
-    two rules are within 1e-10 of every volume (or below the smallest
-    normal double); otherwise the panel width, 0.25 at first, is halved.
-    ConvergenceError after six passes.
+    One composite pass puts a panel end at every radius and evaluates Delta
+    once, at the 20-node and 10-node Gauss-Legendre points of every panel.
+    The 20-node volumes are returned once the summed panel differences of
+    the two rules are within 1e-10 of every volume (or below the smallest
+    normal double); otherwise the panel width, 0.25 at first, is halved, and
+    ConvergenceError follows six passes.
+
+    Near 0, Delta ~ t^n with n = n1 + n2.  Breaks at r0 2^-k (k = 1..8) below
+    the smallest positive radius r0 shrink the share of the panel touching 0,
+    which no rule integrates to a relative tolerance once n is large.  For
+    n > 19 the 10-node rule is not exact on t^n either, and halving an
+    absolute width never makes h / lo small near 0, so breaks at the ratio
+    1 + 6/n also run from r0 2^-8 up to n / 24 (where 0.25 = 6 lo / n) or the
+    largest radius: t^n grows by at most e^6 across each panel there, on
+    which the 10-node rule is within 1e-15.
     """
     radii = np.asarray(radii, dtype=np.float64)
     # Written so that NaN fails the check too.
     _check_radius(group, float(np.min(radii)))
     _check_radius(group, float(np.max(radii)))
+    if not np.any(radii > 0.0):
+        return np.zeros_like(radii)
     smallest = np.min(radii[radii > 0.0])
+    breaks = [[0.0], smallest * _SMALL_BREAKS, radii]
+    n = group.n1 + group.n2
+    if n > 19:
+        bottom, top = smallest * _SMALL_BREAKS[0], min(n / 24.0, float(np.max(radii)))
+        steps = math.ceil(math.log(top / bottom) / math.log1p(6.0 / n))
+        breaks.append(np.geomspace(bottom, top, steps + 1))
     # Repeated breaks only make panels of width 0.
-    breaks = np.sort(np.concatenate([[0.0], smallest * _SMALL_BREAKS, radii]))
+    breaks = np.sort(np.concatenate(breaks))
     width = _PANEL_WIDTH
     for _ in range(_REFINEMENTS):
         edges = _panel_edges(breaks, width)
@@ -133,20 +143,25 @@ def _ball_volumes(group: RankOneGroup, radii) -> np.ndarray:
     )
 
 
-def ball_volume(group: RankOneGroup, t: float) -> float:
-    """m(B_t) to 1e-10 relative, from the verified pass of _ball_volumes."""
-    _check_radius(group, t)
-    if t == 0.0:
-        return 0.0
-    return float(_ball_volumes(group, np.array([t]))[0])
+def _shaped(t: np.ndarray, values: np.ndarray):
+    """values in the shape of the radii t, a float if t is one radius."""
+    return float(values[0]) if t.ndim == 0 else values.reshape(t.shape)
 
 
-def volume_regularity(group: RankOneGroup, t: float, eps: float) -> float:
-    """Relative shell growth (m(B_{t+eps}) - m(B_t)) / (eps * m(B_t))."""
-    if not (t > 0.0 and eps > 0.0):
+def ball_volume(group: RankOneGroup, t):
+    """m(B_t) to 1e-10 relative at a radius t >= 0, or at every radius of an array."""
+    t = np.asarray(t, dtype=np.float64)
+    return _shaped(t, _ball_volumes(group, t.ravel()))
+
+
+def volume_regularity(group: RankOneGroup, t, eps: float):
+    """Relative shell growth (m(B_{t+eps}) - m(B_t)) / (eps * m(B_t)) at one or more t > 0."""
+    t = np.asarray(t, dtype=np.float64)
+    # Written so that NaN fails the check too.
+    if not (np.min(t) > 0.0 and eps > 0.0):
         raise ValidationError("volume_regularity needs t > 0 and eps > 0")
-    base, grown = _ball_volumes(group, np.array([t, t + eps]))
-    return float((grown - base) / (eps * base))
+    base, grown = np.split(_ball_volumes(group, np.concatenate([t.ravel(), t.ravel() + eps])), 2)
+    return _shaped(t, (grown - base) / (eps * base))
 
 
 # --------------------------------------------------------------------------
@@ -451,19 +466,15 @@ def psi_asymptotic_formula(group: RankOneGroup, s: float) -> float:
 def psi_lipschitz_check(
     group: RankOneGroup,
     param: SpectralParam,
-    t: float,
-    eps: float,
-) -> Tuple[float, float]:
-    """Continuity bound pair (|psi(t+eps) - psi(t)|, shell mass ratio).
+    ts: Sequence[float],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Continuity bounds (|psi(t') - psi(t)|, shell mass ratio) on every grid step t < t'.
 
-    The second component is m(B_{t+eps} minus B_t) / m(B_{t+eps}); the first
-    never exceeds it beyond quadrature tolerance because both ball averages
-    lie in the range of phi, an interval of diameter at most 1 here.
+    The ratio is m(B_t' minus B_t) / m(B_t'); the jump never exceeds it
+    beyond quadrature tolerance because both ball averages lie in the range
+    of phi, an interval of diameter at most 1 here.
     """
-    if not (t > 0.0 and eps > 0.0):
-        raise ValidationError("need t > 0 and eps > 0")
-    pair = psi_on_grid(group, param, np.array([t, t + eps]))
-    jump = float(abs(pair[1] - pair[0]))
-    v_t, v_te = _ball_volumes(group, np.array([t, t + eps]))
-    bound = (v_te - v_t) / v_te
-    return jump, float(bound)
+    ts = np.asarray(ts, dtype=np.float64)
+    values = psi_on_grid(group, param, ts)
+    volumes = _ball_volumes(group, ts)
+    return np.abs(np.diff(values)), np.diff(volumes) / volumes[1:]

@@ -24,7 +24,13 @@ import numpy as np
 
 from . import __version__
 from .acceptance import run_all
-from .ballavg import _ball_volumes, ball_volume, psi_bound_check, psi_on_grid
+from .ballavg import (
+    ball_volume,
+    psi_bound_check,
+    psi_lipschitz_check,
+    psi_on_grid,
+    volume_regularity,
+)
 from .errors import ConvergenceError, ValidationError
 from .groups import parse_group, parse_param
 from .model import (
@@ -158,10 +164,7 @@ def cmd_psi(args) -> int:
     else:
         bound_ratio = np.full_like(ts, math.nan)
     if args.check_lipschitz:
-        # psi_lipschitz_check on every step, from the grid's values and volumes
-        volumes = _ball_volumes(group, ts)
-        jumps = np.abs(np.diff(values))
-        bounds = np.diff(volumes) / volumes[1:]
+        jumps, bounds = psi_lipschitz_check(group, param, ts)
         violated = jumps > bounds + 1e-9
         if np.any(violated):
             k = int(np.argmax(violated))
@@ -183,14 +186,8 @@ def cmd_volume(args) -> int:
     if args.t_max is None:
         raise ValidationError("need --t or --t-min/--t-max/--steps")
     ts = _linspace(args)
-    if args.eps:
-        # volume_regularity at every radius, from one pass over t and t + eps
-        if not (ts[0] > 0.0 and args.eps > 0.0):
-            raise ValidationError("volume_regularity needs t > 0 and eps > 0")
-        volumes, grown = np.split(_ball_volumes(group, np.concatenate([ts, ts + args.eps])), 2)
-        regularity = (grown - volumes) / (args.eps * volumes)
-    else:
-        volumes, regularity = _ball_volumes(group, ts), np.full_like(ts, math.nan)
+    volumes = ball_volume(group, ts)
+    regularity = volume_regularity(group, ts, args.eps) if args.eps else np.full_like(ts, math.nan)
     rows = [[float(t), float(v), float(r)] for t, v, r in zip(ts, volumes, regularity)]
     _emit_table(args, ["t", "volume", "regularity"], rows)
     return 0

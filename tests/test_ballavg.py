@@ -113,6 +113,28 @@ def test_volume_passes_at_first_width(name, monkeypatch):
     assert len(panels) == 1
 
 
+@pytest.mark.parametrize("name", ["so:21", "so:40", "sp:9", "so:50", "custom:40,20"])
+def test_high_dimension_volume_passes_at_first_width(name, monkeypatch):
+    # for n1 + n2 > 19 the breaks at the ratio 1 + 6/(n1 + n2) near 0 let the
+    # 10-node check pass without refinement, however small the first radius
+    group = rankone.parse_group(name)
+    panels = _count_passes(monkeypatch)
+    for radii in ([1e-3], [0.01, 0.02], [5e-4, 0.3, 1.0]):
+        _ball_volumes(group, np.array(radii))
+    assert len(panels) == 3
+
+
+@pytest.mark.parametrize("name", ["sp:9", "so:40", "so:50"])
+def test_high_dimension_profile_builds(name):
+    # the profile check includes t_max 1e-3, where Delta ~ t^(n1 + n2)
+    group = rankone.parse_group(name)
+    profile = build_volume_profile(group, 1.0)
+    radii = np.array([1e-3, 0.3, 0.77, 1.0])
+    total = ball_volume(group, 1.0)
+    np.testing.assert_allclose(profile.volume(radii), ball_volume(group, radii), rtol=0.0,
+                               atol=1e-9 * total)
+
+
 def test_volume_refines_six_times_then_raises(h3, monkeypatch):
     # with no tolerance the check never passes: six passes, from width 0.25
     # and halving, on the breaks 0, 3 2^-8, ..., 3/2 and 3, then ConvergenceError
@@ -133,13 +155,25 @@ def test_volume_growth_constant(h3):
 def test_volume_validation(h3):
     with pytest.raises(ValidationError):
         ball_volume(h3, -1.0)
+    with pytest.raises(ValidationError):
+        ball_volume(h3, [1.0, math.nan])
     assert ball_volume(h3, 0.0) == 0.0
+    np.testing.assert_array_equal(ball_volume(h3, np.zeros(3)), np.zeros(3))
+    # an array of radii, zero included, gives each radius's volume
+    want = [0.0, _vol_oracle(1.0), _vol_oracle(2.0)]
+    np.testing.assert_allclose(ball_volume(h3, [0.0, 1.0, 2.0]), want, rtol=1e-12)
 
 
 def test_volume_regularity_matches_difference_quotient(h3):
     t, eps = 2.0, 0.01
     expected = (_vol_oracle(t + eps) - _vol_oracle(t)) / (eps * _vol_oracle(t))
     assert volume_regularity(h3, t, eps) == pytest.approx(expected, rel=1e-9)
+    # an array of radii gives each radius's value
+    many = volume_regularity(h3, np.array([[0.5, t]]), eps)
+    assert many.shape == (1, 2)
+    assert many[0, 1] == pytest.approx(expected, rel=1e-9)
+    with pytest.raises(ValidationError):
+        volume_regularity(h3, np.array([0.0, t]), eps)
 
 
 def test_profile_matches_direct_volume(h3):
@@ -472,15 +506,20 @@ def test_lipschitz_shell_bound(h3):
     for t in (1.0, 2.0, 5.0, 10.0):
         for eps in (0.01, 0.1, 0.5):
             for param in (trivial(), complementary(0.5), principal(1.0)):
-                jump, bound = psi_lipschitz_check(h3, param, t, eps)
-                assert jump <= bound + 1e-9
+                jump, bound = psi_lipschitz_check(h3, param, [t, t + eps])
+                assert jump.shape == bound.shape == (1,)
+                assert jump[0] <= bound[0] + 1e-9
 
 
 def test_lipschitz_bound_is_shell_fraction(h3):
-    t, eps = 2.0, 0.1
-    _, bound = psi_lipschitz_check(h3, trivial(), t, eps)
-    expected = (_vol_oracle(t + eps) - _vol_oracle(t)) / _vol_oracle(t + eps)
-    assert bound == pytest.approx(expected, rel=1e-10)
+    # every step of a grid is the shell between its ends
+    ts = np.array([1.0, 2.0, 2.1, 5.0])
+    jumps, bounds = psi_lipschitz_check(h3, complementary(0.5), ts)
+    expected = [(_vol_oracle(b) - _vol_oracle(a)) / _vol_oracle(b)
+                for a, b in zip(ts[:-1], ts[1:])]
+    np.testing.assert_allclose(bounds, expected, rtol=1e-10)
+    psis = [psi(h3, complementary(0.5), float(t)).value for t in ts]
+    np.testing.assert_allclose(jumps, np.abs(np.diff(psis)), rtol=1e-12)
 
 
 def test_other_group_psi_sane():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rankone import ballavg, cli
-from rankone.ballavg import ball_volume, psi_lipschitz_check, psi_on_grid, volume_regularity
+from rankone.ballavg import ball_volume, psi_lipschitz_check, volume_regularity
 from rankone.errors import ConvergenceError
 from rankone.groups import complementary, make_group
 from rankone.spherical import spherical_fn_many
@@ -103,7 +103,7 @@ def test_psi_csv_checks(tmp_path):
 
 
 def _count_volume_passes(monkeypatch):
-    # the radii of every _ball_volumes call, from psi_on_grid or the CLI
+    # the radii of every _ball_volumes call
     calls = []
     original = ballavg._ball_volumes
 
@@ -112,20 +112,21 @@ def _count_volume_passes(monkeypatch):
         return original(group, radii)
 
     monkeypatch.setattr(ballavg, "_ball_volumes", counting)
-    monkeypatch.setattr(cli, "_ball_volumes", counting)
     return calls
 
 
-def test_volume_table_is_one_pass(tmp_path, monkeypatch):
+def test_volume_table_is_one_pass_per_grid(tmp_path, monkeypatch):
     calls = _count_volume_passes(monkeypatch)
     out = tmp_path / "volume.csv"
     assert cli.main(
         ["volume", "--group", "su:3", "--t-min", "0.5", "--t-max", "9", "--steps", "7",
          "--eps", "0.01", "--out", str(out)]
     ) == 0
+    # the volumes over the grid, then the regularity over t and t + eps
     ts = np.linspace(0.5, 9.0, 7)
-    assert len(calls) == 1
-    np.testing.assert_array_equal(calls[0], np.concatenate([ts, ts + 0.01]))
+    assert len(calls) == 2
+    np.testing.assert_array_equal(calls[0], ts)
+    np.testing.assert_array_equal(calls[1], np.concatenate([ts, ts + 0.01]))
     _, header, rows = _read_csv(out)
     assert header == ["t", "volume", "regularity"]
     group = make_group("su", 3)
@@ -144,32 +145,27 @@ def test_volume_table_zero_radius(tmp_path):
     assert cli.main(args + ["--eps", "0.01"]) == 1  # regularity needs t > 0
 
 
-def test_psi_lipschitz_check_is_one_pass(tmp_path, monkeypatch):
+def test_psi_lipschitz_check_is_one_pass_per_grid(tmp_path, monkeypatch):
     calls = _count_volume_passes(monkeypatch)
     out = tmp_path / "psi.csv"
     assert cli.main(
         ["psi", "--group", "so:3", "--param", "p:1", "--t-min", "0.5",
          "--t-max", "10", "--steps", "12", "--check-lipschitz", "--out", str(out)]
     ) == 0
-    # psi's denominator and the shell bounds, each one pass over the grid
+    # the table's psi, then the check's psi and shell bounds, each one pass
     ts = np.linspace(0.5, 10.0, 12)
-    assert len(calls) == 2
+    assert len(calls) == 3
     for radii in calls:
         np.testing.assert_array_equal(radii, ts)
 
 
-def test_psi_lipschitz_matches_pairwise_check(monkeypatch):
-    # the grid check is psi_lipschitz_check on every step: shrinking each
-    # shell bound below that check's jump must fail the command
-    group, param = make_group("so", 3), complementary(0.5)
-    ts = np.linspace(0.5, 3.0, 6)
-    pairs = [psi_lipschitz_check(group, param, float(a), float(b - a))
-             for a, b in zip(ts[:-1], ts[1:])]
-    values = psi_on_grid(group, param, ts)
-    volumes = ballavg._ball_volumes(group, ts)
-    np.testing.assert_allclose(np.abs(np.diff(values)), [j for j, _ in pairs], rtol=1e-9)
-    np.testing.assert_allclose(np.diff(volumes) / volumes[1:], [b for _, b in pairs], rtol=1e-12)
-    monkeypatch.setattr(cli, "_ball_volumes", lambda group, radii: np.ones_like(radii))
+def test_psi_lipschitz_violation_exits_2(monkeypatch):
+    # a shell bound below its jump must fail the command
+    def shrunk(group, param, ts):
+        jumps, _ = psi_lipschitz_check(group, param, ts)
+        return jumps, 0.5 * jumps
+
+    monkeypatch.setattr(cli, "psi_lipschitz_check", shrunk)
     assert cli.main(
         ["psi", "--group", "so:3", "--param", "c:0.5", "--t-min", "0.5",
          "--t-max", "3", "--steps", "6", "--check-lipschitz"]

@@ -237,22 +237,37 @@ def _mpmath_psi_identity(group, param, t):
 
 @pytest.mark.parametrize("name, t", [("custom:100,100", 0.315), ("custom:100,100", 0.69),
                                      ("custom:100,100", 2.0), ("custom:40,20", 0.08),
-                                     ("custom:40,20", 0.5)])
+                                     ("custom:40,20", 0.5), ("so:40", 0.001), ("so:40", 0.01),
+                                     ("sp:9", 0.001), ("sp:9", 0.01), ("so:50", 0.001),
+                                     ("so:50", 0.01)])
 def test_high_dimension_volume_against_mpmath(name, t):
     # Delta ~ t^(n1 + n2) near 0: m(B_0.315) on custom:100,100 is 3e-70, and
-    # a volume check with an absolute floor let it through 3.8e-9 off
+    # a volume check with an absolute floor let it through 3.8e-9 off; for
+    # n1 + n2 > 19 a check by the 10-node rule on fixed octaves below t
+    # never passed (so:40, sp:9 and so:50 raised ConvergenceError)
     group = rankone.parse_group(name)
     with mpmath.workdps(30):
         want = float(_mpmath_volume(group, t))
     assert ball_volume(group, t) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("param", [complementary(37.5), principal(3.7)], ids=["c:37.5", "p:3.7"])
-def test_high_dimension_psi_against_mpmath(param):
+_NEAR_ZERO = [0.001, 0.01, 0.1, 1.0]
+
+
+@pytest.mark.parametrize("name, param, ts", [
+    ("custom:100,100", complementary(37.5), [0.3, 0.69, 1.0, 2.0]),
+    ("custom:100,100", principal(3.7), [0.3, 0.69, 1.0]),
+    ("so:40", complementary(9.75), _NEAR_ZERO), ("so:40", principal(1.0), _NEAR_ZERO),
+    ("sp:9", complementary(9.5), _NEAR_ZERO), ("sp:9", principal(1.0), _NEAR_ZERO),
+    ("so:50", complementary(12.25), _NEAR_ZERO), ("so:50", principal(1.0), _NEAR_ZERO),
+], ids=lambda v: v.label() if hasattr(v, "label") else None)
+def test_high_dimension_psi_against_mpmath(name, param, ts):
     # psi's volumes on custom:100,100 were off by 2.8e-6 at t = 0.3 and
-    # 2.7e-7 at t = 0.69 while they went unchecked
-    group = rankone.parse_group("custom:100,100")
-    ts = np.array([0.3, 0.69, 1.0, 2.0] if param.kind == "complementary" else [0.3, 0.69, 1.0])
+    # 2.7e-7 at t = 0.69 while they went unchecked; grids that start near 0
+    # on so:40, sp:9 and so:50 raised ConvergenceError under a 10-node check
+    # on fixed octaves
+    group = rankone.parse_group(name)
+    ts = np.array(ts)
     with mpmath.workdps(30):
         want = np.array([float(_mpmath_psi_identity(group, param, t)) for t in ts])
     np.testing.assert_allclose(psi_on_grid(group, param, ts), want, rtol=1e-12, atol=0.0)
