@@ -13,11 +13,9 @@ numerator in closed form (Koornwinder 1984, section 2):
 
     int_0^t phi_s Delta = Delta(t) sinh t cosh t 2F1(a+1, b+1; c+1; -sinh(t)^2) / (2c),
 
-with a, b = (rho +- s)/2 and c = alpha + 1.  Every ball volume comes
-from one verified quadrature, _ball_volumes.  The volume profile
-integrates each knot interval with the 4-point Gauss-Lobatto rule, whose
-end nodes are the knots where its Hermite slopes already need Delta, and
-is checked against _ball_volumes.
+with a, b = (rho +- s)/2 and c = alpha + 1.  Every ball volume, those
+of the volume profile (the radial CDF of a ball and its inverse)
+included, comes from one verified quadrature, _ball_volumes.
 """
 
 from __future__ import annotations
@@ -46,8 +44,9 @@ _REL_TOL = 1e-10  # the two rules must agree to this, relative to each volume
 _ABS_FLOOR = np.finfo(np.float64).tiny
 _SMALL_BREAKS = 0.5 ** np.arange(8, 0, -1)  # r0 2^-k, k = 8, ..., 1
 _EXP_ARG_LIMIT = 700.0  # exp overflow guard for e^{2 rho t}
-_MIN_KNOTS = 32  # knot intervals of the smallest volume profile
+_KNOTS = 33  # equispaced knots of a volume profile, 0 and t_max included
 _NEWTON_STEPS = 40  # cap for the bracketed Newton radial inversion
+_CDF_TOL = 1e-12  # a sampled radius's mass must match its target to this, of m(B_t)
 
 
 @dataclass(frozen=True)
@@ -165,185 +164,91 @@ def volume_regularity(group: RankOneGroup, t, eps: float):
 
 
 # --------------------------------------------------------------------------
-# Cached antiderivative of Delta.
+# Volume profile: the radial law of a ball.
 
 
 @dataclass(frozen=True, eq=False)
 class VolumeProfile:
-    """Cumulative ball volume with a cached monotone interpolant.
+    """Ball volumes on [0, t_max], with the radial CDF of a ball and its inverse.
 
-    The antiderivative of Delta is tabulated on an equispaced knot grid and
-    interpolated by a cubic Hermite spline that uses the exact derivative
-    Delta at the knots, so the interpolant is monotone for this data.
-    `coeffs` has shape (4, intervals): on interval k the cubic is
-    coeffs[0, k] s^3 + coeffs[1, k] s^2 + coeffs[2, k] s + coeffs[3, k]
-    with s = t - knots[k].  The verified error budget is 1e-9 relative to
-    the total mass m(B_{t_max}), the scale of the radial CDF; very close
-    to t = 0 the pointwise relative error of the cached value is worse
-    than that (use ball_volume there instead).
-
-    sample_radius inverts the radial CDF directly on this table: a search
-    of `cumulative` picks each draw's knot interval, and a bracketed Newton
-    solve on that interval's cubic finds the radius.  Every draw must
-    reproduce its target mass to 1e-12 of m(B_t).
+    Every volume is one verified pass of _ball_volumes.  `cumulative` holds
+    m(B_t) at the _KNOTS equispaced `knots`; sample_radius brackets each
+    target mass by it.
     """
 
     group: RankOneGroup
     t_max: float
     knots: np.ndarray
     cumulative: np.ndarray
-    coeffs: np.ndarray
 
-    def volume(self, t) -> np.ndarray:
-        """m(B_t) for 0 <= t <= t_max (vectorized)."""
+    def volume(self, t):
+        """m(B_t) for 0 <= t <= t_max, a float for one radius."""
         t = np.asarray(t, dtype=np.float64)
         if t.size and (np.min(t) < -1e-12 or np.max(t) > self.t_max + 1e-12):
             raise ValidationError(f"radius outside profile range [0, {self.t_max}]")
-        t = np.clip(t, 0.0, self.t_max)
-        # The knots are equispaced, so the scaled radius guesses the interval
-        # with knots[k] <= t < knots[k + 1] (the last one for t = t_max), and
-        # one step each way corrects its rounding.
-        last = self.knots.size - 2
-        k = np.clip((t * ((last + 1) / self.t_max)).astype(np.intp), 0, last)
-        k -= self.knots[k] > t
-        k += (k < last) & (self.knots[k + 1] <= t)
-        c3, c2, c1, c0 = self.coeffs.take(k, axis=1)
-        s = t - self.knots[k]
-        z = s * s
-        # Ascending powers, the summation order of scipy's PPoly.
-        return np.maximum(c0 + c1 * s + c2 * z + c3 * (z * s), 0.0)
+        return ball_volume(self.group, np.clip(t, 0.0, self.t_max))
 
-    def cdf(self, tau, t: float) -> np.ndarray:
-        """Radial law m(B_tau) / m(B_t) of the uniform average on B_t."""
-        total = float(self.volume(t))
-        if total <= 0.0:
+    def cdf(self, tau, t: float):
+        """Radial law m(B_tau) / m(B_t) of B_t, from one pass over tau with t appended."""
+        tau = np.asarray(tau, dtype=np.float64)
+        masses = self.volume(np.append(tau.ravel(), t))
+        if not masses[-1] > 0.0:
             raise ValidationError("cdf undefined for zero-volume ball")
-        return self.volume(tau) / total
+        return _shaped(tau, masses[:-1] / masses[-1])
 
-    def sample_radius(self, t: float, u, cdf_tol: float = 1e-12) -> np.ndarray:
+    def sample_radius(self, t: float, u) -> np.ndarray:
         """Invert the radial CDF of B_t at the uniform variates u.
 
-        One search of the knot table picks the interval holding each target
-        mass u m(B_t); the root of that interval's Hermite cubic is then
-        found by Newton steps on the stored coefficients, each kept inside
-        the interval's bracket (a step that would leave it bisects instead).
-        Iteration stops once every residual is within 1e-14 relative to its
-        target mass, or the bracket has shrunk to 1e-15 max(t, 1).  The
-        result must then reproduce u m(B_t) through volume() to cdf_tol
-        relative to m(B_t), or ConvergenceError is raised.
+        `cumulative` brackets each target mass u m(B_t) by a knot interval;
+        each radius starts from the interval's chord and takes Newton steps
+        on _ball_volumes with Delta as the slope, kept inside the bracket (a
+        step that would leave it bisects instead).  Iteration stops once
+        every residual is within 1e-14 relative to its target mass, or the
+        bracket has shrunk to 1e-15 t.  The result must then reproduce
+        u m(B_t) to 1e-12 relative to m(B_t), or ConvergenceError is raised.
         """
         u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-        if u.size and (np.min(u) < 0.0 or np.max(u) > 1.0):
+        if u.size and not (np.min(u) >= 0.0 and np.max(u) <= 1.0):
             raise ValidationError("uniform variates must lie in [0, 1]")
         total = float(self.volume(t))
-        if total <= 0.0:
+        if not total > 0.0:
             raise ValidationError("cannot sample a zero-volume ball")
         target = u * total
         # The last usable interval is the one whose right knot is the first
         # knot >= t; u = 1 at t = t_max would otherwise index one past the end.
         last = min(max(int(np.searchsorted(self.knots, t)) - 1, 0), self.knots.size - 2)
         k = np.minimum(np.searchsorted(self.cumulative, target, side="right") - 1, last)
-        left = self.knots[k]
-        right = self.knots[k + 1]
-        lo = np.zeros_like(left)
-        hi = np.minimum(right, t) - left  # keeps every draw inside the ball
-        c3, c2, c1, c0 = self.coeffs.take(k, axis=1)
-        goal = target - c0
-        # Start from the chord of the interval.
-        rise = self.cumulative[k + 1] - c0
-        s = np.clip((right - left) * goal / np.where(rise > 0.0, rise, 1.0), lo, hi)
-        width_tol = 1e-15 * max(t, 1.0)
+        lo = self.knots[k]
+        hi = np.minimum(self.knots[k + 1], t)  # keeps every draw inside the ball
+        rise = self.cumulative[k + 1] - self.cumulative[k]
+        chord = (target - self.cumulative[k]) / np.where(rise > 0.0, rise, 1.0)
+        tau = np.clip(lo + (self.knots[k + 1] - lo) * chord, lo, hi)
+        resid = _ball_volumes(self.group, tau) - target
         for _ in range(_NEWTON_STEPS):
-            resid = ((c3 * s + c2) * s + c1) * s - goal
-            done = (np.abs(resid) <= 1e-14 * target) | (hi - lo <= width_tol)
+            done = (np.abs(resid) <= 1e-14 * target) | (hi - lo <= 1e-15 * t)
             if np.all(done):
                 break
-            lo = np.where(resid < 0.0, s, lo)
-            hi = np.where(resid > 0.0, s, hi)
-            slope = (3.0 * c3 * s + 2.0 * c2) * s + c1
+            lo = np.where(resid < 0.0, tau, lo)
+            hi = np.where(resid > 0.0, tau, hi)
             with np.errstate(divide="ignore", invalid="ignore"):
-                step = s - resid / slope
-            # Inclusive test: a step that rounds back onto s, now a bracket end,
-            # is kept; a strict one would bisect nearly converged points away.
-            s = np.where(done, s, np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi)))
-        tau = left + s
-        err = np.max(np.abs(self.volume(tau) - target)) / total
-        if err > cdf_tol:
+                step = tau - resid / delta(self.group, tau)
+            # Inclusive test: a step that rounds back onto tau, now a bracket
+            # end, is kept; a strict one would bisect nearly converged points.
+            tau = np.where(done, tau, np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi)))
+            resid = _ball_volumes(self.group, tau) - target
+        err = np.max(np.abs(resid)) / total
+        if err > _CDF_TOL:
             raise ConvergenceError(f"radial inversion missed CDF tolerance: {err:.3e}")
         return tau
 
 
 def build_volume_profile(group: RankOneGroup, t_max: float) -> VolumeProfile:
-    """Tabulate m(B_t) on [0, t_max] and the Hermite cubic on each interval.
-
-    The knot spacing h = 0.01 / max(1, rho) shrinks with rho so the quartic
-    interpolation error, whose bound on an interval is (kappa h)^4 / 384
-    relative to the local mass, with kappa the log-derivative of Delta (it
-    tends to 2 rho), stays under the 1e-9 budget: 2 rho h <= 0.02.  Small
-    balls get at least _MIN_KNOTS intervals: near t = 0 the mass grows like
-    t^(n1 + n2 + 1), so a fixed spacing would leave the interpolation error
-    large against the tiny total.
-
-    Each interval's mass comes from the 4-point Gauss-Lobatto rule, nodes
-    k, k + h (1 -+ 1/sqrt(5)) / 2 and k + h with weights h/12, 5h/12, 5h/12
-    and h/12.  Its end values are the knot values of Delta that the Hermite
-    slopes use, so Delta is evaluated 3n + 1 times for n intervals.  The
-    rule is exact through degree 5 and its error is about
-    6.6e-7 (kappa h)^6 relative to the interval: wherever the cubic meets
-    its budget, kappa h <= 0.025 and the rule is at rounding level.  The
-    budget is checked at build time against _ball_volumes.
-
-    A group with n1 + n2 >= 2 needs t_max >= 1, or ValidationError is raised
-    up front.  Below that the table can miss its budget, because a cubic
-    with zero value and slope at 0 cannot follow a first interval whose mass
-    grows like t^(n1 + n2 + 1).
-    """
+    """m(B_t) at _KNOTS equispaced knots on [0, t_max], from one _ball_volumes pass."""
     _check_radius(group, t_max)
     if t_max <= 0.0:
         raise ValidationError("t_max must be positive")
-    if group.n1 + group.n2 >= 2 and t_max < 1.0:
-        raise ValidationError(
-            f"volume profile of {group.label} needs t_max >= 1 (got {t_max}); "
-            "use ball_volume for smaller balls"
-        )
-    n = max(_MIN_KNOTS, int(math.ceil(t_max / (0.01 / max(1.0, group.rho)))))
-    knots = np.linspace(0.0, t_max, n + 1)
-    h = np.diff(knots)
-    d = delta(group, knots)
-    # 4-point Gauss-Lobatto on each interval: its end nodes are the knots.
-    off = 0.5 * (1.0 - 1.0 / math.sqrt(5.0)) * h
-    inner = delta(group, np.stack([knots[:-1] + off, knots[1:] - off]))
-    increments = (h / 12.0) * (d[:-1] + d[1:] + 5.0 * (inner[0] + inner[1]))
-    cumulative = np.concatenate([[0.0], np.cumsum(increments)])
-    # Hermite coefficients from the values and slopes at both ends of each
-    # interval, highest power first, in scipy's CubicHermiteSpline arithmetic.
-    slope = np.diff(cumulative) / h
-    bend = (d[:-1] + d[1:] - 2 * slope) / h
-    coeffs = np.array([bend / h, (slope - d[:-1]) / h - bend, d[:-1], cumulative[:-1]])
-    profile = VolumeProfile(
-        group=group, t_max=float(t_max), knots=knots, cumulative=cumulative, coeffs=coeffs
-    )
-    _verify_profile(profile)
-    return profile
-
-
-def _verify_profile(profile: VolumeProfile, samples: int = 17, budget: float = 1e-9) -> None:
-    """Check the table against quadrature at 20 radii, to budget * m(B_{t_max}).
-
-    The radii are three near zero and `samples` interval midpoints; they and
-    t_max share one verified pass of _ball_volumes.
-    """
-    mids = np.linspace(profile.t_max / samples, profile.t_max, samples) - profile.t_max / (2 * samples)
-    near_zero = profile.t_max * np.array([1e-3, 0.01, 0.03])
-    radii = np.concatenate([near_zero, mids, [profile.t_max]])
-    direct = _ball_volumes(profile.group, radii)
-    cached = profile.volume(radii)
-    miss = np.abs(cached - direct) > budget * direct[-1]
-    if np.any(miss):
-        k = int(np.argmax(miss))
-        raise ConvergenceError(
-            f"volume interpolant misses budget at t={radii[k]}: {cached[k]} vs {direct[k]}"
-        )
+    knots = np.linspace(0.0, t_max, _KNOTS)
+    return VolumeProfile(group, float(t_max), knots, _ball_volumes(group, knots))
 
 
 # --------------------------------------------------------------------------
@@ -357,6 +262,10 @@ def psi_on_grid(group: RankOneGroup, param: SpectralParam, ts: Sequence[float]) 
     m(B_t) from one verified pass of _ball_volumes over the grid.
     Delta / m(B_t) is formed first: Delta sinh t cosh t alone overflows
     near the radius bound (f4 at 2 rho t = 700).
+
+    psi is accurate in absolute terms only: where |psi| is tiny the 2F1 can
+    cancel to no relative digits, sign included (custom:100,100 at t = 2:
+    c:0.3 gives -4.84e-64, p:3.7 -3.99e-69 against mpmath's 6.9e-71).
     """
     ts = np.asarray(ts, dtype=np.float64)
     if ts.size == 0:
@@ -383,7 +292,7 @@ def psi_on_grid(group: RankOneGroup, param: SpectralParam, ts: Sequence[float]) 
 
 
 def psi(group: RankOneGroup, param: SpectralParam, t: float) -> PsiValue:
-    """Ball-averaged spherical function at a single radius."""
+    """Ball-averaged spherical function at a single radius, accurate in absolute terms."""
     value = psi_on_grid(group, param, np.array([float(t)]))[0]
     return PsiValue(t=float(t), param=param, value=float(value))
 

@@ -340,12 +340,14 @@ def discrete_constant(
 # --------------------------------------------------------------------------
 # The refining time grid and its summability certificate.
 
+_MAX_GRID_POINTS = 5_000_000  # time_grid refuses grids larger than this
+
 
 def _interval_count(delta: float, m: int) -> int:
     return int(math.floor(math.exp(0.5 * delta * m) + 1.0))
 
 
-def time_grid(delta: float, m_max: int, max_points: int = 5_000_000) -> np.ndarray:
+def time_grid(delta: float, m_max: int) -> np.ndarray:
     """Grid on [1, m_max+1]: each [m, m+1] split into floor(e^{delta m/2}+1) parts.
 
     The grid starts at 1 and the point count per unit interval grows
@@ -359,9 +361,9 @@ def time_grid(delta: float, m_max: int, max_points: int = 5_000_000) -> np.ndarr
         raise ValidationError("m_max must be at least 1")
     counts = [_interval_count(delta, m) for m in range(1, m_max + 1)]
     total = 1 + sum(counts)
-    if total > max_points:
+    if total > _MAX_GRID_POINTS:
         raise ValidationError(
-            f"grid would hold {total} points, above the cap {max_points}"
+            f"grid would hold {total} points, above the cap {_MAX_GRID_POINTS}"
         )
     blocks = [np.array([1.0])]
     for m, q in zip(range(1, m_max + 1), counts):

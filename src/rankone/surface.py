@@ -501,7 +501,14 @@ def mc_average(
     seed: int,
     base: Optional[HPoint] = None,
 ) -> MCRun:
-    """Monte Carlo estimate of the ball average of obs at the base point.
+    """Monte Carlo estimate of the t-ball average of obs over the K-orbit of the base point.
+
+    Each sample evaluates obs at g^-1 x0, with g uniform in the group ball
+    {g : d(g i, i) <= t} and x0 the base point.  The law of g^-1 x0 is
+    invariant under rotation about i, so the estimand is the disk average
+    of radius t about x0 averaged over the K-orbit of x0 about i, not the
+    disk average about x0 itself (they agree for x0 = i).  For cusp:2 at
+    base (0.1, 1.3) and t = 0.5 the two are 0.00816 and 0.02402.
 
     Samples are drawn in fixed-size chunks, each from its own substream
     of the master seed, and reduced in chunk order.  At t = 0 the draws
@@ -552,8 +559,9 @@ class KSResult:
 def ks_radial_test(t: float, n: int, seed: int) -> KSResult:
     """Compare the empirical law of the sampled radius with the Haar CDF.
 
-    The reference CDF is the volume profile of SO(2,1), the density
-    sinh(tau) integrated by quadrature, so it shares no algebra with the
+    The reference CDF is the volume profile's cdf on SO(2,1): one verified
+    quadrature pass of the density sinh(tau) over the sorted draws with t
+    appended, divided by m(B_t), so it shares no algebra with the
     closed-form radius it audits.  The threshold 1.63 / sqrt(n) is the
     asymptotic 1 percent critical value of the two-sided statistic.
     """

@@ -1,4 +1,4 @@
-"""Ball volumes, the interpolated profile, and ball-averaged spherical functions.
+"""Ball volumes, the volume profile, and ball-averaged spherical functions.
 
 All oracles are elementary antiderivatives on H3:
     m(B_t) = (sinh t cosh t - t)/2,
@@ -6,7 +6,6 @@ All oracles are elementary antiderivatives on H3:
     int_0^t sin(a u) sinh u du = (cosh t sin(at) - a sinh t cos(at))/(1 + a^2).
 """
 
-import dataclasses
 import math
 import os
 import subprocess
@@ -16,14 +15,12 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from scipy.interpolate import CubicHermiteSpline
 
 import rankone
 from rankone import ballavg
 from rankone.ballavg import (
     _ball_volumes,
     _panel_edges,
-    _verify_profile,
     ball_volume,
     build_volume_profile,
     delta,
@@ -126,7 +123,7 @@ def test_high_dimension_volume_passes_at_first_width(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["sp:9", "so:40", "so:50"])
 def test_high_dimension_profile_builds(name):
-    # the profile check includes t_max 1e-3, where Delta ~ t^(n1 + n2)
+    # the profile is read at 1e-3, where Delta ~ t^(n1 + n2)
     group = rankone.parse_group(name)
     profile = build_volume_profile(group, 1.0)
     radii = np.array([1e-3, 0.3, 0.77, 1.0])
@@ -179,7 +176,7 @@ def test_volume_regularity_matches_difference_quotient(h3):
 def test_profile_matches_direct_volume(h3):
     profile = build_volume_profile(h3, 6.0)
     total = ball_volume(h3, 6.0)
-    # budget is 1e-9 of the total mass, the scale that inverse-CDF sampling sees
+    # 1e-9 of the total mass, the scale that inverse-CDF sampling sees
     for t in [1e-4, 0.01, 0.3, 1.7, 2.123456, 4.0, 5.999, 6.0]:
         assert abs(float(profile.volume(t)) - ball_volume(h3, t)) <= 1e-9 * total
 
@@ -206,7 +203,7 @@ def test_panel_edges_match_linspace_loop():
 
 
 def _check_radii(t_max: float) -> np.ndarray:
-    # the radii _verify_profile checks (up to rounding), and t_max
+    # three radii near zero, 17 interval midpoints, and t_max
     mids = (np.arange(17) + 0.5) * t_max / 17
     return np.sort(np.concatenate([t_max * np.array([1e-3, 0.01, 0.03]), mids, [t_max]]))
 
@@ -219,22 +216,6 @@ def test_profile_check_shared_pass_matches_ball_volume(group):
     np.testing.assert_allclose(shared, direct, rtol=1e-12)
     # any order of the radii gives the same volumes
     np.testing.assert_allclose(_ball_volumes(group, radii[::-1])[::-1], shared, rtol=1e-14)
-
-
-@pytest.mark.parametrize("group", [make_group("so", 2), make_group("f4")])
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_profile_check_rejects_shifted_table(group, sign):
-    profile = build_volume_profile(group, 6.0)
-    total = ball_volume(group, 6.0)
-
-    def shifted(frac):
-        coeffs = profile.coeffs.copy()
-        coeffs[3] += sign * frac * total
-        return dataclasses.replace(profile, coeffs=coeffs)
-
-    with pytest.raises(ConvergenceError):
-        _verify_profile(shifted(2e-9))
-    _verify_profile(shifted(5e-10))  # inside the 1e-9 budget
 
 
 def test_profile_cdf_normalized(h3):
@@ -269,26 +250,6 @@ def test_profile_sampling_distribution(h3):
     assert abs(np.mean(taus) - mean) < 5.0 * se
 
 
-@pytest.mark.parametrize("group", [make_group("so", 2), make_group("so", 3), make_group("f4")])
-@pytest.mark.parametrize("t_max", [1.3, 6.0])
-def test_profile_table_matches_scipy_hermite(group, t_max):
-    # The profile evaluates its own Hermite table; scipy's spline through the
-    # same knots, values and slopes is the oracle, bit for bit.
-    profile = build_volume_profile(group, t_max)
-    knots = profile.knots
-    oracle = CubicHermiteSpline(knots, profile.cumulative, delta(group, knots))
-    ts = np.concatenate(
-        [
-            [0.0, t_max, 0.5 * (knots[5] + knots[6])],
-            knots,
-            np.clip(np.nextafter(knots, -np.inf), 0.0, t_max),
-            np.clip(np.nextafter(knots, np.inf), 0.0, t_max),
-            np.random.default_rng(11).uniform(0.0, t_max, 10000),
-        ]
-    )
-    np.testing.assert_array_equal(profile.volume(ts), np.maximum(oracle(ts), 0.0))
-
-
 @pytest.fixture
 def no_quadrature(monkeypatch):
     # any evaluation of Delta or a 2F1 means work started before validation
@@ -305,53 +266,42 @@ def test_psi_rejects_nan_in_grid(h3, grid, no_quadrature):
         psi_on_grid(h3, principal(1.0), np.array(grid))
 
 
-# The profile's domain: t_max >= 1 once n1 + n2 >= 2.  Without the floor,
-# the last radius on a 0.002 grid whose table missed its budget was about
-# 0.87 (so:3), 0.94 (so:5), 0.75 (su:3), 0.65 (sp:2) and 0.57 (f4).
-_PROFILE_RADII = np.concatenate([np.arange(1.0, 3.0, 0.05), np.arange(3.0, 25.0 + 1e-9, 0.25)])
+# Every t_max builds, including those below 1 where a Hermite table with
+# zero value and slope at 0 missed a 1e-9 budget (from 0.57 on f4 to 0.94
+# on so:5).
+_PROFILE_RADII = np.concatenate(
+    [[0.01, 0.3, 0.999], np.arange(1.0, 3.0, 0.05), np.arange(3.0, 25.0 + 1e-9, 0.25)]
+)
 
 
 @pytest.mark.parametrize("name", ["so:3", "so:5", "su:3", "sp:2", "f4"])
-def test_profile_domain_starts_at_one(name):
+def test_profile_domain_has_no_floor(name):
     group = rankone.parse_group(name)
     for t_max in _PROFILE_RADII:
-        build_volume_profile(group, float(t_max))
-    for t_max in (0.999, 0.5):
-        with pytest.raises(ValidationError, match="t_max >= 1"):
-            build_volume_profile(group, t_max)
+        profile = build_volume_profile(group, float(t_max))
+        radii = t_max * np.array([1e-3, 0.3, 1.0])
+        np.testing.assert_array_equal(profile.volume(radii), ball_volume(group, radii))
+    profile = build_volume_profile(group, 0.01)
+    us = np.concatenate([[0.0, 1e-12, 1.0], np.random.default_rng(3).random(200)])
+    taus = profile.sample_radius(0.01, us)
+    np.testing.assert_allclose(profile.cdf(taus, 0.01), us, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["so:2", "so:3", "sp:2", "f4"])
+def test_profile_is_ball_volume(name):
+    # the table and every volume are ball_volume's own pass, bit for bit
+    group = rankone.parse_group(name)
+    profile = build_volume_profile(group, 20.0)
+    assert profile.knots.size == 33
+    np.testing.assert_array_equal(profile.cumulative, ball_volume(group, profile.knots))
+    ts = np.concatenate([[0.0, 20.0], np.random.default_rng(11).uniform(0.0, 20.0, 1000)])
+    np.testing.assert_array_equal(profile.volume(ts), ball_volume(group, ts))
 
 
 def test_profile_small_radius_on_so2():
-    # the mass of so:2 grows like t^2, which the first cubic follows
+    # the mass of so:2 grows like t^2
     profile = build_volume_profile(make_group("so", 2), 0.01)
     assert float(profile.volume(0.01)) == pytest.approx(2.0 * math.sinh(0.005) ** 2, rel=1e-9)
-
-
-@pytest.mark.parametrize("t_max", [1.3, 6.0, 20.0])
-def test_profile_cumulative_closed_forms(t_max):
-    # every knot, to 1e-14 of the total: the knot rule's own error is far
-    # smaller, so a cruder rule (Simpson's: about 5e-11) fails here
-    for group, exact in (
-        (make_group("so", 2), lambda t: 2.0 * np.sinh(0.5 * t) ** 2),  # cosh t - 1
-        (make_group("so", 3), lambda t: 0.5 * (np.sinh(t) * np.cosh(t) - t)),
-    ):
-        profile = build_volume_profile(group, t_max)
-        ref = exact(profile.knots)
-        assert np.max(np.abs(profile.cumulative - ref)) <= 1e-14 * ref[-1]
-
-
-@pytest.mark.parametrize("name", ["so:5", "su:3", "sp:2", "f4"])
-@pytest.mark.parametrize("t_max", [1.3, 6.0, 20.0])
-def test_profile_cumulative_mpmath(name, t_max):
-    group = rankone.parse_group(name)
-    profile = build_volume_profile(group, t_max)
-    picks = np.linspace(0, profile.knots.size - 1, 11).round().astype(int)[1:]
-    ends = [0.0] + [float(profile.knots[k]) for k in picks]
-    with mpmath.workdps(25):
-        dens = lambda x: mpmath.sinh(x) ** group.n1 * mpmath.sinh(2 * x) ** group.n2
-        pieces = [mpmath.quad(dens, [a, b]) for a, b in zip(ends[:-1], ends[1:])]
-        ref = np.array([float(v) for v in np.cumsum(pieces)])
-    assert np.max(np.abs(profile.cumulative[picks] - ref)) <= 1e-14 * ref[-1]
 
 
 def test_import_loads_no_scipy():

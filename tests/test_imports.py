@@ -1,20 +1,22 @@
-"""Every module-level import in src/rankone is used.
+"""Every module-level import and private constant in src/rankone is used.
 
-A name counts as used if the module reads it or its import line carries
+An import counts as used if the module reads it or its import line carries
 "# noqa: F401".  The package's __init__ is left out: its imports are the
-re-exported API.
+re-exported API.  A module-level _PRIVATE constant must be read somewhere
+in the package.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import rankone
 
-_MODULES = sorted(
-    path for path in Path(rankone.__file__).parent.glob("*.py") if path.name != "__init__.py"
-)
+_PACKAGE = sorted(Path(rankone.__file__).parent.glob("*.py"))
+_MODULES = [path for path in _PACKAGE if path.name != "__init__.py"]
+_CONSTANT = re.compile(r"_[A-Z][A-Z0-9_]*")
 
 
 def _unused_imports(path: Path) -> list:
@@ -38,3 +40,32 @@ def _unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", _MODULES, ids=lambda path: path.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path) == []
+
+
+def _constants(tree: ast.Module) -> set:
+    targets = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets += node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets.append(node.target)
+    return {
+        name.id
+        for target in targets
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name) and _CONSTANT.fullmatch(name.id)
+    }
+
+
+def test_no_unread_private_constants():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in _PACKAGE]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    defined = set().union(*(_constants(tree) for tree in trees))
+    assert defined, "no private constants found"
+    assert sorted(defined - read) == []

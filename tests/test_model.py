@@ -161,8 +161,8 @@ def test_time_grid_structure():
 
 
 def test_time_grid_growth_capped():
-    with pytest.raises(ValidationError):
-        time_grid(2.0, 60, max_points=10_000)
+    with pytest.raises(ValidationError, match="above the cap"):
+        time_grid(2.0, 60)
 
 
 def test_finite_sum_closed_form_vs_enumeration():

@@ -404,8 +404,8 @@ def test_sample_radius_closed_form_oracle(t):
     taus = profile.sample_radius(t, us)
     exact = 2.0 * np.arcsinh(np.sqrt(us) * math.sinh(t / 2.0))
     assert np.max(np.abs(taus - exact)) <= 1e-8
-    # the exact CDF at the drawn radius carries the interpolant's 1e-9 budget;
-    # the profile's own CDF is inverted to the sampler's 1e-12 tolerance
+    # the exact CDF at the drawn radius, and the profile's own CDF to the
+    # sampler's 1e-12 tolerance
     exact_cdf = (np.sinh(taus / 2.0) / math.sinh(t / 2.0)) ** 2
     np.testing.assert_allclose(exact_cdf, us, rtol=0.0, atol=1e-9)
     np.testing.assert_allclose(profile.cdf(taus, t), us, rtol=0.0, atol=1e-12)
@@ -552,7 +552,6 @@ def test_mc_needs_no_volume_profile(t, monkeypatch):
         raise AssertionError("the MC path must not use the volume profile")
 
     monkeypatch.setattr(surface, "build_volume_profile", refuse)
-    monkeypatch.setattr(ballavg, "_verify_profile", refuse)
     monkeypatch.setattr(ballavg.VolumeProfile, "sample_radius", refuse)
     run = mc_average(t, 5000, CuspIndicator(1.2), 2)
     assert math.isfinite(run.estimate) and run.standard_error > 0.0
