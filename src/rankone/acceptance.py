@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -162,7 +161,7 @@ def criterion_psi_asymptotics() -> CriterionResult:
     scaled = vals * np.exp((group.rho - s) * np.array([30.0, 40.0]))
     rel_diff = abs(scaled[1] - scaled[0]) / abs(scaled[1])
     limit = psi_asymptotic_constant(group, complementary(s))
-    oracle = float(Fraction(8, 3))
+    oracle = 8.0 / 3.0  # c(s) 2 rho / (rho + s) = 2 * 2 / 1.5 on H3
     limit_err = abs(limit - oracle)
     elapsed = time.perf_counter() - start
     passed = rel_diff < 1e-3 and limit_err <= 1e-6

@@ -49,15 +49,6 @@ _NEWTON_STEPS = 40  # cap for the bracketed Newton radial inversion
 _CDF_TOL = 1e-12  # a sampled radius's mass must match its target to this, of m(B_t)
 
 
-@dataclass(frozen=True)
-class PsiValue:
-    """Ball-averaged spherical function value at radius t."""
-
-    t: float
-    param: SpectralParam
-    value: float
-
-
 def delta(group: RankOneGroup, t) -> np.ndarray:
     """Radial Haar density sinh(t)^n1 * sinh(2t)^n2."""
     t = np.asarray(t, dtype=np.float64)
@@ -280,8 +271,8 @@ def psi_on_grid(group: RankOneGroup, param: SpectralParam, ts: Sequence[float]) 
         # Averaging the constant function is exact, no quadrature involved.
         return np.ones_like(ts)
 
-    # The 2F1 comes first: _jacobi_2f1 checks the parameter and the
-    # principal bound before any Delta or 2F1 work.
+    # The 2F1 comes first: _jacobi_2f1 checks the parameter, the principal
+    # bound and the radii before any Delta or 2F1 work.
     kernel = _jacobi_2f1(group, param, ts, 1.0)
     ratio = delta(group, ts) / _ball_volumes(group, ts)
     values = ratio * np.sinh(ts) * np.cosh(ts) * kernel / (2.0 * (group.alpha + 1.0))
@@ -289,12 +280,6 @@ def psi_on_grid(group: RankOneGroup, param: SpectralParam, ts: Sequence[float]) 
     if overshoot > 1e-9:
         raise ConvergenceError(f"|psi| exceeded 1 by {overshoot:.3e}; evaluation unreliable")
     return np.clip(values, -1.0, 1.0)
-
-
-def psi(group: RankOneGroup, param: SpectralParam, t: float) -> PsiValue:
-    """Ball-averaged spherical function at a single radius, accurate in absolute terms."""
-    value = psi_on_grid(group, param, np.array([float(t)]))[0]
-    return PsiValue(t=float(t), param=param, value=float(value))
 
 
 def psi_bound_check(
@@ -326,18 +311,14 @@ def psi_bound_check(
     return best
 
 
-def psi_asymptotic_constant(
-    group: RankOneGroup,
-    param: SpectralParam,
-    ts: Tuple[float, float, float] = (20.0, 30.0, 40.0),
-) -> float:
+def psi_asymptotic_constant(group: RankOneGroup, param: SpectralParam) -> float:
     """Limit of psi_s(t) e^{(rho-s)t} by sequence acceleration.
 
-    Evaluates the normalized averages at three radii and applies one Aitken
-    extrapolation step; the result must agree with the final raw value to
-    1e-4 relative or ConvergenceError is raised.  The derived closed form
-    c(s) * 2 rho / (rho + s) is exposed as psi_asymptotic_formula for
-    cross-checks.  The trivial parameter returns 1 exactly; s = rho as a
+    Evaluates the normalized averages at t = 20, 30 and 40 and applies one
+    Aitken extrapolation step; the result must agree with the final raw
+    value to 1e-4 relative or ConvergenceError is raised.  The derived
+    closed form c(s) * 2 rho / (rho + s) is exposed as
+    psi_asymptotic_formula for cross-checks.  The trivial parameter returns 1 exactly; s = rho as a
     complementary parameter is rejected (that point is the trivial one).
     """
     check_param(group, param)
@@ -348,9 +329,7 @@ def psi_asymptotic_constant(
     s = param.value
     if s >= group.rho - 1e-12:
         raise ValidationError(f"s = {s} is at the trivial corner; use the trivial parameter")
-    grid = np.asarray(ts, dtype=np.float64)
-    if grid.size != 3 or np.any(np.diff(grid) <= 0):
-        raise ValidationError("need three increasing radii")
+    grid = np.array([20.0, 30.0, 40.0])
     values = psi_on_grid(group, param, grid) * np.exp((group.rho - s) * grid)
     f1, f2, f3 = (float(v) for v in values)
     d1, d2 = f2 - f1, f3 - f2

@@ -41,7 +41,7 @@ from .model import (
     time_grid,
 )
 from .spherical import hc_c_function, spherical_fn_many
-from .surface import HPoint, decay_scan, mc_average, observable_mean, parse_observable
+from .surface import HPoint, decay_scan, mc_average, parse_observable
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage failures exit with code 1."""
@@ -229,7 +229,7 @@ def cmd_mc(args) -> int:
     obs = parse_observable(args.obs)
     base = _parse_base(args.base)
     run = mc_average(args.t, args.samples, obs, args.seed, base=base)
-    target = observable_mean(obs)
+    target = obs.mean()
     line = (
         f"t={args.t:g} samples={args.samples} seed={args.seed} obs={run.observable} "
         f"estimate={_fmt(run.estimate)} stderr={_fmt(run.standard_error)} "
@@ -305,22 +305,23 @@ def cmd_grid(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.group.strip().lower() != "so:3":
-        raise ValidationError("the verification suite is pinned to --group so:3")
     results = run_all(report=print)
     passed = sum(1 for r in results if r.passed)
     print(f"{passed}/{len(results)} criteria passed")
     return 0 if passed == len(results) else 1
 
 
-def _add_common(parser, out_default=None):
+def _add_output(parser):
+    parser.add_argument("--out", default=None,
+                        help="output path (default: standard output)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _add_group(parser):
     parser.add_argument("--group", default="so:3",
                         help="so:n | su:n | sp:n | f4 | custom:n1,n2 (default so:3)")
     parser.add_argument("--rho-prime", type=float, default=None,
                         help="restricted decay parameter bound (default: rho)")
-    parser.add_argument("--out", default=out_default,
-                        help="output path (default: standard output)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _add_range(parser, t_min, t_max, steps):
@@ -338,14 +339,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sphfn",
                        help="spherical function values on a radius grid")
-    _add_common(p)
+    _add_group(p)
+    _add_output(p)
     _add_range(p, 0.01, 10.0, 100)
     p.add_argument("--param", required=True, help="trivial | c:S | p:LAM")
     p.set_defaults(fn=cmd_sphfn)
 
     p = sub.add_parser("psi",
                        help="ball-averaged spherical function on a radius grid")
-    _add_common(p)
+    _add_group(p)
+    _add_output(p)
     _add_range(p, 0.5, 10.0, 40)
     p.add_argument("--param", required=True, help="trivial | c:S | p:LAM")
     p.add_argument("--check-lipschitz", action="store_true",
@@ -355,7 +358,8 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_psi)
 
     p = sub.add_parser("volume", help="Haar volume of B_t")
-    _add_common(p)
+    _add_group(p)
+    _add_output(p)
     p.add_argument("--t", type=float, default=None, help="single radius: print m(B_t)")
     p.add_argument("--t-min", type=float, default=0.1)
     p.add_argument("--t-max", type=float, default=None)
@@ -366,14 +370,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate",
                        help="spectral-model deviation report")
-    _add_common(p)
+    _add_output(p)
     p.add_argument("--spec", required=True, help="spectrum config file (JSON)")
     _add_range(p, 1.0, 40.0, 79)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("mc",
                        help="Monte Carlo ball average on the modular surface")
-    _add_common(p)
+    _add_output(p)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--obs", required=True, help="cusp:Y | disk:cx,cy,r | const")
@@ -383,7 +387,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("mc-scan",
                        help="Monte Carlo deviation scan across radii")
-    _add_common(p)
+    _add_output(p)
     p.add_argument("--t-grid", required=True, help="start:stop:step or t1,t2,...")
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--obs", required=True, help="cusp:Y | disk:cx,cy,r | const")
@@ -393,7 +397,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("grid",
                        help="refining time grid and its summability report")
-    _add_common(p)
+    _add_output(p)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--m-max", type=int, default=200)
     p.add_argument("--enumerate-limit", type=int, default=60)
@@ -403,7 +407,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify",
                        help="run the acceptance suite (exit 0 iff all pass)")
-    p.add_argument("--group", default="so:3")
     p.set_defaults(fn=cmd_verify)
 
     return parser

@@ -1,8 +1,9 @@
 """Rank-one simple Lie group data and spectral parameters.
 
-A group is identified by its restricted-root multiplicities (n1, n2).  All
+A group is identified by its restricted-root multiplicities (n1, n2).  Its
 structural constants (rho, and the Jacobi-type parameters alpha, beta) are
-kept as exact rationals so the defining identities hold with no roundoff:
+half-integers, which float64 holds exactly, so the defining identities hold
+with no roundoff:
 
     rho   = (n1 + 2*n2) / 2
     alpha = (n1 + n2 - 1) / 2
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import ValidationError
@@ -54,41 +54,22 @@ class RankOneGroup:
             raise ValidationError("n1 >= 1 required: a rank-one group has a root")
         if self.n2 < 0:
             raise ValidationError("n2 >= 0 required")
-        if not (0.0 < self.rho_prime <= float(self.rho_exact) + 1e-12):
+        if not (0.0 < self.rho_prime <= self.rho + 1e-12):
             raise ValidationError(
-                f"rho_prime must lie in (0, rho]; got {self.rho_prime} with rho={float(self.rho_exact)}"
+                f"rho_prime must lie in (0, rho]; got {self.rho_prime} with rho={self.rho}"
             )
-
-    # Exact rational structure constants.
-    @property
-    def rho_exact(self) -> Fraction:
-        return Fraction(self.n1 + 2 * self.n2, 2)
-
-    @property
-    def alpha_exact(self) -> Fraction:
-        return Fraction(self.n1 + self.n2 - 1, 2)
-
-    @property
-    def beta_exact(self) -> Fraction:
-        return Fraction(self.n2 - 1, 2)
 
     @property
     def rho(self) -> float:
-        return float(self.rho_exact)
+        return (self.n1 + 2 * self.n2) / 2
 
     @property
     def alpha(self) -> float:
-        return float(self.alpha_exact)
+        return (self.n1 + self.n2 - 1) / 2
 
     @property
     def beta(self) -> float:
-        return float(self.beta_exact)
-
-    def describe(self) -> str:
-        return (
-            f"{self.label}: n1={self.n1} n2={self.n2} rho={self.rho} "
-            f"rho'={self.rho_prime}{' (assumed)' if self.rho_prime_assumed else ''}"
-        )
+        return (self.n2 - 1) / 2
 
 
 def make_group(
@@ -121,12 +102,11 @@ def make_group(
     else:
         raise ValidationError(f"unknown group family {name!r} (want so, su, sp, f4, custom)")
 
-    rho = Fraction(n1 + 2 * n2, 2)
     # For the real hyperbolic family the full interval (0, rho] occurs, so
     # rho' = rho is a theorem; elsewhere it is an unverified default.
     if rho_prime is None:
         assumed = not (name == "so")
-        rp = float(rho)
+        rp = (n1 + 2 * n2) / 2
     else:
         assumed = False
         rp = float(rho_prime)
@@ -142,10 +122,11 @@ def parse_group(text: str, rho_prime: Optional[float] = None) -> RankOneGroup:
         raise ValidationError(f"cannot parse group {text!r}")
     head, _, tail = text.partition(":")
     if head == "custom":
-        parts = tail.split(",")
-        if len(parts) != 2:
-            raise ValidationError(f"custom group wants custom:n1,n2; got {text!r}")
-        return make_group("custom", (int(parts[0]), int(parts[1])), rho_prime=rho_prime)
+        try:
+            n1, n2 = (int(part) for part in tail.split(","))
+        except ValueError as exc:
+            raise ValidationError(f"custom group wants custom:n1,n2 with integers; got {text!r}") from exc
+        return make_group("custom", (n1, n2), rho_prime=rho_prime)
     try:
         n = int(tail)
     except ValueError as exc:

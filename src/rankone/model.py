@@ -37,11 +37,9 @@ __all__ = [
     "SeriesReport",
     "SummabilityReport",
     "apply_average",
-    "deviation_norm",
     "deviation_on_grid",
     "theorem_mean_report",
     "direction_convergence",
-    "discrete_constant",
     "discrete_constant_report",
     "time_grid",
     "finite_sum_check",
@@ -206,12 +204,6 @@ def deviation_on_grid(spec: PuritySpectrum, f: SpectralVector, ts) -> np.ndarray
     return np.sqrt(np.sum((mult * weights[:, None]) ** 2, axis=0))
 
 
-def deviation_norm(spec: PuritySpectrum, f: SpectralVector, t: float) -> float:
-    if not t > 0.0:
-        raise ValidationError("radius t must be positive")
-    return float(deviation_on_grid(spec, f, [float(t)])[0])
-
-
 def theorem_mean_report(spec: PuritySpectrum, f: SpectralVector, t_grid) -> DecayReport:
     """Mean decay audit: deviations against t e^{-(rho-r)t} ||f|| on a grid.
 
@@ -329,14 +321,6 @@ def discrete_constant_report(
     )
 
 
-def discrete_constant(
-    spec: PuritySpectrum, f: SpectralVector, eps: float, n_max: int
-) -> float:
-    """Value of the discrete-time constant truncated at n_max."""
-    report = discrete_constant_report(spec, f, eps, n_max)
-    return float(report.partial_constants[-1])
-
-
 # --------------------------------------------------------------------------
 # The refining time grid and its summability certificate.
 
@@ -431,6 +415,8 @@ def finite_sum_check(
     m_max = int(m_max)
     if m_max < 1:
         raise ValidationError("m_max must be at least 1")
+    if enumerate_limit < 1:
+        raise ValidationError("enumerate_limit must be at least 1")
     m_values = np.arange(1, m_max + 1)
     interval_sums = np.array([_interval_sum_closed(delta, int(m)) for m in m_values])
     dominating = np.array(

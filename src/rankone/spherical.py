@@ -38,15 +38,6 @@ MAX_PRINCIPAL_LAMBDA = 16.0
 
 
 @dataclass(frozen=True)
-class SphericalValue:
-    """phi_s(a_t) together with the point where it was evaluated."""
-
-    t: float
-    param: SpectralParam
-    value: float
-
-
-@dataclass(frozen=True)
 class CFunctionValue:
     """Decay coefficient c(s); complex on the tempered axis."""
 
@@ -61,25 +52,32 @@ class CFunctionValue:
 def _jacobi_2f1(group: RankOneGroup, param: SpectralParam, ts: np.ndarray, shift: float) -> np.ndarray:
     """Re 2F1(a + shift, b + shift; c + shift; -sinh(t)^2), a, b = (rho +- s)/2, c = alpha + 1.
 
-    Shift 0 gives phi_s and shift 1 the kernel of psi_s.  The parameter and
-    the principal bound are checked before any 2F1 work.
+    Shift 0 gives phi_s and shift 1 the kernel of psi_s.  The domain is the
+    radii at which sinh(t)^2 is a finite double, t <= 355.58; the parameter,
+    the principal bound and the radii are checked before any 2F1 work.
     """
     check_param(group, param)
     if param.kind == PRINCIPAL_KIND and param.value > MAX_PRINCIPAL_LAMBDA:
         raise ValidationError(
             f"principal lam = {param.value} exceeds the verified bound {MAX_PRINCIPAL_LAMBDA}"
         )
+    with np.errstate(over="ignore"):
+        x = -np.sinh(ts) ** 2
+    # Written so that NaN fails the test too.
+    if not np.all(x > -np.inf):
+        raise ValidationError("radius t must keep sinh(t)^2 finite in double precision (t <= 355.58)")
     s = param.s_complex(group)
     a = (group.rho + s) / 2.0 + shift
     b = (group.rho - s) / 2.0 + shift
     c = group.alpha + 1.0 + shift
-    return np.real(np.atleast_1d(gauss_2f1_neg(a, b, c, -np.sinh(ts) ** 2)))
+    return np.real(np.atleast_1d(gauss_2f1_neg(a, b, c, x)))
 
 
 def spherical_fn_many(group: RankOneGroup, param: SpectralParam, ts) -> np.ndarray:
     """phi_s(a_t) on an array of Cartan coordinates t >= 0.
 
-    Principal parameters are supported up to lam = MAX_PRINCIPAL_LAMBDA.
+    Principal parameters are supported up to lam = MAX_PRINCIPAL_LAMBDA, and
+    radii up to t = 355.58, where sinh(t)^2 leaves double precision.
     """
     ts = np.asarray(ts, dtype=np.float64)
     # Written so that NaN fails the test too.
@@ -97,12 +95,6 @@ def spherical_fn_many(group: RankOneGroup, param: SpectralParam, ts) -> np.ndarr
             f"|phi| exceeded 1 by {overshoot:.3e} for {param.label()}; evaluation is unreliable"
         )
     return np.clip(values, -1.0, 1.0)
-
-
-def spherical_fn(group: RankOneGroup, param: SpectralParam, t: float) -> SphericalValue:
-    """Single-point spherical function value."""
-    value = spherical_fn_many(group, param, np.array([float(t)]))[0]
-    return SphericalValue(t=float(t), param=param, value=float(value))
 
 
 def hc_c_function(group: RankOneGroup, param: SpectralParam) -> CFunctionValue:

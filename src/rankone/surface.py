@@ -43,8 +43,6 @@ __all__ = [
     "hyp_dist",
     "cartan_sample",
     "reduce_to_domain",
-    "observable_eval",
-    "observable_mean",
     "parse_observable",
     "mc_average",
     "ks_radial_test",
@@ -57,6 +55,8 @@ _CHUNK = 65536
 # arrays stay in cache through the reduction's sweeps.
 _BLOCK = 8192
 _DOMAIN_EDGE = 1.0 - 1e-15
+# Sweeps before the reduction gives up with ConvergenceError.
+_SWEEP_CAP = 10**6
 # The reduction takes points within this hyperbolic distance of i; see
 # _reduce_batch for what holds inside it.
 _REACH = 28.0
@@ -69,7 +69,6 @@ _WORD_K = 8.0
 _EPS = float(np.finfo(np.float64).eps)
 # Hyperbolic area of the modular surface.
 _SURFACE_AREA = math.pi / 3.0
-# Built once: make_group builds Fractions on every call.
 _GROUP = make_group("so", 2)
 
 
@@ -88,9 +87,6 @@ class HPoint:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y) and self.y > 0.0):
             raise ValidationError("point needs finite x and y > 0")
-
-    def as_complex(self) -> complex:
-        return complex(self.x, self.y)
 
 
 def _mobius_xy(a, b, c, d, x, y):
@@ -129,9 +125,6 @@ class Mat2:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def inv(self) -> "Mat2":
-        return Mat2(self.d, -self.b, -self.c, self.a)
 
     def act(self, z: HPoint) -> HPoint:
         x, y = _mobius_xy(self.a, self.b, self.c, self.d, z.x, z.y)
@@ -247,7 +240,7 @@ def _certify_word(x_in, y_in, x, y, word):
     return worst
 
 
-def _reduce_batch(x, y, cap: int = 10**6):
+def _reduce_batch(x, y):
     """Fold points into {|Re| <= 1/2, |z| >= 1}, accumulating the word.
 
     The range is every point within hyperbolic distance 28 of i, that is
@@ -280,7 +273,7 @@ def _reduce_batch(x, y, cap: int = 10**6):
     r2 = np.empty_like(x)
     tmp = np.empty_like(x)
     inside = np.empty(x.shape, dtype=bool)
-    for _ in range(cap):
+    for _ in range(_SWEEP_CAP):
         # Every point is translated each sweep: one already in the strip
         # gets n = 0 and keeps its coordinates and word, so no mask of
         # finished points is needed.
@@ -396,16 +389,6 @@ class ConstantObservable:
         return np.ones_like(np.asarray(x, dtype=np.float64))
 
 
-def observable_eval(obs, z: HPoint) -> float:
-    """Value at one reduced point."""
-    return float(obs.eval_batch(np.array([z.x]), np.array([z.y]))[0])
-
-
-def observable_mean(obs) -> float:
-    """Exact space average of the observable on the modular surface."""
-    return float(obs.mean())
-
-
 def parse_observable(text: str):
     """Parse 'cusp:Y', 'disk:cx,cy,r', or 'const'."""
     name, _, rest = text.partition(":")
@@ -485,6 +468,14 @@ def _run_chunk(t, base, obs, seq, size):
 _DEFAULT_BASE = HPoint(0.1, 1.3)
 
 
+def _check_seed(seed) -> int:
+    # numpy's SeedSequence takes non-negative integers only.
+    seed = int(seed)
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer; got {seed}")
+    return seed
+
+
 def _check_reach(t: float, base: HPoint) -> None:
     # An orbit point g^{-1} x0 lies within d(i, x0) of g^{-1} i, which lies
     # within t of i; t + d(i, x0) must be inside the reduction's range.
@@ -524,12 +515,13 @@ def mc_average(
     n = int(n)
     if n < 1:
         raise ValidationError("sample count must be positive")
+    seed = _check_seed(seed)
     if base is None:
         base = _DEFAULT_BASE
     _check_reach(t, base)
     label = obs.label()
     sizes = _chunk_sizes(n, _CHUNK)
-    seqs = np.random.SeedSequence(int(seed)).spawn(len(sizes))
+    seqs = np.random.SeedSequence(seed).spawn(len(sizes))
     partials = [_run_chunk(float(t), base, obs, seq, size) for seq, size in zip(seqs, sizes)]
     total = sum(p[0] for p in partials)
     total_sq = sum(p[1] for p in partials)
@@ -539,7 +531,7 @@ def mc_average(
     else:
         variance = 0.0
     stderr = math.sqrt(variance / n)
-    return MCRun(float(t), n, int(seed), label, base, estimate, stderr)
+    return MCRun(float(t), n, seed, label, base, estimate, stderr)
 
 
 @dataclass(frozen=True)
@@ -570,8 +562,9 @@ def ks_radial_test(t: float, n: int, seed: int) -> KSResult:
     n = int(n)
     if n < 100:
         raise ValidationError("KS test needs at least 100 samples")
+    seed = _check_seed(seed)
     profile = build_volume_profile(surface_group(), float(t))
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     _, _, tau = _draw_cartan(t, rng, n)
     tau = np.sort(tau)
     cdf = profile.cdf(tau, float(t))
@@ -604,11 +597,12 @@ def decay_scan(
         raise ValidationError("scan grid must lie in [1, 10]")
     if not np.all(np.diff(ts) > 0.0):
         raise ValidationError("scan grid must be strictly increasing")
+    seed = _check_seed(seed)
     if base is None:
         base = _DEFAULT_BASE
     _check_reach(float(ts[-1]), base)
-    mean = observable_mean(obs)
-    seeds = np.random.SeedSequence(int(seed)).generate_state(ts.size, dtype=np.uint64)
+    mean = obs.mean()
+    seeds = np.random.SeedSequence(seed).generate_state(ts.size, dtype=np.uint64)
     estimates = np.empty_like(ts)
     stderrs = np.empty_like(ts)
     for i, t in enumerate(ts):

@@ -24,7 +24,6 @@ from rankone.ballavg import (
     ball_volume,
     build_volume_profile,
     delta,
-    psi,
     psi_asymptotic_constant,
     psi_asymptotic_formula,
     psi_bound_check,
@@ -320,7 +319,7 @@ def test_import_loads_no_scipy():
 
 
 def test_psi_frozen_value(h3):
-    got = psi(h3, complementary(0.5), 2.0).value
+    got = psi_on_grid(h3, complementary(0.5), [2.0])[0]
     assert got == pytest.approx(0.7433570263076945, rel=1e-12)
     assert got == pytest.approx(_psi_comp_oracle(0.5, 2.0), rel=1e-12)
 
@@ -468,7 +467,7 @@ def test_lipschitz_bound_is_shell_fraction(h3):
     expected = [(_vol_oracle(b) - _vol_oracle(a)) / _vol_oracle(b)
                 for a, b in zip(ts[:-1], ts[1:])]
     np.testing.assert_allclose(bounds, expected, rtol=1e-10)
-    psis = [psi(h3, complementary(0.5), float(t)).value for t in ts]
+    psis = [psi_on_grid(h3, complementary(0.5), [t])[0] for t in ts]
     np.testing.assert_allclose(jumps, np.abs(np.diff(psis)), rtol=1e-12)
 
 

@@ -1,6 +1,9 @@
 """CLI dispatch: exit codes, CSV round-trips, and output formats."""
 
+import argparse
+import ast
 import csv
+import inspect
 import json
 import math
 
@@ -52,11 +55,59 @@ def test_bad_param_value_exits_1(capsys):
 
 
 def test_bad_group_exits_1(capsys):
-    assert cli.main(["volume", "--group", "so:1", "--t", "1"]) == 1
+    for group in ("so:1", "custom:1,x"):
+        assert cli.main(["volume", "--group", group, "--t", "1"]) == 1
+        assert "rankone: error:" in capsys.readouterr().err
 
 
 def test_verify_rejects_other_groups(capsys):
-    assert cli.main(["verify", "--group", "su:4"]) == 1
+    # verify runs the pinned so:3 suite and takes no --group at all
+    for group in ("su:4", "so:3"):
+        assert cli.main(["verify", "--group", group]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["mc", "--t", "1.5", "--samples", "100", "--obs", "cusp:2", "--seed", "-1"],
+    ["mc-scan", "--t-grid", "1,2", "--samples", "100", "--obs", "cusp:2", "--seed", "-3"],
+    ["sphfn", "--param", "c:0.5", "--t-max", "400"],
+    ["grid", "--delta", "0.5", "--enumerate-limit", "-5"],
+], ids=["mc-seed", "mc-scan-seed", "sphfn-radius", "grid-enumerate-limit"])
+def test_out_of_domain_input_exits_1(args, capsys):
+    assert cli.main(args) == 1
+    assert "rankone: error:" in capsys.readouterr().err
+
+
+def _args_reads(name, defs, seen):
+    # Options read as args.X or getattr(args, "X", ...) in the function, and
+    # in every cli function it passes args to.
+    seen.add(name)
+    reads = set()
+    for node in ast.walk(defs[name]):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "args":
+                reads.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            passed = [a for a in node.args if isinstance(a, ast.Name) and a.id == "args"]
+            if node.func.id == "getattr" and passed and isinstance(node.args[1], ast.Constant):
+                reads.add(node.args[1].value)
+            elif passed and node.func.id in defs and node.func.id not in seen:
+                reads |= _args_reads(node.func.id, defs, seen)
+    return reads
+
+
+def test_every_cli_option_is_read():
+    tree = ast.parse(inspect.getsource(cli))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    unread = {}
+    for command, sub in subparsers.choices.items():
+        declared = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+        reads = _args_reads(sub.get_default("fn").__name__, defs, set())
+        if declared - reads:
+            unread[command] = sorted(declared - reads)
+    assert unread == {}
 
 
 def test_convergence_failure_exits_2(monkeypatch, capsys):

@@ -14,7 +14,6 @@ from rankone.model import (
     PuritySpectrum,
     SpectralVector,
     apply_average,
-    deviation_norm,
     deviation_on_grid,
     direction_convergence,
     discrete_constant_report,
@@ -66,15 +65,15 @@ def test_deviation_ignores_atoms(spec):
     # atoms are reproduced by the projection, so they never contribute
     heavy = SpectralVector(atom_norms=(40.0, 9.0), omega_norms=(1.0, 1.0))
     light = SpectralVector(atom_norms=(0.0, 0.0), omega_norms=(1.0, 1.0))
-    assert deviation_norm(spec, heavy, 3.0) == pytest.approx(
-        deviation_norm(spec, light, 3.0), rel=1e-14
+    assert deviation_on_grid(spec, heavy, [3.0])[0] == pytest.approx(
+        deviation_on_grid(spec, light, [3.0])[0], rel=1e-14
     )
 
 
 def test_deviation_homogeneous(spec, unit_f):
     doubled = SpectralVector(atom_norms=(1.0, 1.0), omega_norms=(2.0, 2.0))
-    assert deviation_norm(spec, doubled, 4.0) == pytest.approx(
-        2.0 * deviation_norm(spec, unit_f, 4.0), rel=1e-13
+    assert deviation_on_grid(spec, doubled, [4.0])[0] == pytest.approx(
+        2.0 * deviation_on_grid(spec, unit_f, [4.0])[0], rel=1e-13
     )
 
 
@@ -139,14 +138,14 @@ def test_vector_validation():
 def test_spectrum_alignment_enforced(spec):
     short = SpectralVector(atom_norms=(1.0,), omega_norms=(1.0, 1.0))
     with pytest.raises(ValidationError):
-        deviation_norm(spec, short, 2.0)
+        deviation_on_grid(spec, short, [2.0])
 
 
 def test_invalid_spectrum_rejected(h3, unit_f):
     bad = PuritySpectrum(group=h3, atoms=(1.0, 0.2), r=0.4, omega=())
     f = SpectralVector(atom_norms=(1.0, 1.0), omega_norms=())
     with pytest.raises(ValidationError, match="invalid spectrum"):
-        deviation_norm(bad, f, 2.0)
+        deviation_on_grid(bad, f, [2.0])
 
 
 def test_time_grid_structure():
@@ -180,6 +179,13 @@ def test_finite_sum_domination():
     # and bounded by the dominating series
     assert np.all(np.diff(report.partial_sums) >= 0.0)
     assert np.all(report.partial_sums <= report.dominating_partial_sums)
+
+
+@pytest.mark.parametrize("limit", [0, -5])
+def test_finite_sum_rejects_empty_enumeration(limit):
+    # a domination certificate over no intervals certifies nothing
+    with pytest.raises(ValidationError, match="enumerate_limit"):
+        finite_sum_check(0.5, 12, enumerate_limit=limit)
 
 
 def test_discrete_constant_consistent(spec, unit_f):

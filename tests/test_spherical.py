@@ -18,7 +18,6 @@ from rankone.spherical import (
     MAX_PRINCIPAL_LAMBDA,
     certify_decay_bound,
     hc_c_function,
-    spherical_fn,
     spherical_fn_many,
 )
 
@@ -52,7 +51,7 @@ def test_principal_closed_form(h3):
 def test_value_at_origin(h3):
     # phi_s(e) = 1 for every parameter
     for param in (trivial(), complementary(0.4), principal(1.3)):
-        assert spherical_fn(h3, param, 0.0).value == pytest.approx(1.0, abs=1e-13)
+        assert spherical_fn_many(h3, param, [0.0])[0] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_other_family_matches_jacobi_series():
@@ -68,7 +67,7 @@ def test_other_family_matches_jacobi_series():
     for n in range(40):
         acc += term
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
-    got = spherical_fn(g, complementary(s), t).value
+    got = spherical_fn_many(g, complementary(s), [t])[0]
     assert got == pytest.approx(acc, rel=1e-12)
 
 
@@ -87,7 +86,7 @@ def test_c_function_h3_closed_form(h3):
 def test_c_function_governs_asymptotics(h3):
     t = 40.0
     for s in (0.3, 0.5, 0.9):
-        phi = spherical_fn(h3, complementary(s), t).value
+        phi = spherical_fn_many(h3, complementary(s), [t])[0]
         scaled = phi * math.exp((h3.rho - s) * t)
         assert scaled == pytest.approx(1.0 / s, rel=1e-8)
 
@@ -128,9 +127,27 @@ def test_principal_above_frequency_bound_rejected(h3, lam, monkeypatch):
         psi_on_grid(h3, principal(lam), np.linspace(0.5, 5.0, 10))
 
 
+def test_phi_domain_ends_where_sinh_squared_overflows(h3, monkeypatch):
+    # t = 355 is inside: the closed form sinh(st) / (s sinh t) holds there
+    for s in (0.3, 0.5, 0.9):
+        got = spherical_fn_many(h3, complementary(s), [355.0])[0]
+        assert got == pytest.approx(math.sinh(s * 355.0) / (s * math.sinh(355.0)), rel=1e-12)
+    got = spherical_fn_many(h3, principal(1.0), [355.0])[0]
+    assert got == pytest.approx(math.sin(355.0) / math.sinh(355.0), rel=1e-9, abs=0.0)
+
+    def no_work(*args):
+        raise AssertionError("2F1 evaluated beyond the radius bound")
+
+    monkeypatch.setattr(spherical, "gauss_2f1_neg", no_work)
+    for t in (356.0, 400.0, np.inf):
+        for param in (complementary(0.5), principal(1.0)):
+            with pytest.raises(ValidationError, match="355.58"):
+                spherical_fn_many(h3, param, [1.0, t])
+
+
 def test_param_outside_dual_rejected(h3):
     with pytest.raises(ValidationError):
-        spherical_fn(h3, complementary(1.5), 1.0)
+        spherical_fn_many(h3, complementary(1.5), [1.0])
 
 
 def test_decay_certificates(h3):

@@ -21,8 +21,6 @@ from rankone.surface import (
     hyp_dist,
     ks_radial_test,
     mc_average,
-    observable_eval,
-    observable_mean,
     parse_observable,
     reduce_to_domain,
     surface_group,
@@ -201,17 +199,18 @@ _OUTSIDE = [
     [(math.nan, 1.0), (0.2, math.nan), (math.inf, 1.0), (-math.inf, 1.0), (0.2, math.inf), (0.2, 0.0), (0.2, -1.0)]
     + _OUTSIDE,
 )
-def test_reduction_rejects_bad_points_at_once(x, y):
+def test_reduction_rejects_bad_points_at_once(x, y, monkeypatch):
     start = time.perf_counter()
     with pytest.raises(ValidationError):
         surface._reduce_batch(np.array([0.3, x]), np.array([0.8, y]))
     assert time.perf_counter() - start < 1.0
     # before any sweep: with no sweeps allowed, a point in range would
     # fail the iteration cap with ConvergenceError instead
+    monkeypatch.setattr(surface, "_SWEEP_CAP", 0)
     with pytest.raises(ValidationError):
-        surface._reduce_batch(np.array([0.3, x]), np.array([0.8, y]), cap=0)
+        surface._reduce_batch(np.array([0.3, x]), np.array([0.8, y]))
     with pytest.raises(ConvergenceError):
-        surface._reduce_batch(np.array([0.3]), np.array([0.8]), cap=0)
+        surface._reduce_batch(np.array([0.3]), np.array([0.8]))
 
 
 def test_reduction_flags_nan_from_underflow():
@@ -351,21 +350,20 @@ def test_reduced_point_matches_mpmath(source):
 
 def test_observable_means():
     # area(F) = pi/3; cusp strip above Y has area 1/Y
-    assert observable_mean(CuspIndicator(2.0)) == pytest.approx(3.0 / (2.0 * math.pi))
-    assert observable_mean(CuspIndicator(1.0)) == pytest.approx(3.0 / math.pi)
-    assert observable_mean(ConstantObservable()) == 1.0
+    assert CuspIndicator(2.0).mean() == pytest.approx(3.0 / (2.0 * math.pi))
+    assert CuspIndicator(1.0).mean() == pytest.approx(3.0 / math.pi)
+    assert ConstantObservable().mean() == 1.0
     disk = DiskIndicator(HPoint(0.0, 1.5), 0.2)
-    assert observable_mean(disk) == pytest.approx(
+    assert disk.mean() == pytest.approx(
         6.0 * (math.cosh(0.2) - 1.0), rel=1e-12
     )
 
 
 def test_observable_eval():
-    assert observable_eval(CuspIndicator(2.0), HPoint(0.1, 2.5)) == 1.0
-    assert observable_eval(CuspIndicator(2.0), HPoint(0.1, 1.9)) == 0.0
+    cusp = CuspIndicator(2.0).eval_batch(np.array([0.1, 0.1]), np.array([2.5, 1.9]))
+    np.testing.assert_array_equal(cusp, [1.0, 0.0])
     disk = DiskIndicator(HPoint(0.0, 1.5), 0.2)
-    assert observable_eval(disk, HPoint(0.0, 1.5)) == 1.0
-    assert observable_eval(disk, HPoint(0.4, 1.1)) == 0.0
+    np.testing.assert_array_equal(disk.eval_batch(np.array([0.0, 0.4]), np.array([1.5, 1.1])), [1.0, 0.0])
 
 
 def test_disk_containment_enforced():
@@ -478,7 +476,7 @@ def test_mc_converges_to_space_mean():
     # at t = 8 the dynamical deviation has decayed well below the Monte
     # Carlo noise at this sample size, so a pure noise bound applies
     run = mc_average(8.0, 200000, CuspIndicator(2.0), 12)
-    target = observable_mean(CuspIndicator(2.0))
+    target = CuspIndicator(2.0).mean()
     assert abs(run.estimate - target) <= 4.0 * run.standard_error
 
 
@@ -498,7 +496,7 @@ def test_mc_t_zero_is_orbit_limit():
     cos_arc = (math.cosh(r0) ** 2 - math.cosh(0.2)) / math.sinh(r0) ** 2
     orbit_mean = 2.0 * math.acos(cos_arc) / math.pi
     assert abs(at_zero.estimate - orbit_mean) <= 4.0 * at_zero.standard_error
-    assert at_zero.estimate != observable_eval(obs, base)
+    assert at_zero.estimate != obs.eval_batch(np.array([base.x]), np.array([base.y]))[0]
 
 
 def test_mc_validation(monkeypatch):
@@ -529,6 +527,13 @@ def test_mc_validation(monkeypatch):
     far = HPoint(0.0, math.exp(-26.5))
     with pytest.raises(ValidationError):
         decay_scan(np.array([1.0, 2.0]), 1000, CuspIndicator(2.0), 1, base=far)
+    # numpy takes non-negative seeds only; a negative one is refused before any draw
+    with pytest.raises(ValidationError, match="seed"):
+        mc_average(1.0, 100, ConstantObservable(), -1)
+    with pytest.raises(ValidationError, match="seed"):
+        decay_scan(np.array([1.0, 2.0]), 100, CuspIndicator(2.0), -3)
+    with pytest.raises(ValidationError, match="seed"):
+        ks_radial_test(1.0, 100, -1)
     monkeypatch.undo()
     # just inside the range the run completes
     run = mc_average(edge - 1e-5, 2000, CuspIndicator(2.0), 1, base=base)
@@ -543,7 +548,7 @@ def test_mc_at_large_radius(t):
     obs = CuspIndicator(2.0)
     for seed in range(8):
         run = mc_average(t, 100_000, obs, seed)
-        assert abs(run.estimate - observable_mean(obs)) <= 4.0 * run.standard_error
+        assert abs(run.estimate - obs.mean()) <= 4.0 * run.standard_error
 
 
 @pytest.mark.parametrize("t", [0.0, 0.01, 6.0])
