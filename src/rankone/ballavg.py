@@ -102,8 +102,9 @@ def _ball_volumes(group: RankOneGroup, radii) -> np.ndarray:
     """
     radii = np.asarray(radii, dtype=np.float64)
     # Written so that NaN fails the check too.
-    _check_radius(group, float(np.min(radii)))
-    _check_radius(group, float(np.max(radii)))
+    if radii.size:
+        _check_radius(group, float(np.min(radii)))
+        _check_radius(group, float(np.max(radii)))
     if not np.any(radii > 0.0):
         return np.zeros_like(radii)
     smallest = np.min(radii[radii > 0.0])
@@ -148,7 +149,7 @@ def volume_regularity(group: RankOneGroup, t, eps: float):
     """Relative shell growth (m(B_{t+eps}) - m(B_t)) / (eps * m(B_t)) at one or more t > 0."""
     t = np.asarray(t, dtype=np.float64)
     # Written so that NaN fails the check too.
-    if not (np.min(t) > 0.0 and eps > 0.0):
+    if not (np.all(t > 0.0) and eps > 0.0):
         raise ValidationError("volume_regularity needs t > 0 and eps > 0")
     base, grown = np.split(_ball_volumes(group, np.concatenate([t.ravel(), t.ravel() + eps])), 2)
     return _shaped(t, (grown - base) / (eps * base))

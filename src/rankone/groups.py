@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from .errors import ValidationError
 
@@ -37,14 +37,12 @@ class RankOneGroup:
 
     rho_prime bounds the spherical parameters that actually occur in
     L2-decompositions of lattice quotients; it equals rho for the real
-    hyperbolic family, and defaults to rho (flagged by rho_prime_assumed)
-    when no sharper value is supplied.
+    hyperbolic family, and defaults to rho when no sharper value is supplied.
     """
 
     n1: int
     n2: int
     rho_prime: float
-    rho_prime_assumed: bool
     label: str = "custom"
 
     def __post_init__(self):
@@ -102,15 +100,8 @@ def make_group(
     else:
         raise ValidationError(f"unknown group family {name!r} (want so, su, sp, f4, custom)")
 
-    # For the real hyperbolic family the full interval (0, rho] occurs, so
-    # rho' = rho is a theorem; elsewhere it is an unverified default.
-    if rho_prime is None:
-        assumed = not (name == "so")
-        rp = (n1 + 2 * n2) / 2
-    else:
-        assumed = False
-        rp = float(rho_prime)
-    return RankOneGroup(n1=n1, n2=n2, rho_prime=rp, rho_prime_assumed=assumed, label=label)
+    rp = (n1 + 2 * n2) / 2 if rho_prime is None else float(rho_prime)
+    return RankOneGroup(n1=n1, n2=n2, rho_prime=rp, label=label)
 
 
 def parse_group(text: str, rho_prime: Optional[float] = None) -> RankOneGroup:
@@ -225,52 +216,3 @@ def check_param(group: RankOneGroup, param: SpectralParam) -> None:
             f"complementary s={param.value} exceeds rho'={group.rho_prime} for {group.label}"
         )
 
-
-# --------------------------------------------------------------------------
-# Purity validation.
-
-
-@dataclass(frozen=True)
-class PurityCheck:
-    """Outcome of validate_purity: empty violations means valid."""
-
-    violations: Tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_purity(group: RankOneGroup, spectrum) -> PurityCheck:
-    """Check the ordering constraints of a pure spectrum.
-
-    Expects an object with fields atoms (s_0 = rho > s_1 > ... > s_k),
-    r (spectral gap bound, 0 < r < s_k), and omega (pairs (param, weight)
-    with re_s <= r).  Every violated inequality is reported separately.
-    """
-    problems = []
-    atoms = list(spectrum.atoms)
-    r = float(spectrum.r)
-    if not atoms:
-        problems.append("atom list is empty; s_0 = rho is mandatory")
-    else:
-        if abs(atoms[0] - group.rho) > 1e-12:
-            problems.append(f"s_0 = {atoms[0]} != rho = {group.rho}")
-        for j in range(1, len(atoms)):
-            if not atoms[j] < atoms[j - 1]:
-                problems.append(f"atoms not strictly decreasing at index {j}: {atoms[j-1]} -> {atoms[j]}")
-        for j, s in enumerate(atoms):
-            if not s > r:
-                problems.append(f"atom s_{j} = {s} is not above r = {r}")
-        for j, s in enumerate(atoms[1:], start=1):
-            if s > group.rho_prime + 1e-12:
-                problems.append(f"atom s_{j} = {s} exceeds rho' = {group.rho_prime}")
-    if not (r > 0.0):
-        problems.append(f"r = {r} must be positive")
-    for i, (param, weight) in enumerate(spectrum.omega):
-        if not (math.isfinite(weight) and weight >= 0.0):
-            problems.append(f"omega[{i}] weight {weight} must be finite and >= 0")
-        re_s = param.re_s(group)
-        if re_s > r + 1e-12:
-            problems.append(f"omega[{i}] ({param.label()}) has re_s = {re_s} > r = {r}")
-    return PurityCheck(tuple(problems))

@@ -26,8 +26,6 @@ from .groups import (
     complementary,
     parse_group,
     parse_param,
-    trivial,
-    validate_purity,
 )
 
 __all__ = [
@@ -52,10 +50,10 @@ class PuritySpectrum:
     """Spectral data: atoms s_0 > s_1 > ... > s_k above a strip bound r.
 
     Atom 0 is the constants (s_0 equals rho), the remaining atoms are
-    isolated complementary parameters above r, and omega collects the
-    weighted continuous components at or below r.  Construction only
-    normalizes the data; semantic checks live in validate_purity so that
-    a malformed spectrum can still be built and reported on.
+    isolated complementary parameters in (r, rho'], and omega collects the
+    weighted continuous components with re s <= r.  Construction checks
+    every one of these inequalities, with r > 0 and finite weights >= 0,
+    and raises one ValidationError that lists each violation.
     """
 
     group: RankOneGroup
@@ -69,12 +67,31 @@ class PuritySpectrum:
         object.__setattr__(
             self, "omega", tuple((p, float(w)) for p, w in self.omega)
         )
-        if not self.atoms:
-            raise ValidationError("spectrum needs at least the leading atom")
-
-    def atom_params(self) -> list:
-        """Spectral parameters of the atoms; index 0 is the constants."""
-        return [trivial()] + [complementary(s) for s in self.atoms[1:]]
+        group, atoms, r = self.group, self.atoms, self.r
+        problems = []
+        if not atoms:
+            problems.append("atom list is empty (s_0 = rho is mandatory)")
+        elif abs(atoms[0] - group.rho) > 1e-12:
+            problems.append(f"s_0 = {atoms[0]} != rho = {group.rho}")
+        for j in range(1, len(atoms)):
+            if not atoms[j] < atoms[j - 1]:
+                problems.append(f"atoms not strictly decreasing at index {j}: {atoms[j-1]} -> {atoms[j]}")
+        for j, s in enumerate(atoms):
+            if not s > r:
+                problems.append(f"atom s_{j} = {s} is not above r = {r}")
+        for j, s in enumerate(atoms[1:], start=1):
+            if s > group.rho_prime + 1e-12:
+                problems.append(f"atom s_{j} = {s} exceeds rho' = {group.rho_prime}")
+        if not (r > 0.0):
+            problems.append(f"r = {r} must be positive")
+        for i, (param, weight) in enumerate(self.omega):
+            if not (math.isfinite(weight) and weight >= 0.0):
+                problems.append(f"omega[{i}] weight {weight} must be finite and >= 0")
+            re_s = param.re_s(group)
+            if re_s > r + 1e-12:
+                problems.append(f"omega[{i}] ({param.label()}) has re_s = {re_s} > r = {r}")
+        if problems:
+            raise ValidationError("invalid spectrum: " + "; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -118,12 +135,6 @@ class DecayReport:
     fitted_exponent_stderr: Optional[float] = None
     estimates: Optional[np.ndarray] = None
     stderrs: Optional[np.ndarray] = None
-
-
-def _require_valid(spec: PuritySpectrum) -> None:
-    check = validate_purity(spec.group, spec)
-    if not check.ok:
-        raise ValidationError("invalid spectrum: " + "; ".join(check.violations))
 
 
 def _require_aligned(spec: PuritySpectrum, f: SpectralVector) -> None:
@@ -171,7 +182,6 @@ def apply_average(spec: PuritySpectrum, f: SpectralVector, t: float) -> Spectral
     dropped here to keep the result a valid norm vector; the direction
     check recomputes signed components internally.
     """
-    _require_valid(spec)
     _require_aligned(spec, f)
     if not t > 0.0:
         raise ValidationError("radius t must be positive")
@@ -194,7 +204,6 @@ def deviation_on_grid(spec: PuritySpectrum, f: SpectralVector, ts) -> np.ndarray
     Atoms contribute exactly zero: averaging acts on them by scalar
     multiplication, so the whole deviation is carried by omega.
     """
-    _require_valid(spec)
     _require_aligned(spec, f)
     ts = _as_grid(ts, minimum=1e-12)
     mult = _omega_multipliers(spec, ts)
@@ -211,7 +220,6 @@ def theorem_mean_report(spec: PuritySpectrum, f: SpectralVector, t_grid) -> Deca
     slope of log deviation against t, reported as None when there are not
     enough nonzero deviations to fit.
     """
-    _require_valid(spec)
     _require_aligned(spec, f)
     ts = _as_grid(t_grid, minimum=1.0 - 1e-12)
     dev = deviation_on_grid(spec, f, ts)
@@ -245,7 +253,6 @@ def direction_convergence(spec: PuritySpectrum, f: SpectralVector, t_grid) -> np
     with signed components.  A zero deviation is reported as distance 0:
     there is nothing left to point anywhere else.
     """
-    _require_valid(spec)
     _require_aligned(spec, f)
     if len(spec.atoms) < 2:
         raise ValidationError("direction check needs a second atom")
@@ -325,6 +332,10 @@ def discrete_constant_report(
 # The refining time grid and its summability certificate.
 
 _MAX_GRID_POINTS = 5_000_000  # time_grid refuses grids larger than this
+# ln 1e-100, finite_sum_check's floor on delta e^{-delta m_max/2}, which is
+# about u1 = 1 - e^{-delta/q}: above it the u1**3 its closed form divides by
+# is a normal double.
+_LOG_MIN_U1 = -100.0 * math.log(10.0)
 
 
 def _interval_count(delta: float, m: int) -> int:
@@ -335,14 +346,21 @@ def time_grid(delta: float, m_max: int) -> np.ndarray:
     """Grid on [1, m_max+1]: each [m, m+1] split into floor(e^{delta m/2}+1) parts.
 
     The grid starts at 1 and the point count per unit interval grows
-    geometrically, so a hard cap on the total size guards against
-    accidentally materializing an astronomically fine grid.
+    geometrically, so its domain is the m_max whose grid holds at most
+    _MAX_GRID_POINTS = 5e6 points (m_max <= 55 at delta = 0.5).  The last
+    interval alone holds more than e^{delta m_max/2} points, so
+    delta m_max / 2 <= ln 5e6 is checked first, before any count is formed.
     """
     if not delta > 0.0:
         raise ValidationError("delta must be positive")
     m_max = int(m_max)
     if m_max < 1:
         raise ValidationError("m_max must be at least 1")
+    if not 0.5 * delta * m_max <= math.log(_MAX_GRID_POINTS):
+        raise ValidationError(
+            f"grid would hold more than e^{0.5 * delta * m_max:.6g} points, "
+            f"above the cap {_MAX_GRID_POINTS}"
+        )
     counts = [_interval_count(delta, m) for m in range(1, m_max + 1)]
     total = 1 + sum(counts)
     if total > _MAX_GRID_POINTS:
@@ -409,6 +427,11 @@ def finite_sum_check(
     confirm the closed form and the termwise bound (m+1)^2 e^{-delta m}.
     The Cauchy gap compares the partial sum at m_max with the one at
     m_max // 2.
+
+    The closed form divides by u1^3 with u1 = 1 - e^{-delta/q}, about
+    delta e^{-delta m/2}.  The domain is the m_max with
+    delta e^{-delta m_max/2} >= 1e-100 (m_max <= 918 at delta = 0.5): there
+    u1^3 stays a normal double and every interval sum is finite.
     """
     if not delta > 0.0:
         raise ValidationError("delta must be positive")
@@ -417,6 +440,12 @@ def finite_sum_check(
         raise ValidationError("m_max must be at least 1")
     if enumerate_limit < 1:
         raise ValidationError("enumerate_limit must be at least 1")
+    # Written so that NaN (delta = inf) fails the test too.
+    if not math.log(delta) - 0.5 * delta * m_max >= _LOG_MIN_U1:
+        raise ValidationError(
+            f"m_max = {m_max} is outside the domain at delta = {delta:g}: "
+            "the closed form needs delta e^(-delta m_max/2) >= 1e-100"
+        )
     m_values = np.arange(1, m_max + 1)
     interval_sums = np.array([_interval_sum_closed(delta, int(m)) for m in m_values])
     dominating = np.array(
@@ -490,6 +519,5 @@ def load_spectrum(source) -> Tuple[PuritySpectrum, SpectralVector]:
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad spectrum config: {exc}") from exc
     spec = PuritySpectrum(group=group, atoms=atoms, r=r, omega=omega)
-    _require_valid(spec)
     _require_aligned(spec, f)
     return spec, f

@@ -83,7 +83,8 @@ def spherical_fn_many(group: RankOneGroup, param: SpectralParam, ts) -> np.ndarr
     # Written so that NaN fails the test too.
     if ts.size and not np.min(ts) >= 0.0:
         raise ValidationError("t >= 0 required")
-    if param.is_trivial:
+    # No radii, like the constant function, needs no 2F1.
+    if param.is_trivial or ts.size == 0:
         return np.ones_like(ts)
 
     values = _jacobi_2f1(group, param, ts, 0.0)

@@ -33,8 +33,8 @@ from rankone.ballavg import (
 )
 from rankone.errors import ConvergenceError, ValidationError
 from rankone.groups import complementary, make_group, principal, trivial
-from rankone.hyper import DegenerateParamWarning
-from rankone.spherical import MAX_PRINCIPAL_LAMBDA
+from rankone.hyper import DegenerateParamWarning, gauss_2f1_neg
+from rankone.spherical import MAX_PRINCIPAL_LAMBDA, spherical_fn_many
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +263,27 @@ def no_quadrature(monkeypatch):
 def test_psi_rejects_nan_in_grid(h3, grid, no_quadrature):
     with pytest.raises(ValidationError):
         psi_on_grid(h3, principal(1.0), np.array(grid))
+
+
+_KERNELS = {
+    "gauss_2f1_neg": lambda group, ts: gauss_2f1_neg(1.0, 1.5, 2.0, ts),
+    "spherical_fn_many": lambda group, ts: spherical_fn_many(group, complementary(0.5), ts),
+    "psi_on_grid": lambda group, ts: psi_on_grid(group, principal(1.0), ts),
+    "ball_volume": ball_volume,
+    "volume_regularity": lambda group, ts: volume_regularity(group, ts, 0.1),
+}
+
+
+@pytest.mark.parametrize("kernel", list(_KERNELS))
+def test_empty_radii_give_empty_arrays(h3, kernel, monkeypatch):
+    # no radii, no 2F1 or quadrature work (gauss_2f1_neg is called directly)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 2F1 or Delta was evaluated")
+
+    monkeypatch.setattr(rankone.spherical, "gauss_2f1_neg", refuse)
+    monkeypatch.setattr(rankone.ballavg, "delta", refuse)
+    out = _KERNELS[kernel](h3, [])
+    assert isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (0,)
 
 
 # Every t_max builds, including those below 1 where a Hermite table with

@@ -72,7 +72,14 @@ def test_verify_rejects_other_groups(capsys):
     ["mc-scan", "--t-grid", "1,2", "--samples", "100", "--obs", "cusp:2", "--seed", "-3"],
     ["sphfn", "--param", "c:0.5", "--t-max", "400"],
     ["grid", "--delta", "0.5", "--enumerate-limit", "-5"],
-], ids=["mc-seed", "mc-scan-seed", "sphfn-radius", "grid-enumerate-limit"])
+    # one step past the domain of the closed-form sums, and far past it
+    ["grid", "--delta", "0.5", "--m-max", "919"],
+    ["grid", "--delta", "0.5", "--m-max", "5000"],
+    # one step past the point cap, and where e^{delta m_max/2} overflows
+    ["grid", "--delta", "0.5", "--m-max", "56", "--points"],
+    ["grid", "--delta", "0.5", "--m-max", "5000", "--points"],
+], ids=["mc-seed", "mc-scan-seed", "sphfn-radius", "grid-enumerate-limit",
+        "grid-m-max", "grid-m-max-overflow", "grid-points-cap", "grid-points-overflow"])
 def test_out_of_domain_input_exits_1(args, capsys):
     assert cli.main(args) == 1
     assert "rankone: error:" in capsys.readouterr().err
@@ -254,6 +261,21 @@ def test_simulate_from_config(tmp_path):
     assert len(rows) == 10
     devs = np.array([float(r[1]) for r in rows])
     assert np.all(np.diff(devs) < 0.0)
+
+
+def test_simulate_impure_config_exits_1(tmp_path, capsys):
+    cfg = {
+        "group": "so:3",
+        "atoms": [1.0, 0.2],  # s_1 below r
+        "r": 0.4,
+        "f": {"atom_norms": [1.0, 1.0]},
+    }
+    spec_path = tmp_path / "impure.json"
+    spec_path.write_text(json.dumps(cfg))
+    assert cli.main(["simulate", "--spec", str(spec_path)]) == 1
+    assert "rankone: error: invalid spectrum: atom s_1 = 0.2 is not above r = 0.4" in (
+        capsys.readouterr().err
+    )
 
 
 def test_simulate_missing_file_exits_1(tmp_path, capsys):

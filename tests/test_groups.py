@@ -1,4 +1,4 @@
-"""Structure constants, parameter parsing, and purity validation."""
+"""Structure constants and parameter parsing."""
 
 import math
 
@@ -14,7 +14,6 @@ from rankone.groups import (
     parse_param,
     principal,
     trivial,
-    validate_purity,
 )
 
 
@@ -56,16 +55,13 @@ def test_h3_is_so3():
     assert g.alpha == 0.5
     assert g.beta == -0.5
     # full complementary interval is a theorem for real hyperbolic space
-    assert not g.rho_prime_assumed
     assert g.rho_prime == 1.0
 
 
 def test_rho_prime_default_is_flagged():
     g = make_group("su", 3)
-    assert g.rho_prime_assumed
     assert g.rho_prime == g.rho
     sharp = make_group("su", 3, rho_prime=2.5)
-    assert not sharp.rho_prime_assumed
     assert sharp.rho_prime == 2.5
 
 
@@ -121,37 +117,3 @@ def test_check_param_respects_rho_prime():
     with pytest.raises(ValidationError):
         check_param(sharp, complementary(2.0))
 
-
-class _Spec:
-    def __init__(self, atoms, r, omega=()):
-        self.atoms = atoms
-        self.r = r
-        self.omega = omega
-
-
-def test_validate_purity_accepts_reference_spectrum():
-    g = make_group("so", 3)
-    spec = _Spec((1.0, 0.7), 0.4, ((complementary(0.4), 1.0), (principal(1.0), 1.0)))
-    assert validate_purity(g, spec).ok
-
-
-def test_validate_purity_reports_each_violation():
-    g = make_group("so", 3)
-    # wrong s_0, non-decreasing atoms, atom below r, omega above r
-    spec = _Spec((0.9, 0.9), 0.95, ((complementary(0.99), 1.0),))
-    check = validate_purity(g, spec)
-    assert not check.ok
-    assert len(check.violations) >= 3
-
-
-def test_validate_purity_needs_positive_gap():
-    g = make_group("so", 3)
-    assert not validate_purity(g, _Spec((1.0,), 0.0)).ok
-    assert not validate_purity(g, _Spec((), 0.4)).ok
-
-
-def test_validate_purity_rejects_negative_weight():
-    g = make_group("so", 3)
-    spec = _Spec((1.0,), 0.4, ((principal(1.0), -2.0),))
-    check = validate_purity(g, spec)
-    assert any("weight" in v for v in check.violations)

@@ -1,9 +1,10 @@
-"""Every module-level import and private constant in src/rankone is used.
+"""Every module-level import, private constant and method in src/rankone is used.
 
 An import counts as used if the module reads it or its import line carries
 "# noqa: F401".  The package's __init__ is left out: its imports are the
 re-exported API.  A module-level _PRIVATE constant must be read somewhere
-in the package.
+in the package.  A method defined on a class must be read, as an attribute
+or a string, in the package, the benchmark or the tests.
 """
 
 import ast
@@ -15,6 +16,7 @@ import pytest
 import rankone
 
 _PACKAGE = sorted(Path(rankone.__file__).parent.glob("*.py"))
+_ROOT = Path(__file__).resolve().parent.parent
 _MODULES = [path for path in _PACKAGE if path.name != "__init__.py"]
 _CONSTANT = re.compile(r"_[A-Z][A-Z0-9_]*")
 
@@ -69,3 +71,26 @@ def test_no_unread_private_constants():
     defined = set().union(*(_constants(tree) for tree in trees))
     assert defined, "no private constants found"
     assert sorted(defined - read) == []
+
+
+def test_every_method_is_read():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in _PACKAGE]
+    methods = {
+        f"{cls.name}.{node.name}": node.name
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+    readers = [*_PACKAGE, *(_ROOT / "perfbench").glob("*.py"), *(_ROOT / "tests").glob("*.py")]
+    read = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    assert len(methods) > 20, "too few methods found"
+    assert sorted(name for name, method in methods.items() if method not in read) == []

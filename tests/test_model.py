@@ -3,10 +3,12 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import rankone.ballavg
+from rankone import model
 from rankone.ballavg import psi_on_grid
 from rankone.errors import ValidationError
 from rankone.groups import complementary, make_group, principal
@@ -141,11 +143,50 @@ def test_spectrum_alignment_enforced(spec):
         deviation_on_grid(spec, short, [2.0])
 
 
-def test_invalid_spectrum_rejected(h3, unit_f):
-    bad = PuritySpectrum(group=h3, atoms=(1.0, 0.2), r=0.4, omega=())
-    f = SpectralVector(atom_norms=(1.0, 1.0), omega_norms=())
+def test_invalid_spectrum_rejected(h3):
     with pytest.raises(ValidationError, match="invalid spectrum"):
-        deviation_on_grid(bad, f, [2.0])
+        PuritySpectrum(group=h3, atoms=(1.0, 0.2), r=0.4, omega=())
+
+
+def test_reference_spectrum_builds(h3):
+    # re s = r is allowed on omega; the fields are normalized to float tuples
+    spec = PuritySpectrum(
+        group=h3, atoms=[1, 0.7], r=0.4, omega=[(complementary(0.4), 1), (principal(1.0), 1)]
+    )
+    assert spec.atoms == (1.0, 0.7)
+    assert spec.omega == ((complementary(0.4), 1.0), (principal(1.0), 1.0))
+
+
+@pytest.mark.parametrize("group, atoms, r, omega, named", [
+    (("so", 3), (0.9,), 0.4, (), "s_0 = 0.9 != rho = 1.0"),
+    (("so", 3), (1.0, 0.7, 0.7), 0.4, (), "atoms not strictly decreasing at index 2"),
+    (("so", 3), (1.0, 0.3), 0.4, (), "atom s_1 = 0.3 is not above r = 0.4"),
+    (("su", 3, 2.0), (3.0, 2.5), 1.0, (), "atom s_1 = 2.5 exceeds rho' = 2.0"),
+    (("so", 3), (1.0,), 0.0, (), "r = 0.0 must be positive"),
+    (("so", 3), (), 0.4, (), "atom list is empty"),
+    (("so", 3), (1.0,), 0.4, ((principal(1.0), -2.0),), "omega[0] weight -2.0 must be finite"),
+    (("so", 3), (1.0,), 0.4, ((principal(1.0), math.inf),), "omega[0] weight inf must be finite"),
+    (("so", 3), (1.0,), 0.4, ((principal(1.0), math.nan),), "omega[0] weight nan must be finite"),
+    (("so", 3), (1.0,), 0.4, ((complementary(0.5), 1.0),), "omega[0] (c:0.5) has re_s = 0.5 > r = 0.4"),
+], ids=["s0-not-rho", "not-decreasing", "atom-below-r", "atom-above-rho-prime", "r-not-positive",
+        "no-atoms", "negative-weight", "infinite-weight", "nan-weight", "omega-above-r"])
+def test_spectrum_rejects_each_violation(group, atoms, r, omega, named):
+    with pytest.raises(ValidationError) as info:
+        PuritySpectrum(group=make_group(*group), atoms=atoms, r=r, omega=omega)
+    # the one violation, named alone
+    assert str(info.value).startswith("invalid spectrum: " + named)
+    assert "; " not in str(info.value)
+
+
+def test_spectrum_lists_every_violation(h3):
+    # wrong s_0, non-decreasing atoms, both atoms below r, omega above r
+    with pytest.raises(ValidationError) as info:
+        PuritySpectrum(group=h3, atoms=(0.9, 0.9), r=0.95, omega=((complementary(0.99), 1.0),))
+    violations = str(info.value).removeprefix("invalid spectrum: ").split("; ")
+    assert len(violations) == 5
+    assert violations[0].startswith("s_0 = 0.9 != rho")
+    assert violations[1].startswith("atoms not strictly decreasing")
+    assert violations[4].startswith("omega[0] (c:0.99) has re_s")
 
 
 def test_time_grid_structure():
@@ -159,9 +200,19 @@ def test_time_grid_structure():
     assert len(m1) == 2 and m1[0] == pytest.approx(1.5)
 
 
-def test_time_grid_growth_capped():
+def test_time_grid_growth_capped(monkeypatch):
     with pytest.raises(ValidationError, match="above the cap"):
         time_grid(2.0, 60)
+    with pytest.raises(ValidationError, match="above the cap"):
+        time_grid(0.5, 56)  # 5436776 points; m_max = 55 is the last within the cap
+
+    # e^{delta m_max/2} overflows a double: rejected before any count is formed
+    def refuse(*args):
+        raise AssertionError("an interval count was formed")
+
+    monkeypatch.setattr(model, "_interval_count", refuse)
+    with pytest.raises(ValidationError, match="above the cap"):
+        time_grid(0.5, 5000)
 
 
 def test_finite_sum_closed_form_vs_enumeration():
@@ -179,6 +230,37 @@ def test_finite_sum_domination():
     # and bounded by the dominating series
     assert np.all(np.diff(report.partial_sums) >= 0.0)
     assert np.all(report.partial_sums <= report.dominating_partial_sums)
+
+
+def _interval_sum_mpmath(delta: float, m: int, q: int) -> float:
+    # sum_{j=1..q} (m + j/q)^2 e^{-delta (m + j/q)} from the textbook
+    # geometric sums, at a precision that survives their cancellation
+    with mpmath.workdps(400):
+        y = mpmath.exp(-mpmath.mpf(delta) / q)
+        g0 = y * (1 - y**q) / (1 - y)
+        g1 = y * (1 - (q + 1) * y**q + q * y ** (q + 1)) / (1 - y) ** 2
+        g2 = y * (
+            1 + y - (q + 1) ** 2 * y**q + (2 * q * q + 2 * q - 1) * y ** (q + 1) - q * q * y ** (q + 2)
+        ) / (1 - y) ** 3
+        return float(mpmath.exp(-mpmath.mpf(delta) * m) * (m * m * g0 + 2 * m * g1 / q + g2 / q**2))
+
+
+# largest = floor(2 (ln delta + 100 ln 10) / delta), the last m_max with
+# delta e^{-delta m_max/2} >= 1e-100.
+@pytest.mark.parametrize("delta, largest", [(0.05, 9090), (0.5, 918), (3.0, 154)])
+def test_finite_sum_domain(delta, largest, monkeypatch):
+    report = finite_sum_check(delta, largest, enumerate_limit=5)
+    assert np.all(np.isfinite(report.interval_sums))
+    assert math.isfinite(report.cauchy_gap)
+    exact = _interval_sum_mpmath(delta, largest, model._interval_count(delta, largest))
+    assert report.interval_sums[-1] == pytest.approx(exact, rel=1e-12)
+
+    def refuse(*args):
+        raise AssertionError("an interval sum was formed")
+
+    monkeypatch.setattr(model, "_interval_sum_closed", refuse)
+    with pytest.raises(ValidationError, match="outside the domain"):
+        finite_sum_check(delta, largest + 1)
 
 
 @pytest.mark.parametrize("limit", [0, -5])
