@@ -43,7 +43,6 @@ from .model import (
     SeriesReport,
     SpectralVector,
     SummabilityReport,
-    apply_average,
     deviation_on_grid,
     direction_convergence,
     discrete_constant_report,
@@ -58,16 +57,11 @@ from .surface import (
     DiskIndicator,
     HPoint,
     KSResult,
-    Mat2,
     MCRun,
-    cartan_sample,
     decay_scan,
-    hyp_dist,
     ks_radial_test,
     mc_average,
     parse_observable,
-    reduce_to_domain,
-    surface_group,
 )
 from .acceptance import ALL_CRITERIA, CriterionResult, run_all
 
@@ -105,7 +99,6 @@ __all__ = [
     "SeriesReport",
     "SpectralVector",
     "SummabilityReport",
-    "apply_average",
     "deviation_on_grid",
     "direction_convergence",
     "discrete_constant_report",
@@ -118,14 +111,12 @@ __all__ = [
     "DiskIndicator",
     "HPoint",
     "KSResult",
-    "Mat2",
     "MCRun",
-    "cartan_sample",
     "decay_scan",
-    "hyp_dist",
     "ks_radial_test",
     "mc_average",
     "parse_observable",
-    "reduce_to_domain",
-    "surface_group",
+    "ALL_CRITERIA",
+    "CriterionResult",
+    "run_all",
 ]

@@ -38,8 +38,6 @@ from .surface import (
     mc_average,
 )
 
-__all__ = ["CriterionResult", "ALL_CRITERIA", "run_all"]
-
 
 @dataclass(frozen=True)
 class CriterionResult:

@@ -40,6 +40,9 @@ _WEIGHTS = np.zeros((_NODES.size, 2))
 _WEIGHTS[:20, 0], _WEIGHTS[20:, 1] = _GL20[1], _GL10[1]
 _PANEL_WIDTH = 0.25  # first panel width; each refinement halves it
 _REFINEMENTS = 6
+# Panels whose Delta values are held at once: bounds a pass's memory at
+# _PANEL_BLOCK * 30 points, however many radii it covers.
+_PANEL_BLOCK = 4096
 _REL_TOL = 1e-10  # the two rules must agree to this, relative to each volume
 _ABS_FLOOR = np.finfo(np.float64).tiny
 _SMALL_BREAKS = 0.5 ** np.arange(8, 0, -1)  # r0 2^-k, k = 8, ..., 1
@@ -85,7 +88,8 @@ def _ball_volumes(group: RankOneGroup, radii) -> np.ndarray:
     """Verified m(B_t) at radii t >= 0, in any order.
 
     One composite pass puts a panel end at every radius and evaluates Delta
-    once, at the 20-node and 10-node Gauss-Legendre points of every panel.
+    once, at the 20-node and 10-node Gauss-Legendre points of every panel,
+    in blocks of _PANEL_BLOCK panels.
     The 20-node volumes are returned once the summed panel differences of
     the two rules are within 1e-10 of every volume (or below the smallest
     normal double); otherwise the panel width, 0.25 at first, is halved, and
@@ -119,8 +123,13 @@ def _ball_volumes(group: RankOneGroup, radii) -> np.ndarray:
     width = _PANEL_WIDTH
     for _ in range(_REFINEMENTS):
         edges = _panel_edges(breaks, width)
+        left = edges[:-1, None]
         half = 0.5 * np.diff(edges)[:, None]
-        sums = (delta(group, (edges[:-1, None] + half) + half * _NODES) * half) @ _WEIGHTS
+        sums = np.empty((half.shape[0], 2))
+        for lo in range(0, half.shape[0], _PANEL_BLOCK):
+            block = slice(lo, lo + _PANEL_BLOCK)
+            h = half[block]
+            sums[block] = (delta(group, (left[block] + h) + h * _NODES) * h) @ _WEIGHTS
         at = np.searchsorted(edges, radii)
         volumes = np.concatenate([[0.0], np.cumsum(sums[:, 0])])[at]
         error = np.concatenate([[0.0], np.cumsum(np.abs(sums[:, 0] - sums[:, 1]))])[at]

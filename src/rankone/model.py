@@ -28,22 +28,6 @@ from .groups import (
     parse_param,
 )
 
-__all__ = [
-    "PuritySpectrum",
-    "SpectralVector",
-    "DecayReport",
-    "SeriesReport",
-    "SummabilityReport",
-    "apply_average",
-    "deviation_on_grid",
-    "theorem_mean_report",
-    "direction_convergence",
-    "discrete_constant_report",
-    "time_grid",
-    "finite_sum_check",
-    "load_spectrum",
-]
-
 
 @dataclass(frozen=True)
 class PuritySpectrum:
@@ -172,30 +156,6 @@ def _omega_multipliers(spec: PuritySpectrum, ts: np.ndarray) -> np.ndarray:
     if not spec.omega:
         return np.zeros((0, ts.size))
     return np.vstack([psi_on_grid(spec.group, p, ts) for p, _ in spec.omega])
-
-
-def apply_average(spec: PuritySpectrum, f: SpectralVector, t: float) -> SpectralVector:
-    """Norms of the ball average at radius t, component by component.
-
-    Entry j of the atoms is scaled by psi at its parameter (exactly 1 for
-    atom 0) and every omega entry by |psi| at its parameter.  Signs are
-    dropped here to keep the result a valid norm vector; the direction
-    check recomputes signed components internally.
-    """
-    _require_aligned(spec, f)
-    if not t > 0.0:
-        raise ValidationError("radius t must be positive")
-    ts = np.array([float(t)])
-    atom_mult = _atom_multipliers(spec, ts)[:, 0]
-    omega_mult = _omega_multipliers(spec, ts)[:, 0]
-    atom_norms = tuple(
-        n if j == 0 else abs(float(m)) * n
-        for j, (n, m) in enumerate(zip(f.atom_norms, atom_mult))
-    )
-    omega_norms = tuple(
-        abs(float(m)) * n for n, m in zip(f.omega_norms, omega_mult)
-    )
-    return SpectralVector(atom_norms=atom_norms, omega_norms=omega_norms)
 
 
 def deviation_on_grid(spec: PuritySpectrum, f: SpectralVector, ts) -> np.ndarray:
@@ -331,7 +291,7 @@ def discrete_constant_report(
 # --------------------------------------------------------------------------
 # The refining time grid and its summability certificate.
 
-_MAX_GRID_POINTS = 5_000_000  # time_grid refuses grids larger than this
+_MAX_GRID_POINTS = 5_000_000  # cap on a time_grid, and on one enumerated interval
 # ln 1e-100, finite_sum_check's floor on delta e^{-delta m_max/2}, which is
 # about u1 = 1 - e^{-delta/q}: above it the u1**3 its closed form divides by
 # is a normal double.
@@ -431,7 +391,10 @@ def finite_sum_check(
     The closed form divides by u1^3 with u1 = 1 - e^{-delta/q}, about
     delta e^{-delta m/2}.  The domain is the m_max with
     delta e^{-delta m_max/2} >= 1e-100 (m_max <= 918 at delta = 0.5): there
-    u1^3 stays a normal double and every interval sum is finite.
+    u1^3 stays a normal double and every interval sum is finite.  The
+    enumeration holds the points of one interval at a time, more than
+    e^{delta m/2} of them, so it takes delta min(enumerate_limit, m_max) / 2
+    <= ln 5e6 (enumerate_limit <= 61 at delta = 0.5), time_grid's cap.
     """
     if not delta > 0.0:
         raise ValidationError("delta must be positive")
@@ -446,6 +409,13 @@ def finite_sum_check(
             f"m_max = {m_max} is outside the domain at delta = {delta:g}: "
             "the closed form needs delta e^(-delta m_max/2) >= 1e-100"
         )
+    checked_to = min(enumerate_limit, m_max)
+    if not 0.5 * delta * checked_to <= math.log(_MAX_GRID_POINTS):
+        raise ValidationError(
+            f"enumerating up to m = {checked_to} at delta = {delta:g} would make "
+            f"more than e^{0.5 * delta * checked_to:.6g} points in one interval, "
+            f"above the cap {_MAX_GRID_POINTS}; lower the enumerate limit"
+        )
     m_values = np.arange(1, m_max + 1)
     interval_sums = np.array([_interval_sum_closed(delta, int(m)) for m in m_values])
     dominating = np.array(
@@ -454,7 +424,6 @@ def finite_sum_check(
             for m in m_values
         ]
     )
-    checked_to = min(enumerate_limit, m_max)
     min_slack = math.inf
     max_gap = 0.0
     for m in range(1, checked_to + 1):

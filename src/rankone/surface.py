@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -31,24 +31,6 @@ from .ballavg import _check_radius, build_volume_profile
 from .errors import ConvergenceError, ValidationError
 from .groups import make_group
 from .model import DecayReport
-
-__all__ = [
-    "HPoint",
-    "Mat2",
-    "MCRun",
-    "KSResult",
-    "CuspIndicator",
-    "DiskIndicator",
-    "ConstantObservable",
-    "hyp_dist",
-    "cartan_sample",
-    "reduce_to_domain",
-    "parse_observable",
-    "mc_average",
-    "ks_radial_test",
-    "decay_scan",
-    "surface_group",
-]
 
 _CHUNK = 65536
 # Points per block within a chunk: small enough that one block's working
@@ -72,11 +54,6 @@ _SURFACE_AREA = math.pi / 3.0
 _GROUP = make_group("so", 2)
 
 
-def surface_group():
-    """The rank-one group realized here: SO(2,1), rho = 1/2."""
-    return _GROUP
-
-
 @dataclass(frozen=True)
 class HPoint:
     """Upper half-plane point."""
@@ -97,66 +74,10 @@ def _mobius_xy(a, b, c, d, x, y):
     return xn / den, y / den
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """Projective real 2x2 matrix with unit determinant."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
-        if not (math.isfinite(det) and det > 0.0):
-            raise ValidationError("matrix must have positive finite determinant")
-        if abs(det - 1.0) > 1e-12:
-            scale = 1.0 / math.sqrt(det)
-            for name in ("a", "b", "c", "d"):
-                object.__setattr__(self, name, getattr(self, name) * scale)
-            det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > 1e-12:
-            raise ValidationError("determinant not normalizable to 1")
-
-    def mul(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def act(self, z: HPoint) -> HPoint:
-        x, y = _mobius_xy(self.a, self.b, self.c, self.d, z.x, z.y)
-        return HPoint(float(x), float(y))
-
-
-def hyp_dist(z: HPoint, w: HPoint) -> float:
-    """Distance in the hyperbolic metric of the upper half-plane."""
-    return float(_dist_xy(z.x, z.y, w.x, w.y))
-
-
 def _dist_xy(x1, y1, x2, y2):
+    # Distance in the hyperbolic metric of the upper half-plane.
     q = ((x1 - x2) ** 2 + (y1 - y2) ** 2) / (2.0 * y1 * y2)
     return np.arccosh(1.0 + q)
-
-
-def _rotation(theta: float) -> Mat2:
-    return Mat2(math.cos(theta), -math.sin(theta), math.sin(theta), math.cos(theta))
-
-
-def cartan_sample(t: float, rng: np.random.Generator) -> Mat2:
-    """One draw from the uniform measure on the radius-t ball.
-
-    The element is k(theta1) a_tau k(theta2) with both angles uniform on
-    [0, pi) and tau drawn from the exact radial law, so the distance of
-    g.i to i is exactly the drawn tau.
-    """
-    _check_radius(_GROUP, t)
-    theta1, theta2, tau = _draw_cartan(t, rng, 1)
-    half = math.exp(0.5 * float(tau[0]))
-    a_tau = Mat2(half, 0.0, 0.0, 1.0 / half)
-    return _rotation(float(theta1[0])).mul(a_tau).mul(_rotation(float(theta2[0])))
 
 
 def _so21_radius(t, u):
@@ -315,13 +236,6 @@ def _reduce_batch(x, y):
     word = (wa, wb, wc, wd)
     _certify_word(x_in, y_in, x, y, word)
     return x, y, word
-
-
-def reduce_to_domain(z: HPoint) -> Tuple[HPoint, Mat2]:
-    """Reduce one point, returning it with the group word that was applied."""
-    x, y, (wa, wb, wc, wd) = _reduce_batch(np.array([z.x]), np.array([z.y]))
-    word = Mat2(float(wa[0]), float(wb[0]), float(wc[0]), float(wd[0]))
-    return HPoint(float(x[0]), float(y[0])), word
 
 
 # --------------------------------------------------------------------------
@@ -563,7 +477,7 @@ def ks_radial_test(t: float, n: int, seed: int) -> KSResult:
     if n < 100:
         raise ValidationError("KS test needs at least 100 samples")
     seed = _check_seed(seed)
-    profile = build_volume_profile(surface_group(), float(t))
+    profile = build_volume_profile(_GROUP, float(t))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     _, _, tau = _draw_cartan(t, rng, n)
     tau = np.sort(tau)

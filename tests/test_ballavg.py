@@ -88,7 +88,8 @@ def test_volume_quadrature_halving(h3, monkeypatch):
 
 
 def _count_passes(monkeypatch):
-    # panel count of every pass, from the shape of Delta's node array
+    # panel count of every Delta evaluation, from the shape of its node
+    # array: one per pass of up to _PANEL_BLOCK panels
     panels = []
     original = ballavg.delta
 
@@ -98,6 +99,17 @@ def _count_passes(monkeypatch):
 
     monkeypatch.setattr(ballavg, "delta", counting)
     return panels
+
+
+def test_volume_pass_evaluates_one_panel_block_at_a_time(h3, monkeypatch):
+    # Delta is held for at most _PANEL_BLOCK panels at once, however many
+    # radii the pass covers
+    panels = _count_passes(monkeypatch)
+    radii = np.random.default_rng(5).uniform(0.5, 6.0, 10**5)
+    volumes = _ball_volumes(h3, radii)
+    assert len(panels) > 1 and max(panels) <= ballavg._PANEL_BLOCK
+    oracle = (np.sinh(radii) * np.cosh(radii) - radii) / 2.0
+    np.testing.assert_allclose(volumes, oracle, rtol=1e-10)
 
 
 @pytest.mark.parametrize("name", ["so:2", "so:3", "so:5", "su:3", "sp:2", "f4"])

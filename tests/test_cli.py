@@ -78,8 +78,11 @@ def test_verify_rejects_other_groups(capsys):
     # one step past the point cap, and where e^{delta m_max/2} overflows
     ["grid", "--delta", "0.5", "--m-max", "56", "--points"],
     ["grid", "--delta", "0.5", "--m-max", "5000", "--points"],
+    # an enumerated interval would hold e^40 points
+    ["grid", "--delta", "2", "--m-max", "40"],
 ], ids=["mc-seed", "mc-scan-seed", "sphfn-radius", "grid-enumerate-limit",
-        "grid-m-max", "grid-m-max-overflow", "grid-points-cap", "grid-points-overflow"])
+        "grid-m-max", "grid-m-max-overflow", "grid-points-cap", "grid-points-overflow",
+        "grid-enumeration-cap"])
 def test_out_of_domain_input_exits_1(args, capsys):
     assert cli.main(args) == 1
     assert "rankone: error:" in capsys.readouterr().err

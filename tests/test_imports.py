@@ -2,9 +2,10 @@
 
 An import counts as used if the module reads it or its import line carries
 "# noqa: F401".  The package's __init__ is left out: its imports are the
-re-exported API.  A module-level _PRIVATE constant must be read somewhere
-in the package.  A method defined on a class must be read, as an attribute
-or a string, in the package, the benchmark or the tests.
+re-exported API, each listed once in rankone.__all__, the one list of
+public names.  A module-level _PRIVATE constant must be read somewhere in
+the package.  A method defined on a class must be read, as an attribute or
+a string, in the package, the benchmark or the tests.
 """
 
 import ast
@@ -42,6 +43,20 @@ def _unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", _MODULES, ids=lambda path: path.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path) == []
+
+
+def test_package_all_is_its_imports():
+    tree = ast.parse(Path(rankone.__file__).read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    public = [name for name in rankone.__all__ if name != "__version__"]
+    assert len(imported) == len(set(imported)), "a name is imported twice"
+    assert len(public) == len(set(public)), "a name is listed twice in __all__"
+    assert sorted(imported) == sorted(public)
 
 
 def _constants(tree: ast.Module) -> set:

@@ -15,7 +15,6 @@ from rankone.groups import complementary, make_group, principal
 from rankone.model import (
     PuritySpectrum,
     SpectralVector,
-    apply_average,
     deviation_on_grid,
     direction_convergence,
     discrete_constant_report,
@@ -46,11 +45,12 @@ def unit_f():
     return SpectralVector(atom_norms=(1.0, 1.0), omega_norms=(1.0, 1.0))
 
 
-def test_average_preserves_constants(spec, unit_f):
-    out = apply_average(spec, unit_f, 5.0)
-    assert out.atom_norms[0] == 1.0  # exact, not approximate
-    assert out.atom_norms[1] < 1.0
-    assert all(v < 1.0 for v in out.omega_norms)
+def test_average_preserves_constants(spec):
+    ts = np.array([0.5, 5.0, 20.0])
+    atom = model._atom_multipliers(spec, ts)
+    assert np.all(atom[0] == 1.0)  # exact, not approximate
+    assert np.all(np.abs(atom[1:]) < 1.0)
+    assert np.all(np.abs(model._omega_multipliers(spec, ts)) < 1.0)
 
 
 def test_deviation_single_component_is_psi(h3):
@@ -261,6 +261,28 @@ def test_finite_sum_domain(delta, largest, monkeypatch):
     monkeypatch.setattr(model, "_interval_sum_closed", refuse)
     with pytest.raises(ValidationError, match="outside the domain"):
         finite_sum_check(delta, largest + 1)
+
+
+def test_finite_sum_enumeration_domain(monkeypatch):
+    # at delta = 0.5 the enumeration may reach m = 61, e^15.25 points in its
+    # last interval, but not m = 62, e^15.5 > 5e6
+    enumerated = []
+
+    def closed(delta, m):
+        enumerated.append(m)
+        return model._interval_sum_closed(delta, m), 0.0
+
+    monkeypatch.setattr(model, "_interval_enumerate", closed)
+    report = finite_sum_check(0.5, 80, enumerate_limit=61)
+    assert enumerated == list(range(1, 62)) and report.domination_checked_to == 61
+
+    def refuse(*args):
+        raise AssertionError("an interval was enumerated")
+
+    monkeypatch.setattr(model, "_interval_enumerate", refuse)
+    for delta, m_max, limit in ((0.5, 80, 62), (0.5, 62, 200), (2.0, 40, 60)):
+        with pytest.raises(ValidationError):
+            finite_sum_check(delta, m_max, enumerate_limit=limit)
 
 
 @pytest.mark.parametrize("limit", [0, -5])

@@ -10,34 +10,26 @@ import pytest
 from rankone import ballavg, surface
 from rankone.ballavg import build_volume_profile
 from rankone.errors import ConvergenceError, ValidationError
+from rankone.groups import make_group
 from rankone.surface import (
     ConstantObservable,
     CuspIndicator,
     DiskIndicator,
     HPoint,
-    Mat2,
-    cartan_sample,
     decay_scan,
-    hyp_dist,
     ks_radial_test,
     mc_average,
     parse_observable,
-    reduce_to_domain,
-    surface_group,
 )
-
-I = HPoint(0.0, 1.0)
 
 
 def test_distance_closed_forms():
     # vertical geodesic: d(i, e*i) = 1
-    assert hyp_dist(I, HPoint(0.0, math.e)) == pytest.approx(1.0, rel=1e-14)
+    assert surface._dist_xy(0.0, 1.0, 0.0, math.e) == pytest.approx(1.0, rel=1e-14)
     # horizontal displacement: cosh d = 1 + |z-w|^2/(2yy') = 3/2
-    assert hyp_dist(I, HPoint(1.0, 1.0)) == pytest.approx(
-        math.acosh(1.5), rel=1e-14
-    )
-    assert hyp_dist(I, HPoint(1.0, 1.0)) == pytest.approx(0.9624236501192069)
-    assert hyp_dist(I, I) == 0.0
+    assert surface._dist_xy(0.0, 1.0, 1.0, 1.0) == pytest.approx(math.acosh(1.5), rel=1e-14)
+    assert surface._dist_xy(0.0, 1.0, 1.0, 1.0) == pytest.approx(0.9624236501192069)
+    assert surface._dist_xy(0.0, 1.0, 0.0, 1.0) == 0.0
 
 
 def test_mobius_action_is_isometry():
@@ -47,54 +39,52 @@ def test_mobius_action_is_isometry():
         det = a * d - b * c
         if det <= 0.1:
             continue
-        g = Mat2(a, b, c, d)
-        z = HPoint(float(rng.normal()), float(np.exp(rng.normal())))
-        w = HPoint(float(rng.normal()), float(np.exp(rng.normal())))
-        assert hyp_dist(g.act(z), g.act(w)) == pytest.approx(hyp_dist(z, w), rel=1e-10)
-
-
-def test_mat2_renormalizes_determinant():
-    g = Mat2(2.0, 0.0, 0.0, 2.0)  # det 4 -> scaled to det 1
-    assert g.a == pytest.approx(1.0)
-    with pytest.raises(ValidationError):
-        Mat2(1.0, 0.0, 0.0, -1.0)  # negative determinant
+        # _mobius_xy takes a matrix of determinant 1
+        a, b, c, d = np.array([a, b, c, d]) / math.sqrt(det)
+        z = rng.normal(), np.exp(rng.normal())
+        w = rng.normal(), np.exp(rng.normal())
+        gz = surface._mobius_xy(a, b, c, d, *z)
+        gw = surface._mobius_xy(a, b, c, d, *w)
+        assert surface._dist_xy(*gz, *gw) == pytest.approx(surface._dist_xy(*z, *w), rel=1e-10)
 
 
 def test_reduction_worked_example():
-    z = HPoint(0.7, 0.4)
-    reduced, word = reduce_to_domain(z)
-    assert reduced.x == pytest.approx(0.2, abs=1e-12)
-    assert reduced.y == pytest.approx(1.6, abs=1e-12)
+    x_in, y_in = np.array([0.7]), np.array([0.4])
+    x, y, word = surface._reduce_batch(x_in, y_in)
+    assert x[0] == pytest.approx(0.2, abs=1e-12)
+    assert y[0] == pytest.approx(1.6, abs=1e-12)
     # word applied to the input reproduces the reduced point
-    back = word.act(z)
-    assert back.x == pytest.approx(reduced.x, abs=1e-12)
-    assert back.y == pytest.approx(reduced.y, abs=1e-12)
+    back_x, back_y = surface._mobius_xy(*word, x_in, y_in)
+    assert back_x[0] == pytest.approx(x[0], abs=1e-12)
+    assert back_y[0] == pytest.approx(y[0], abs=1e-12)
     # integer word (up to overall sign in PSL(2, Z))
-    entries = (word.a, word.b, word.c, word.d)
-    assert all(e == round(e) for e in entries)
-    assert {abs(word.a), abs(word.d)} == {1.0} and abs(word.c) == 1.0
+    a, b, c, d = (float(e[0]) for e in word)
+    assert all(e == round(e) for e in (a, b, c, d))
+    assert {abs(a), abs(d)} == {1.0} and abs(c) == 1.0
 
 
 def test_reduction_lands_in_domain():
     rng = np.random.default_rng(11)
-    for _ in range(300):
-        z = HPoint(float(rng.uniform(-30, 30)), float(np.exp(rng.uniform(-6, 3))))
-        reduced, word = reduce_to_domain(z)
-        assert abs(reduced.x) <= 0.5 + 1e-9
-        assert reduced.x**2 + reduced.y**2 >= 1.0 - 1e-9
-        # the word is an integer matrix of determinant one
-        for e in (word.a, word.b, word.c, word.d):
-            assert e == round(e)
+    x_in = rng.uniform(-30, 30, 300)
+    y_in = np.exp(rng.uniform(-6, 3, 300))
+    x, y, word = surface._reduce_batch(x_in, y_in)
+    assert np.all(np.abs(x) <= 0.5 + 1e-9)
+    assert np.all(x**2 + y**2 >= 1.0 - 1e-9)
+    # the word is an integer matrix of determinant one that carries each
+    # input to its reduced point
+    for e in word:
+        assert np.all(e == np.round(e))
+    assert np.all(word[0] * word[3] - word[1] * word[2] == 1.0)
+    back_x, back_y = surface._mobius_xy(*word, x_in, y_in)
+    np.testing.assert_allclose(back_x, x, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(back_y, y, rtol=1e-9)
 
 
 def test_reduction_translation_invariance():
     # points differing by the unit translation reduce to the same spot
-    z = HPoint(0.31, 0.9)
-    shifted = HPoint(z.x + 1.0, z.y)
-    r1, _ = reduce_to_domain(z)
-    r2, _ = reduce_to_domain(shifted)
-    assert r1.x == pytest.approx(r2.x, abs=1e-12)
-    assert r1.y == pytest.approx(r2.y, abs=1e-12)
+    x, y, _ = surface._reduce_batch(np.array([0.31, 1.31]), np.array([0.9, 0.9]))
+    assert x[0] == pytest.approx(x[1], abs=1e-12)
+    assert y[0] == pytest.approx(y[1], abs=1e-12)
 
 
 def _masked_reduce(x, y):
@@ -224,12 +214,13 @@ def test_reduction_flags_nan_from_underflow():
         assert time.perf_counter() - start < 1.0
     # just inside the range S is exact at a power of two
     assert 2.0**-40 > _Y_EDGE
-    reduced, _ = reduce_to_domain(HPoint(0.0, 2.0**-40))
-    assert (reduced.x, reduced.y) == (0.0, 2.0**40)
+    x, y, _ = surface._reduce_batch(np.array([0.0]), np.array([2.0**-40]))
+    assert (x[0], y[0]) == (0.0, 2.0**40)
     # and the edges of the range itself reduce
-    for x, y in ((0.0, _Y_EDGE * (1.0 + 1e-9)), (0.5, _Y_EDGE_HALF * (1.0 + 1e-9))):
-        reduced, _ = reduce_to_domain(HPoint(x, y))
-        assert reduced.x**2 + reduced.y**2 >= 1.0 - 1e-12
+    x, y, _ = surface._reduce_batch(
+        np.array([0.0, 0.5]), np.array([_Y_EDGE, _Y_EDGE_HALF]) * (1.0 + 1e-9)
+    )
+    assert np.all(x**2 + y**2 >= 1.0 - 1e-12)
 
 
 def _reduced(x, y):
@@ -311,10 +302,9 @@ def test_certificate_rejects_nan(part):
 @pytest.mark.parametrize("y", [1e-8, 1e-10, 1e-12])
 def test_reduction_at_small_y(y):
     xs = np.random.default_rng(int(-math.log10(y))).uniform(-0.5, 0.5, 200)
-    for x in xs:
-        reduced, word = reduce_to_domain(HPoint(float(x), y))
-        assert abs(reduced.x) <= 0.5 and reduced.x**2 + reduced.y**2 >= 1.0 - 1e-12
-        assert word.a * word.d - word.b * word.c == 1.0
+    x, yr, (a, b, c, d) = surface._reduce_batch(xs, np.full_like(xs, y))
+    assert np.all(np.abs(x) <= 0.5) and np.all(x**2 + yr**2 >= 1.0 - 1e-12)
+    assert np.all(a * d - b * c == 1.0)
 
 
 def _image_mp(word, x, y):
@@ -383,12 +373,16 @@ def test_parse_observable():
         parse_observable("blob:1")
 
 
+def _assert_radius_law(t, rng, n):
+    # g^{-1} i for g = k(theta1) a_tau k(theta2) lies at distance exactly tau from i
+    theta1, theta2, tau = surface._draw_cartan(t, rng, n)
+    x, y = surface._orbit_xy(theta1, theta2, tau, 0.0, 1.0)
+    np.testing.assert_allclose(surface._dist_xy(0.0, 1.0, x, y), tau, rtol=0.0, atol=1e-9)
+    assert np.all(tau <= t)
+
+
 def test_cartan_sample_radius_law():
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        g = cartan_sample(3.0, rng)
-        d = hyp_dist(I, g.act(I))
-        assert d <= 3.0 + 1e-9
+    _assert_radius_law(3.0, np.random.default_rng(17), 5000)
 
 
 @pytest.mark.parametrize("t", [0.5, 2.0, 6.0, 10.0])
@@ -396,7 +390,7 @@ def test_sample_radius_closed_form_oracle(t):
     # On SO(2,1) m(B_tau) = 2 pi (cosh tau - 1), so the exact inverse of the
     # radial law of B_t is tau = arccosh(1 + u (cosh t - 1)), written here as
     # 2 arcsinh(sqrt(u) sinh(t/2)) to keep its digits at small u.
-    profile = build_volume_profile(surface_group(), t)
+    profile = build_volume_profile(make_group("so", 2), t)
     edges = np.array([0.0, 1e-12, 1e-6, 1.0 - 1e-12, 1.0])
     us = np.concatenate([edges, np.random.default_rng(11).random(20000)])
     taus = profile.sample_radius(t, us)
@@ -412,7 +406,7 @@ def test_sample_radius_closed_form_oracle(t):
 
 
 def test_sample_radius_sub_ball_off_knot():
-    profile = build_volume_profile(surface_group(), 5.0)
+    profile = build_volume_profile(make_group("so", 2), 5.0)
     t = 3.005  # strictly between two knots of the t_max = 5 grid
     assert not np.any(profile.knots == t)
     taus = profile.sample_radius(t, np.array([0.25, 0.999999, 1.0]))
@@ -492,7 +486,7 @@ def test_mc_t_zero_is_orbit_limit():
     # The disk covers the arc of the circle within 0.2 of the base point.
     # S fixes i and turns the circle by half a revolution, so the arc's
     # image is folded onto the disk too: twice the arc's share.
-    r0 = hyp_dist(I, base)
+    r0 = float(surface._dist_xy(0.0, 1.0, base.x, base.y))
     cos_arc = (math.cosh(r0) ** 2 - math.cosh(0.2)) / math.sinh(r0) ** 2
     orbit_mean = 2.0 * math.acos(cos_arc) / math.pi
     assert abs(at_zero.estimate - orbit_mean) <= 4.0 * at_zero.standard_error
@@ -500,25 +494,20 @@ def test_mc_t_zero_is_orbit_limit():
 
 
 def test_mc_validation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no draw may happen outside the range")
+
+    monkeypatch.setattr(surface, "_draw_cartan", refuse)
     # radii outside the domain are rejected before any variate is drawn
     for t in (-1.0, math.nan, math.inf, -math.inf, 700.5):
         with pytest.raises(ValidationError):
             mc_average(t, 100, ConstantObservable(), 1)
-        rng = np.random.default_rng(5)
-        state = rng.bit_generator.state
-        with pytest.raises(ValidationError):
-            cartan_sample(t, rng)
-        assert rng.bit_generator.state == state
     with pytest.raises(ValidationError):
         mc_average(1.0, 0, ConstantObservable(), 1)
     # t + d(i, base) must stay inside the reduction's range, d(i, z) <= 28;
     # just past it the call fails before any variate is drawn
-    def refuse(*args, **kwargs):
-        raise AssertionError("no draw may happen outside the range")
-
     base = HPoint(0.1, 1.3)
-    edge = surface._REACH - hyp_dist(I, base)
-    monkeypatch.setattr(surface, "_draw_cartan", refuse)
+    edge = surface._REACH - float(surface._dist_xy(0.0, 1.0, base.x, base.y))
     for t, b in ((edge + 1e-6, base), (edge + 1e-6, None), (30.0, base), (20.0, HPoint(0.0, 1e-5))):
         with pytest.raises(ValidationError):
             mc_average(t, 1000, CuspIndicator(2.0), 1, base=b)
@@ -560,7 +549,7 @@ def test_mc_needs_no_volume_profile(t, monkeypatch):
     monkeypatch.setattr(ballavg.VolumeProfile, "sample_radius", refuse)
     run = mc_average(t, 5000, CuspIndicator(1.2), 2)
     assert math.isfinite(run.estimate) and run.standard_error > 0.0
-    assert hyp_dist(I, cartan_sample(t, np.random.default_rng(1)).act(I)) <= t + 1e-9
+    _assert_radius_law(t, np.random.default_rng(1), 5000)
 
 
 def test_ks_radial_sampler():
