@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 from .groups import RankOneGroup, SpectralParam, check_param, complementary
-from .spherical import _jacobi_2f1, hc_c_function
+from .spherical import _jacobi_2f1, _with_ones, hc_c_function
 # Unused here: perfbench/spans.py traces this name and needs it to stay.
 from .spherical import spherical_fn_many  # noqa: F401
 
@@ -76,9 +76,9 @@ def _panel_edges(breaks: np.ndarray, width: float) -> np.ndarray:
     """
     lo, hi = breaks[:-1], breaks[1:]
     counts = np.maximum(1, np.ceil((hi - lo) / width - 1e-12).astype(np.intp))
-    gap = np.repeat(np.arange(lo.size), counts)
-    ends = np.cumsum(counts)
-    k = np.arange(1, ends[-1] + 1) - np.repeat(ends - counts, counts)
+    gap = np.arange(lo.size).repeat(counts)
+    ends = counts.cumsum()
+    k = np.arange(1, ends[-1] + 1) - (ends - counts).repeat(counts)
     edges = k * ((hi - lo) / counts)[gap] + lo[gap]
     edges[ends - 1] = hi
     return np.concatenate([breaks[:1], edges])
@@ -105,36 +105,43 @@ def _ball_volumes(group: RankOneGroup, radii) -> np.ndarray:
     which the 10-node rule is within 1e-15.
     """
     radii = np.asarray(radii, dtype=np.float64)
-    # Written so that NaN fails the check too.
-    if radii.size:
-        _check_radius(group, float(np.min(radii)))
-        _check_radius(group, float(np.max(radii)))
-    if not np.any(radii > 0.0):
+    if not radii.size:
         return np.zeros_like(radii)
-    smallest = np.min(radii[radii > 0.0])
+    # NaN propagates into both extremes and fails the check.
+    low, high = float(radii.min()), float(radii.max())
+    _check_radius(group, low)
+    _check_radius(group, high)
+    if not high > 0.0:
+        return np.zeros_like(radii)
+    smallest = low if low > 0.0 else radii[radii > 0.0].min()
     breaks = [[0.0], smallest * _SMALL_BREAKS, radii]
     n = group.n1 + group.n2
     if n > 19:
-        bottom, top = smallest * _SMALL_BREAKS[0], min(n / 24.0, float(np.max(radii)))
+        bottom, top = smallest * _SMALL_BREAKS[0], min(n / 24.0, high)
         steps = math.ceil(math.log(top / bottom) / math.log1p(6.0 / n))
         breaks.append(np.geomspace(bottom, top, steps + 1))
     # Repeated breaks only make panels of width 0.
-    breaks = np.sort(np.concatenate(breaks))
+    breaks = np.concatenate(breaks)
+    breaks.sort()
     width = _PANEL_WIDTH
     for _ in range(_REFINEMENTS):
         edges = _panel_edges(breaks, width)
         left = edges[:-1, None]
-        half = 0.5 * np.diff(edges)[:, None]
-        sums = np.empty((half.shape[0], 2))
+        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+        # Row 0 stays 0 and rows 1.. take each panel's two sums; column 1
+        # then becomes the rules' gap, and one cumsum gives volumes and error.
+        table = np.zeros((half.shape[0] + 1, 2))
+        sums = table[1:]
         for lo in range(0, half.shape[0], _PANEL_BLOCK):
             block = slice(lo, lo + _PANEL_BLOCK)
             h = half[block]
             sums[block] = (delta(group, (left[block] + h) + h * _NODES) * h) @ _WEIGHTS
-        at = np.searchsorted(edges, radii)
-        volumes = np.concatenate([[0.0], np.cumsum(sums[:, 0])])[at]
-        error = np.concatenate([[0.0], np.cumsum(np.abs(sums[:, 0] - sums[:, 1]))])[at]
+        np.abs(sums[:, 0] - sums[:, 1], out=sums[:, 1])
+        np.cumsum(table, axis=0, out=table)
+        at = edges.searchsorted(radii)
+        volumes, error = table[at, 0], table[at, 1]
         missed = error > np.maximum(_ABS_FLOOR, _REL_TOL * volumes)
-        if not np.any(missed):
+        if not missed.any():
             return volumes
         width *= 0.5
     raise ConvergenceError(
@@ -237,7 +244,7 @@ class VolumeProfile:
             # end, is kept; a strict one would bisect nearly converged points.
             tau = np.where(done, tau, np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi)))
             resid = _ball_volumes(self.group, tau) - target
-        err = np.max(np.abs(resid)) / total
+        err = np.max(np.abs(resid), initial=0.0) / total
         if err > _CDF_TOL:
             raise ConvergenceError(f"radial inversion missed CDF tolerance: {err:.3e}")
         return tau
@@ -256,13 +263,15 @@ def build_volume_profile(group: RankOneGroup, t_max: float) -> VolumeProfile:
 # Ball averages of spherical functions.
 
 
-def psi_on_grid(group: RankOneGroup, param: SpectralParam, ts: Sequence[float]) -> np.ndarray:
-    """psi_s at every point of an increasing radius grid.
+def _psi_rows(group: RankOneGroup, params: Sequence[SpectralParam], ts: Sequence[float]) -> np.ndarray:
+    """psi_s of every parameter on an increasing radius grid, one row each.
 
-    One 2F1 per radius by the identity in the module docstring, divided by
-    m(B_t) from one verified pass of _ball_volumes over the grid.
-    Delta / m(B_t) is formed first: Delta sinh t cosh t alone overflows
-    near the radius bound (f4 at 2 rho t = 700).
+    One 2F1 call gives every row's kernel by the identity in the module
+    docstring, at one 2F1 per radius and parameter, and one verified
+    _ball_volumes pass over the grid divides them all.  The grid and every
+    parameter are checked before either.  Delta / m(B_t) is formed first:
+    Delta sinh t cosh t alone overflows near the radius bound (f4 at
+    2 rho t = 700).
 
     psi is accurate in absolute terms only: where |psi| is tiny the 2F1 can
     cancel to no relative digits, sign included (custom:100,100 at t = 2:
@@ -270,26 +279,32 @@ def psi_on_grid(group: RankOneGroup, param: SpectralParam, ts: Sequence[float]) 
     """
     ts = np.asarray(ts, dtype=np.float64)
     if ts.size == 0:
-        return np.zeros(0)
+        return np.ones((len(params),) + ts.shape)
     # Written so that NaN fails both tests too.
-    if not np.min(ts) > 0.0:
+    if not ts.min() > 0.0:
         raise ValidationError("psi needs t > 0")
-    if not np.all(np.diff(ts) > 0.0):
+    if not (np.diff(ts) > 0.0).all():
         raise ValidationError("radius grid must be strictly increasing")
     _check_radius(group, float(ts[-1]))
-    if param.is_trivial:
-        # Averaging the constant function is exact, no quadrature involved.
-        return np.ones_like(ts)
+    # Averaging the constant function is exact, no quadrature involved.
+    live = [i for i, param in enumerate(params) if not param.is_trivial]
+    if not live:
+        return np.ones((len(params),) + ts.shape)
 
-    # The 2F1 comes first: _jacobi_2f1 checks the parameter, the principal
-    # bound and the radii before any Delta or 2F1 work.
-    kernel = _jacobi_2f1(group, param, ts, 1.0)
+    # The 2F1 comes first: _jacobi_2f1 checks every parameter, the
+    # principal bound and the radii before any Delta or 2F1 work.
+    kernel = _jacobi_2f1(group, [params[i] for i in live], ts, 1.0)
     ratio = delta(group, ts) / _ball_volumes(group, ts)
     values = ratio * np.sinh(ts) * np.cosh(ts) * kernel / (2.0 * (group.alpha + 1.0))
-    overshoot = np.max(np.abs(values)) - 1.0
+    overshoot = np.abs(values).max() - 1.0
     if overshoot > 1e-9:
         raise ConvergenceError(f"|psi| exceeded 1 by {overshoot:.3e}; evaluation unreliable")
-    return np.clip(values, -1.0, 1.0)
+    return _with_ones(np.clip(values, -1.0, 1.0, out=values), live, len(params))
+
+
+def psi_on_grid(group: RankOneGroup, param: SpectralParam, ts: Sequence[float]) -> np.ndarray:
+    """psi_s at every point of an increasing radius grid; see _psi_rows."""
+    return _psi_rows(group, [param], ts)[0]
 
 
 def psi_bound_check(
@@ -309,16 +324,17 @@ def psi_bound_check(
     ts = np.asarray(list(t_grid), dtype=np.float64)
     if ts.size == 0:
         raise ValidationError("empty t grid")
-    best = 0.0
+    params = list(params)
+    if not params:
+        return 0.0
     for param in params:
         re_s = param.re_s(group)
         if re_s > r + 1e-12:
             raise ValidationError(
                 f"parameter {param.label()} has re_s = {re_s} > r = {r}; bound does not apply"
             )
-        values = np.abs(psi_on_grid(group, param, ts))
-        best = max(best, float(np.max(values * np.exp((group.rho - r) * ts) / ts)))
-    return best
+    values = np.abs(_psi_rows(group, params, ts))
+    return float(np.max(values * np.exp((group.rho - r) * ts) / ts))
 
 
 def psi_asymptotic_constant(group: RankOneGroup, param: SpectralParam) -> float:

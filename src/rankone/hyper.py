@@ -13,6 +13,10 @@ argument |x|/(1+|x|) is the smaller one, and for real a, b, c > 0 the
 defining series alternates in sign at every term, while the Pfaff terms
 keep one sign once n > b - c.
 
+gauss_2f1_neg takes one (a, b, c) triple or several at one x.  It checks
+the grid and splits it into the two regions once, and each region sums
+the series of every triple together.
+
 A series' coefficients are built once in a scalar loop.  The sum is one
 matrix product of the coefficient rows (real parts, and imaginary parts
 when there are any) against a power table y^0..y^N, which is built by
@@ -25,14 +29,18 @@ point's sum and raised where it falls short.
 
 The connection formula's two terms swap a and b.  When b = conj(a) and c
 is real they are complex conjugates, so one is evaluated and twice its
-real part taken.  The connection coefficients degenerate when a - b is an
-integer; such points are evaluated by averaging two symmetric
-perturbations (a shift of 1e-6 in the a - b direction) and flagged with a
-warning.
+real part taken.  Real a, b, c stay in real arithmetic: the Gamma
+quotients are products of math.gamma ratios, and (1-x)^(-a) is a real
+exp.  The connection coefficients degenerate when a - b is an integer;
+such points are evaluated at symmetric perturbations of a - b (shifts of
++-1e-6, and +-2e-6 where those keep off the integer, in the a - b
+direction and real when a - b is), whose averages are extrapolated to
+zero shift, and flagged with a warning.
 
-ln_gamma is a fixed Lanczos-style rational approximation with reflection
-handled through the recurrence, matching the principal branch of the
-analytic continuation of log Gamma.
+ln_gamma, for complex Gamma quotients and the c-function, is a fixed
+Lanczos-style rational approximation with reflection handled through the
+recurrence, matching the principal branch of the analytic continuation
+of log Gamma.
 """
 
 from __future__ import annotations
@@ -107,15 +115,35 @@ def ln_gamma(z: Number) -> complex:
     return _lanczos_right(z) - shifts
 
 
-def _gamma_quotient(numerators, denominators) -> complex:
-    """exp(sum ln_gamma(num) - sum ln_gamma(den)); 0 when a denominator hits a pole."""
+def _gamma_quotient(numerators, denominators) -> Number:
+    """Gamma(n1) Gamma(n2) / (Gamma(d1) Gamma(d2)); 0 when a denominator hits a pole.
+
+    Real arguments give a real quotient, the product of the ratios
+    Gamma(n_k) / Gamma(d_k) from math.gamma, which carries each sign and
+    stays within a few ulps; a sum of log-gammas would lose |log Gamma|
+    ulps in the exp.  Complex arguments, and real ones whose Gammas leave
+    double range, go through ln_gamma.  A numerator pole raises
+    ValidationError; callers exclude them.
+    """
+    if any(_is_pole(complex(d)) for d in denominators):
+        return 0.0
+    if not any(isinstance(v, complex) and v.imag != 0.0 for v in (*numerators, *denominators)):
+        for n in numerators:
+            if _is_pole(complex(n)):
+                raise ValidationError(f"gamma pole at z = {n}")
+        try:
+            value = 1.0
+            for n, d in zip(numerators, denominators):
+                value *= math.gamma(n.real) / math.gamma(d.real)
+        except OverflowError:
+            value = math.inf
+        if value != 0.0 and math.isfinite(value):
+            return value
     acc = 0.0 + 0.0j
     for d in denominators:
-        if _is_pole(complex(d)):
-            return 0.0 + 0.0j
         acc -= ln_gamma(d)
     for n in numerators:
-        acc += ln_gamma(n)  # numerator poles raise; callers exclude them
+        acc += ln_gamma(n)  # numerator poles raise
     return cmath.exp(acc)
 
 
@@ -201,7 +229,10 @@ def _evaluate(series: list, y: np.ndarray) -> list:
     """
     rows = [s.rows() for s in series]
     width = max(len(r[0]) for r in rows)
-    matrix = np.zeros((sum(len(r) for r in rows), width))
+    # At least two rows: numpy hands a one-row product to BLAS's
+    # matrix-vector kernel, which rounds differently, and a series' sum
+    # must not depend on the series summed with it.
+    matrix = np.zeros((max(2, sum(len(r) for r in rows)), width))
     for i, row in enumerate(row for r in rows for row in r):
         matrix[i, : len(row)] = row
     sums = np.empty((len(matrix), y.size))
@@ -237,15 +268,15 @@ def _sums(series: list, y: np.ndarray) -> list:
     bounds = [s.grow(v, _SERIES_TOL) for s in series]
     totals = _evaluate(series, y)
     for s, total, bound in zip(series, totals, bounds):
-        idx = np.arange(y.size)
+        # A point's own bound is at most `bound`, so only small sums can miss.
+        idx = np.flatnonzero(_SERIES_TOL * np.abs(total) < bound)
         while True:
-            # A point's own bound is at most `bound`, so only small sums can miss.
-            idx = idx[_SERIES_TOL * np.abs(total[idx]) < bound]
             idx = idx[s.misses(y[idx], total[idx])]
             if not idx.size:
                 break
             bound = s.grow(float(np.max(np.abs(y[idx]))), _SERIES_TOL * float(np.min(np.abs(total[idx]))))
             total[idx] = _evaluate([s], y[idx])[0]
+            idx = idx[_SERIES_TOL * np.abs(total[idx]) < bound]
     return totals
 
 
@@ -258,43 +289,34 @@ def _series_sum(p: Number, q: Number, c: Number, y: np.ndarray, max_terms: int) 
     return _sums([series], y)[0]
 
 
-def _pfaff_series(a: Number, b: Number, c: Number, x: np.ndarray) -> np.ndarray:
+def _pfaff_rows(triples: list, x: np.ndarray) -> list:
+    """One Pfaff row per triple at the points x (nonempty, 1-d); see gauss_2f1_neg."""
     # 2F1(a,b;c;x) = (1-x)^(-a) 2F1(a, c-b; c; x/(x-1)); maps x<=0 into [0,1)
-    x = np.asarray(x, dtype=np.float64)
     y = x / (x - 1.0)
-    series = _series_sum(a, c - b, c, y, max_terms=1200)
+    sums = _sums([_Series(a, c - b, c, max_terms=1200) for a, b, c in triples], y)
     log1mx = np.log1p(-x)
-    if isinstance(a, complex) and a.imag != 0.0:
-        pref = np.exp(-a * log1mx.astype(np.complex128))
-    else:
-        pref = np.exp(-np.real(a) * log1mx)
-    return pref * series
+    return [np.exp(-a * log1mx) * s for (a, _, _), s in zip(triples, sums)]
 
 
 def _conjugate_pair(a: Number, b: Number, c: Number) -> bool:
     return isinstance(a, complex) and isinstance(b, complex) and b == a.conjugate() and isinstance(c, float)
 
 
-def _connection_formula(a: Number, b: Number, c: Number, x: np.ndarray) -> np.ndarray:
-    """DLMF 15.8.4: expansion in w = 1/(1-x), valid when a - b is not an integer.
+def _connection_terms(a: Number, b: Number, c: Number) -> tuple:
+    """DLMF 15.8.4 for one triple: its terms (p, coefficient, series) and whether they are conjugate.
 
     The second term is the first with a and b swapped.  For b = conj(a)
-    and real c the two are complex conjugates, so only the first is
-    evaluated and twice its real part returned.
+    and real c the two are complex conjugates, so only the first is kept
+    and twice its real part taken.  A term whose coefficient has a
+    denominator pole is dropped.
     """
-    x = np.asarray(x, dtype=np.float64)
-    w = 1.0 / (1.0 - x)
-    log1mx = np.log1p(-x).astype(np.complex128)
     conjugate = _conjugate_pair(a, b, c)
     terms = []
     for p, q in ((a, b),) if conjugate else ((a, b), (b, a)):
         coef = _gamma_quotient((c, q - p), (q, c - p))
         if coef != 0.0:
             terms.append((p, coef, _Series(p, c - q, p - q + 1.0, max_terms=300)))
-    out = np.zeros_like(x, dtype=np.complex128)
-    for (p, coef, _), series in zip(terms, _sums([s for _, _, s in terms], w)):
-        out += coef * np.exp(-complex(p) * log1mx) * series
-    return 2.0 * out.real if conjugate else out
+    return terms, conjugate
 
 
 def _degenerate_distance(a: Number, b: Number) -> float:
@@ -306,15 +328,64 @@ _DEGENERATE_EPS = 1e-6
 _DEGENERATE_BAND = 1e-5
 
 
-def _connection_degenerate(a: Number, b: Number, c: Number, x: np.ndarray) -> np.ndarray:
-    # Symmetric perturbation of a - b by +-eps (a + b held fixed); the
-    # average cancels the leading pole term of each one-sided evaluation.
+def _connection_pairs(a: Number, b: Number) -> list:
+    """(a, b) itself, or for a degenerate a - b its symmetric perturbations.
+
+    Each perturbation moves a - b by 2h with a + b held fixed.  The pair
+    h = +-eps/2 is averaged, which cancels the leading pole term of each
+    one-sided evaluation and leaves an error of order h^2.  The pair
+    h = +-eps removes that error (Richardson; see _connection_rows) unless
+    one of its points lies nearer the integer than the first pair's: the
+    connection formula cancels near it.  Shifts are real when a - b is, so
+    real parameters stay real.
+    """
+    if _degenerate_distance(a, b) >= _DEGENERATE_BAND:
+        return [(a, b)]
     d = complex(a) - complex(b)
-    direction = 1j if abs(d.imag) > abs(d.real) else 1.0
-    shift = 0.5 * _DEGENERATE_EPS * direction
-    hi = _connection_formula(complex(a) + shift, complex(b) - shift, c, x)
-    lo = _connection_formula(complex(a) - shift, complex(b) + shift, c, x)
-    return 0.5 * (hi + lo)
+    n = round(d.real)
+    h = 0.5 * _DEGENERATE_EPS * (1j if abs(d.imag) > abs(d.real) else 1.0)
+    shifts = [h, -h]
+    if min(abs(d + 4.0 * h - n), abs(d - 4.0 * h - n)) >= min(abs(d + 2.0 * h - n), abs(d - 2.0 * h - n)):
+        shifts += [2.0 * h, -2.0 * h]
+    return [(_as_scalar(complex(a) + s), _as_scalar(complex(b) - s)) for s in shifts]
+
+
+def _connection_rows(triples: list, x: np.ndarray) -> list:
+    """One connection-formula row per triple at the points x < -3 (nonempty, 1-d).
+
+    Every term of every triple, the perturbed pairs of degenerate ones
+    included, is summed in one _sums call in powers of w = 1/(1-x).
+    """
+    w = 1.0 / (1.0 - x)
+    log1mx = np.log1p(-x)
+    evaluations = []
+    for a, b, c in triples:
+        pairs = _connection_pairs(a, b)
+        if len(pairs) > 1:
+            warnings.warn(
+                f"a - b = {complex(a) - complex(b):.6g} is within {_DEGENERATE_BAND:g} of an "
+                "integer; connection formula evaluated by symmetric perturbation",
+                DegenerateParamWarning,
+                stacklevel=3,  # the caller of gauss_2f1_neg
+            )
+        evaluations.append([_connection_terms(p, q, c) for p, q in pairs])
+    series = [s for pairs in evaluations for terms, _ in pairs for _, _, s in terms]
+    sums = iter(_sums(series, w) if series else ())
+    rows = []
+    for pairs in evaluations:
+        values = []
+        for terms, conjugate in pairs:
+            parts = [coef * np.exp(-p * log1mx) * next(sums) for p, coef, _ in terms] or [np.zeros(x.size)]
+            total = sum(parts[1:], parts[0])
+            values.append(2.0 * total.real if conjugate else total)
+        if len(values) == 1:
+            rows.append(values[0])
+        elif len(values) == 2:
+            rows.append(0.5 * (values[0] + values[1]))
+        else:
+            # Averages A(h) = f + k h^2 and A(2h) = f + 4 k h^2 give f = (4 A(h) - A(2h)) / 3.
+            rows.append((4.0 * (values[0] + values[1]) - (values[2] + values[3])) / 6.0)
+    return rows
 
 
 def _as_scalar(v: Number) -> Number:
@@ -322,61 +393,68 @@ def _as_scalar(v: Number) -> Number:
     return v if v.imag != 0.0 else float(v.real)
 
 
-def gauss_2f1_neg(a: Number, b: Number, c: Number, x) -> Union[float, complex, np.ndarray]:
-    """2F1(a, b; c; x) for x <= 0 (scalar or array x).
+def _triples(a, b, c) -> tuple:
+    """gauss_2f1_neg's (a, b, c) triples, and whether any argument lists several.
 
-    Points with |x| <= 3 are summed by the Pfaff series, the rest by the
-    connection formula; see the module docstring.  a and b may be real or
-    a complex-conjugate pair; the result is real for real-valued inputs
-    (conjugate pairs included).  Degenerate connection parameters (a - b
-    within 1e-5 of an integer at large |x|) are handled by perturbation
-    and reported through DegenerateParamWarning.
+    A scalar argument is shared by every triple.
+    """
+    listed = [isinstance(v, (list, tuple)) or (isinstance(v, np.ndarray) and v.ndim > 0) for v in (a, b, c)]
+    if not any(listed):
+        return [(_as_scalar(a), _as_scalar(b), _as_scalar(c))], False
+    counts = {len(v) for v, many in zip((a, b, c), listed) if many}
+    if len(counts) > 1:
+        raise ValidationError("a, b and c list different numbers of triples")
+    count = counts.pop()
+    columns = [map(_as_scalar, v) if many else [_as_scalar(v)] * count for v, many in zip((a, b, c), listed)]
+    return list(zip(*columns)), True
+
+
+def gauss_2f1_neg(a, b, c, x) -> Union[float, complex, np.ndarray]:
+    """2F1(a, b; c; x) for x <= 0 (scalar or array x), at one triple or several.
+
+    a, b and c are scalars, or equal-length sequences (a scalar shared by
+    all) that list several triples; then the result has one row per triple,
+    each shaped like x, and one triple is the one-row case.
+    The grid is checked and split into the two regions once, and each
+    region sums the series of every triple in one pass; see the module
+    docstring.  a and b may be real or a complex-conjugate pair; a row is
+    real for real-valued inputs (conjugate pairs included), and the result
+    is complex when any row is not.  Degenerate connection parameters
+    (a - b within 1e-5 of an integer at large |x|) are handled by
+    perturbation and reported through DegenerateParamWarning.
 
     Verified domain: real a, b, c with c - b > 0, or a conjugate pair a, b
     with real c and c - Re b > 0.  psi's kernel shifts a, b and c by 1, which
     leaves c - b unchanged.  Real c - b far below 0 stays outside: the Pfaff
     coefficients then alternate in sign while n < b - c, and cancel.
     """
-    scalar_in = np.isscalar(x)
+    triples, batched = _triples(a, b, c)
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    flat = xs.ravel()
     # Written so that NaN fails the test too.
-    if xs.size and not np.max(xs) <= 0.0:
+    if flat.size and not flat.max() <= 0.0:
         raise ValidationError("gauss_2f1_neg requires x <= 0")
-    a, b, c = _as_scalar(a), _as_scalar(b), _as_scalar(c)
-    if isinstance(c, float) and _is_pole(complex(c)):
-        raise ValidationError(f"c = {c} is a nonpositive integer")
+    for _, _, c in triples:
+        if isinstance(c, float) and _is_pole(complex(c)):
+            raise ValidationError(f"c = {c} is a nonpositive integer")
 
-    params_complex = any(isinstance(v, complex) for v in (a, b))
-    out_dtype = np.float64 if (not params_complex or _conjugate_pair(a, b, c)) else np.complex128
-    out = np.empty_like(xs, dtype=out_dtype)
+    real = [not (isinstance(a, complex) or isinstance(b, complex)) or _conjugate_pair(a, b, c) for a, b, c in triples]
+    out = [np.ones(flat.size, np.float64 if r else np.complex128) for r in real]
+    live = [i for i, (a, b, _) in enumerate(triples) if a != 0.0 and b != 0.0]
+    conn = np.abs(flat) > _PFAFF_MAX
+    for mask, region_rows in ((~conn, _pfaff_rows), (conn, _connection_rows)):
+        if live and mask.any():
+            for i, row in zip(live, region_rows([triples[i] for i in live], flat[mask])):
+                out[i][mask] = _cast(row, out[i].dtype)
 
-    if complex(a) == 0.0 or complex(b) == 0.0:
-        out[:] = 1.0
-    else:
-        conn = np.abs(xs) > _PFAFF_MAX
-        pfaff = ~conn
-        if np.any(pfaff):
-            out[pfaff] = _cast(_pfaff_series(a, b, c, xs[pfaff]), out_dtype)
-        if np.any(conn):
-            if _degenerate_distance(a, b) < _DEGENERATE_BAND:
-                warnings.warn(
-                    f"a - b = {complex(a) - complex(b):.6g} is within {_DEGENERATE_BAND:g} of an "
-                    "integer; connection formula evaluated by symmetric perturbation",
-                    DegenerateParamWarning,
-                    stacklevel=2,
-                )
-                vals = _connection_degenerate(a, b, c, xs[conn])
-            else:
-                vals = _connection_formula(a, b, c, xs[conn])
-            out[conn] = _cast(vals, out_dtype)
-
-    if scalar_in:
-        v = out[0]
-        return float(v) if out_dtype is np.float64 else complex(v)
-    return out
+    if batched:
+        return np.array(out).reshape((len(triples),) + np.shape(x))
+    if np.isscalar(x):
+        return out[0][0].item()
+    return out[0].reshape(xs.shape)
 
 
 def _cast(values: np.ndarray, dtype) -> np.ndarray:
-    if dtype is np.float64 and np.iscomplexobj(values):
+    if dtype == np.float64 and np.iscomplexobj(values):
         return np.real(values)
     return values.astype(dtype, copy=False)

@@ -18,7 +18,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .ballavg import psi_on_grid
+from .ballavg import _psi_rows
+# Unused here: perfbench/spans.py traces this name and needs it to stay.
+from .ballavg import psi_on_grid  # noqa: F401
 from .errors import ValidationError
 from .groups import (
     RankOneGroup,
@@ -26,6 +28,7 @@ from .groups import (
     complementary,
     parse_group,
     parse_param,
+    trivial,
 )
 
 
@@ -144,18 +147,15 @@ def _as_grid(ts, minimum: float) -> np.ndarray:
     return ts
 
 
-def _atom_multipliers(spec: PuritySpectrum, ts: np.ndarray) -> np.ndarray:
-    # Row 0 is exactly 1: the constants are untouched by averaging.
-    rows = [np.ones_like(ts)]
-    for s in spec.atoms[1:]:
-        rows.append(psi_on_grid(spec.group, complementary(s), ts))
-    return np.vstack(rows)
+def _multipliers(spec: PuritySpectrum, ts: np.ndarray, atoms: bool) -> np.ndarray:
+    """psi rows of the atoms, when `atoms` is set, then of the omega components.
 
-
-def _omega_multipliers(spec: PuritySpectrum, ts: np.ndarray) -> np.ndarray:
-    if not spec.omega:
-        return np.zeros((0, ts.size))
-    return np.vstack([psi_on_grid(spec.group, p, ts) for p, _ in spec.omega])
+    One _psi_rows call, so one _ball_volumes pass, gives every row.  Atom 0
+    is the constants, the trivial parameter: its row is exactly 1, as
+    averaging leaves them untouched.
+    """
+    params = [trivial()] + [complementary(s) for s in spec.atoms[1:]] if atoms else []
+    return _psi_rows(spec.group, params + [p for p, _ in spec.omega], ts)
 
 
 def deviation_on_grid(spec: PuritySpectrum, f: SpectralVector, ts) -> np.ndarray:
@@ -166,10 +166,10 @@ def deviation_on_grid(spec: PuritySpectrum, f: SpectralVector, ts) -> np.ndarray
     """
     _require_aligned(spec, f)
     ts = _as_grid(ts, minimum=1e-12)
-    mult = _omega_multipliers(spec, ts)
-    weights = np.asarray(f.omega_norms, dtype=np.float64)
-    if weights.size == 0:
+    if not spec.omega:
         return np.zeros_like(ts)
+    mult = _multipliers(spec, ts, atoms=False)
+    weights = np.asarray(f.omega_norms, dtype=np.float64)
     return np.sqrt(np.sum((mult * weights[:, None]) ** 2, axis=0))
 
 
@@ -219,11 +219,10 @@ def direction_convergence(spec: PuritySpectrum, f: SpectralVector, t_grid) -> np
     if f.atom_norms[1] <= 0.0:
         raise ValidationError("direction check needs mass on atom 1")
     ts = _as_grid(t_grid, minimum=1e-12)
-    atom_mult = _atom_multipliers(spec, ts)[1:, :]
-    omega_mult = _omega_multipliers(spec, ts)
-    atom_w = np.asarray(f.atom_norms[1:], dtype=np.float64)
-    omega_w = np.asarray(f.omega_norms, dtype=np.float64)
-    comps = np.vstack([atom_mult * atom_w[:, None], omega_mult * omega_w[:, None]])
+    # Row 0, the constants, is left out: the deviation is measured from them.
+    mult = _multipliers(spec, ts, atoms=True)[1:]
+    weights = np.asarray(f.atom_norms[1:] + f.omega_norms, dtype=np.float64)
+    comps = mult * weights[:, None]
     norms = np.sqrt(np.sum(comps**2, axis=0))
     out = np.zeros_like(ts)
     nz = norms > 0.0

@@ -49,28 +49,62 @@ class CFunctionValue:
         return abs(self.value)
 
 
-def _jacobi_2f1(group: RankOneGroup, param: SpectralParam, ts: np.ndarray, shift: float) -> np.ndarray:
+def _jacobi_2f1(group: RankOneGroup, params: Sequence[SpectralParam], ts: np.ndarray, shift: float) -> np.ndarray:
     """Re 2F1(a + shift, b + shift; c + shift; -sinh(t)^2), a, b = (rho +- s)/2, c = alpha + 1.
 
-    Shift 0 gives phi_s and shift 1 the kernel of psi_s.  The domain is the
-    radii at which sinh(t)^2 is a finite double, t <= 355.58; the parameter,
-    the principal bound and the radii are checked before any 2F1 work.
+    One row per parameter, each shaped like ts, from one gauss_2f1_neg
+    call.  Shift 0 gives phi_s and shift 1 the kernel of psi_s.  The domain
+    is the radii at which sinh(t)^2 is a finite double, t <= 355.58; every
+    parameter, the principal bound and the radii are checked before any
+    2F1 work.
     """
-    check_param(group, param)
-    if param.kind == PRINCIPAL_KIND and param.value > MAX_PRINCIPAL_LAMBDA:
-        raise ValidationError(
-            f"principal lam = {param.value} exceeds the verified bound {MAX_PRINCIPAL_LAMBDA}"
-        )
+    for param in params:
+        check_param(group, param)
+        if param.kind == PRINCIPAL_KIND and param.value > MAX_PRINCIPAL_LAMBDA:
+            raise ValidationError(
+                f"principal lam = {param.value} exceeds the verified bound {MAX_PRINCIPAL_LAMBDA}"
+            )
     with np.errstate(over="ignore"):
         x = -np.sinh(ts) ** 2
     # Written so that NaN fails the test too.
-    if not np.all(x > -np.inf):
+    if not (x > -np.inf).all():
         raise ValidationError("radius t must keep sinh(t)^2 finite in double precision (t <= 355.58)")
-    s = param.s_complex(group)
-    a = (group.rho + s) / 2.0 + shift
-    b = (group.rho - s) / 2.0 + shift
+    s = [param.s_complex(group) for param in params]
+    a = [(group.rho + v) / 2.0 + shift for v in s]
+    b = [(group.rho - v) / 2.0 + shift for v in s]
     c = group.alpha + 1.0 + shift
-    return np.real(np.atleast_1d(gauss_2f1_neg(a, b, c, x)))
+    return np.real(gauss_2f1_neg(a, b, c, x))
+
+
+def _phi_rows(group: RankOneGroup, params: Sequence[SpectralParam], ts) -> np.ndarray:
+    """phi_s(a_t) of every parameter at the radii ts >= 0, one row each, from one 2F1 call."""
+    ts = np.asarray(ts, dtype=np.float64)
+    # Written so that NaN fails the test too.
+    if ts.size and not ts.min() >= 0.0:
+        raise ValidationError("t >= 0 required")
+    # No radii, like the constant function, needs no 2F1.
+    live = [i for i, param in enumerate(params) if not param.is_trivial]
+    if not live or ts.size == 0:
+        return np.ones((len(params),) + ts.shape)
+
+    values = _jacobi_2f1(group, [params[i] for i in live], ts, 0.0)
+    np.copyto(values, 1.0, where=ts == 0.0)
+    for i, row in zip(live, values):
+        overshoot = np.abs(row).max() - 1.0
+        if overshoot > _UNIT_SLACK:
+            raise ConvergenceError(
+                f"|phi| exceeded 1 by {overshoot:.3e} for {params[i].label()}; evaluation is unreliable"
+            )
+    return _with_ones(np.clip(values, -1.0, 1.0, out=values), live, len(params))
+
+
+def _with_ones(values: np.ndarray, live: list, count: int) -> np.ndarray:
+    """count rows: values at the indices `live`, and 1 (the constant function's) elsewhere."""
+    if len(live) == count:
+        return values
+    rows = np.ones((count,) + values.shape[1:])
+    rows[live] = values
+    return rows
 
 
 def spherical_fn_many(group: RankOneGroup, param: SpectralParam, ts) -> np.ndarray:
@@ -79,23 +113,7 @@ def spherical_fn_many(group: RankOneGroup, param: SpectralParam, ts) -> np.ndarr
     Principal parameters are supported up to lam = MAX_PRINCIPAL_LAMBDA, and
     radii up to t = 355.58, where sinh(t)^2 leaves double precision.
     """
-    ts = np.asarray(ts, dtype=np.float64)
-    # Written so that NaN fails the test too.
-    if ts.size and not np.min(ts) >= 0.0:
-        raise ValidationError("t >= 0 required")
-    # No radii, like the constant function, needs no 2F1.
-    if param.is_trivial or ts.size == 0:
-        return np.ones_like(ts)
-
-    values = _jacobi_2f1(group, param, ts, 0.0)
-    values[ts == 0.0] = 1.0
-
-    overshoot = np.max(np.abs(values)) - 1.0
-    if overshoot > _UNIT_SLACK:
-        raise ConvergenceError(
-            f"|phi| exceeded 1 by {overshoot:.3e} for {param.label()}; evaluation is unreliable"
-        )
-    return np.clip(values, -1.0, 1.0)
+    return _phi_rows(group, [param], ts)[0]
 
 
 def hc_c_function(group: RankOneGroup, param: SpectralParam) -> CFunctionValue:
@@ -139,10 +157,10 @@ def certify_decay_bound(
     ts = np.asarray(list(t_grid), dtype=np.float64)
     if ts.size == 0:
         raise ValidationError("empty t grid")
+    params = list(params)
     results: List[Tuple[SpectralParam, float]] = []
-    for param in params:
+    for param, values in zip(params, np.abs(_phi_rows(group, params, ts))):
         decay = group.rho - param.re_s(group)
-        values = np.abs(spherical_fn_many(group, param, ts))
         ratio = values * np.exp(decay * ts) / (1.0 + ts)
         c_star = float(np.max(ratio))
         if not math.isfinite(c_star):

@@ -75,9 +75,10 @@ def _mobius_xy(a, b, c, d, x, y):
 
 
 def _dist_xy(x1, y1, x2, y2):
-    # Distance in the hyperbolic metric of the upper half-plane.
-    q = ((x1 - x2) ** 2 + (y1 - y2) ** 2) / (2.0 * y1 * y2)
-    return np.arccosh(1.0 + q)
+    # Distance in the hyperbolic metric of the upper half-plane, as
+    # 2 asinh(|z - w| / (2 sqrt(y1 y2))); arccosh(1 + q) with
+    # q = |z - w|^2 / (2 y1 y2) returns 0 once q < eps/2.
+    return 2.0 * np.arcsinh(np.sqrt(((x1 - x2) ** 2 + (y1 - y2) ** 2) / (4.0 * y1 * y2)))
 
 
 def _so21_radius(t, u):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import rankone
-from rankone import ballavg
+from rankone import ballavg, spherical
 from rankone.ballavg import (
     _ball_volumes,
     _panel_edges,
@@ -391,12 +391,12 @@ def test_psi_principal_oracle_grid(h3):
 )
 def test_psi_is_one_2f1_per_radius(name, param, monkeypatch):
     # psi sums one 2F1 at each radius, the degenerate su:3 c:1 included,
-    # and evaluates no spherical function
+    # and evaluates no spherical function: one call, one triple
     sizes = []
     original = rankone.spherical.gauss_2f1_neg
 
     def counting(a, b, c, x):
-        sizes.append(np.size(x))
+        sizes.append((np.size(a), np.size(x)))
         return original(a, b, c, x)
 
     def refuse(*args, **kwargs):
@@ -409,7 +409,7 @@ def test_psi_is_one_2f1_per_radius(name, param, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateParamWarning)
         psi_on_grid(rankone.parse_group(name), param, ts)
-    assert sizes == [ts.size]
+    assert sizes == [(1, ts.size)]
 
 
 def test_psi_is_one_volume_pass_per_grid(h3, monkeypatch):
@@ -435,7 +435,7 @@ def test_ball_volume_against_jacobi_identity(name):
     # At s = rho the psi identity gives the volume itself:
     # m(B_t) = Delta sinh t cosh t 2F1(rho+1, 1; alpha+2; -sinh^2 t) / (2 (alpha+1)),
     # here with mpmath's 2F1 at 30 digits: for integer rho, a - b = rho puts
-    # gauss_2f1_neg on its degenerate path, 1.9e-10 relative off at t = 20
+    # gauss_2f1_neg on its degenerate path, 1.9e-11 relative off at t = 2
     group = rankone.parse_group(name)
     for t in (0.1, 1.0, 5.0, 20.0):
         with mpmath.workdps(30):
@@ -514,3 +514,73 @@ def test_other_group_psi_sane():
         vals = psi_on_grid(g, complementary(1.0), ts)
     assert np.all(vals > 0.0) and np.all(vals <= 1.0)
     assert np.all(np.diff(vals) < 0.0)
+
+
+@pytest.mark.parametrize("name", ["so:3", "so:5", "su:3", "sp:2", "f4"])
+def test_batched_rows_equal_single_calls(name):
+    # _psi_rows and _phi_rows give each parameter the row its own call
+    # gives, for both kinds, the constant and so:5's degenerate c:1
+    group = rankone.parse_group(name)
+    params = [
+        complementary(0.3 * group.rho_prime),
+        trivial(),
+        complementary(0.85 * group.rho_prime),
+        principal(0.7),
+        principal(MAX_PRINCIPAL_LAMBDA),
+    ]
+    if name == "so:5":
+        params.append(complementary(1.0))
+    ts = np.concatenate([np.linspace(0.05, 1.3, 25), np.linspace(1.32, 25.0, 50)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateParamWarning)
+        psi = ballavg._psi_rows(group, params, ts)
+        phi = spherical._phi_rows(group, params, ts)
+        assert psi.shape == phi.shape == (len(params), ts.size)
+        for param, psi_row, phi_row in zip(params, psi, phi):
+            np.testing.assert_allclose(psi_row, psi_on_grid(group, param, ts), rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(phi_row, spherical_fn_many(group, param, ts), rtol=0.0, atol=1e-15)
+
+
+def test_psi_rows_are_one_2f1_call_and_one_volume_pass(monkeypatch):
+    # every parameter's kernel comes from one 2F1 call over the grid, and
+    # every row divides by one _ball_volumes pass; the constant needs neither
+    kernels, volumes = [], []
+    kernel, volume = rankone.spherical.gauss_2f1_neg, ballavg._ball_volumes
+
+    def counting_kernel(a, b, c, x):
+        kernels.append((len(a), np.size(x)))
+        return kernel(a, b, c, x)
+
+    def counting_volume(group, radii):
+        volumes.append(np.array(radii))
+        return volume(group, radii)
+
+    monkeypatch.setattr(rankone.spherical, "gauss_2f1_neg", counting_kernel)
+    monkeypatch.setattr(ballavg, "_ball_volumes", counting_volume)
+    ts = np.linspace(0.5, 30.0, 60)
+    params = [complementary(0.4), trivial(), principal(2.0), complementary(1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateParamWarning)
+        ballavg._psi_rows(make_group("so", 5), params, ts)
+    assert kernels == [(3, ts.size)]
+    assert len(volumes) == 1
+    np.testing.assert_array_equal(volumes[0], ts)
+
+
+def test_psi_rows_check_every_parameter_first(monkeypatch):
+    # a bad parameter anywhere in the list stops the work before it starts
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 2F1 or Delta was evaluated before every parameter was checked")
+
+    monkeypatch.setattr(rankone.spherical, "gauss_2f1_neg", refuse)
+    monkeypatch.setattr(ballavg, "delta", refuse)
+    h3 = make_group("so", 3)
+    for bad in (complementary(1.5), principal(MAX_PRINCIPAL_LAMBDA + 1.0)):
+        with pytest.raises(ValidationError):
+            ballavg._psi_rows(h3, [complementary(0.5), principal(1.0), bad], np.linspace(0.5, 4.0, 8))
+
+
+def test_sample_radius_of_no_variates(h3):
+    profile = build_volume_profile(h3, 4.0)
+    taus = profile.sample_radius(2.0, [])
+    assert isinstance(taus, np.ndarray) and taus.dtype == np.float64 and taus.shape == (0,)

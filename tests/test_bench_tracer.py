@@ -8,6 +8,8 @@ the per-layer benchmark fails here too.
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 from rankone import ballavg, hyper, model, spherical, surface
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -71,3 +73,19 @@ def test_tracer_regions_match_engine(monkeypatch):
     assert spans._PFAFF_MAX == hyper._PFAFF_MAX
     assert 0.0 < spans._DIRECT_MAX < hyper._PFAFF_MAX
     assert not hasattr(hyper, "_DIRECT_MAX")
+
+
+def test_tracer_sees_a_reports_batched_2f1(monkeypatch):
+    # a model report evaluates every component's psi in one 2F1 call over
+    # its grid; --trace 1 must still see that call as a hyper span
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    workloads = importlib.import_module("workloads")
+    spec, f = workloads._reference_spectrum(np.random.default_rng(1))
+    grid = np.array([10.0, 20.0, 40.0])
+    tracer = spans.Tracer()
+    with spans.patched(tracer):
+        model.direction_convergence(spec, f, grid)
+    kernels = [span for span in tracer.spans if span.name == "hyper"]
+    assert [span.counts["points"] for span in kernels] == [grid.size]
+    assert kernels[0].counts["region"] == "connection"

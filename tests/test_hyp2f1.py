@@ -53,26 +53,31 @@ def test_region_overlap_consistency():
 @pytest.mark.parametrize("a, b, c", [(0.35, 0.95, 1.0), (0.5 + 8.0j, 0.5 - 8.0j, 1.5)])
 def test_dispatch_splits_at_pfaff_max(a, b, c, monkeypatch):
     # every point goes to exactly one region: the Pfaff series up to
-    # |x| = 3 inclusive, the connection formula beyond
+    # |x| = 3 inclusive, the connection formula beyond; each region is
+    # entered once per call, with every triple of the call
     cut = hyper._PFAFF_MAX
     xs = np.array([-0.5, -3.5, 0.0, -cut, -1e4, -1e-300, np.nextafter(-cut, -np.inf), -0.25, -1.0])
     seen = {"pfaff": [], "connection": []}
 
     def spy(name, fn):
-        def wrapped(a, b, c, x):
-            seen[name].append(np.array(x, copy=True))
-            return fn(a, b, c, x)
+        def wrapped(triples, x):
+            seen[name].append((list(triples), np.array(x, copy=True)))
+            return fn(triples, x)
 
         return wrapped
 
-    monkeypatch.setattr(hyper, "_pfaff_series", spy("pfaff", hyper._pfaff_series))
-    monkeypatch.setattr(hyper, "_connection_formula", spy("connection", hyper._connection_formula))
-    gauss_2f1_neg(a, b, c, xs)
-    assert [len(calls) for calls in seen.values()] == [1, 1]
-    pfaff, connection = seen["pfaff"][0], seen["connection"][0]
-    assert sorted(pfaff) == sorted(xs[np.abs(xs) <= cut])
-    assert sorted(connection) == sorted(xs[np.abs(xs) > cut])
-    assert pfaff.size + connection.size == xs.size
+    monkeypatch.setattr(hyper, "_pfaff_rows", spy("pfaff", hyper._pfaff_rows))
+    monkeypatch.setattr(hyper, "_connection_rows", spy("connection", hyper._connection_rows))
+    for triples in ([(a, b, c)], [(a, b, c), (b, a, c)]):
+        for calls in seen.values():
+            calls.clear()
+        gauss_2f1_neg(*zip(*triples), xs)
+        assert [len(calls) for calls in seen.values()] == [1, 1]
+        (pfaff_triples, pfaff), (connection_triples, connection) = seen["pfaff"][0], seen["connection"][0]
+        assert pfaff_triples == connection_triples == triples
+        assert sorted(pfaff) == sorted(xs[np.abs(xs) <= cut])
+        assert sorted(connection) == sorted(xs[np.abs(xs) > cut])
+        assert pfaff.size + connection.size == xs.size
 
 
 # The alternating defining series at x cancels here, to a relative error
@@ -293,3 +298,59 @@ def test_principal_frequency_bound_against_mpmath(group):
         x = -mpmath.sinh(mpmath.mpf(t)) ** 2
         ref = float(mpmath.re(mpmath.hyp2f1(a, a.conjugate(), c, x)))
         assert abs(value - ref) <= 1e-10, (group.label, t)
+
+
+def test_several_triples_in_one_call():
+    # one row per triple, each equal to that triple's own call up to the
+    # rounding of the shared matrix product, which the lam = 16 conjugate
+    # pair's cancelling Pfaff series magnifies; a scalar argument is
+    # shared, and x keeps its shape in every row
+    xs = np.array([[-0.2, -2.5], [-7.0, -1e4]])
+    triples = [(0.35, 0.95, 1.0), (0.5 + 8.0j, 0.5 - 8.0j, 1.5), (1.5, 0.5, 1.5), (0.0, 0.3, 2.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateParamWarning)  # 1.5 - 0.5 is an integer
+        rows = gauss_2f1_neg(*zip(*triples), xs)
+        assert rows.shape == (4, 2, 2) and rows.dtype == np.float64
+        for row, triple in zip(rows, triples):
+            np.testing.assert_allclose(row, gauss_2f1_neg(*triple, xs), rtol=1e-13, atol=0.0)
+    shared = gauss_2f1_neg([0.35, 0.95], [0.95, 0.35], 1.0, -5.0)
+    assert shared.shape == (2,)
+    assert shared[0] == pytest.approx(shared[1], rel=1e-14)
+    # a complex row makes the whole result complex, and leaves the real rows real
+    mixed = gauss_2f1_neg([0.35, 0.5 + 1.0j], [0.95, 0.25], 1.0, xs)
+    assert mixed.dtype == np.complex128 and not mixed[0].imag.any()
+    with pytest.raises(ValidationError):
+        gauss_2f1_neg([0.35, 0.5], [0.95], 1.0, xs)
+
+
+@pytest.mark.parametrize("group, s", [(make_group("sp", 2), 4.5), (make_group("f4"), 9.9), (make_group("f4"), 7.3)])
+def test_real_connection_against_mpmath_at_negative_gamma_arguments(group, s):
+    # complementary s near rho' puts b - a and c - a below 0, so the real
+    # Gamma quotient takes each Gamma's sign apart; phi's triple (shift 0)
+    # and psi's kernel (shift 1), on the connection region
+    xs = np.array([-3.5, -20.0, -400.0, -1e5, -1e9])
+    mpmath.mp.dps = 30
+    for shift in (0.0, 1.0):
+        a, b, c = (group.rho + s) / 2.0 + shift, (group.rho - s) / 2.0 + shift, group.alpha + 1.0 + shift
+        assert b - a < 0.0 and c - a < 0.0
+        got = gauss_2f1_neg(a, b, c, xs)
+        assert got.dtype == np.float64
+        for x, value in zip(xs, got):
+            ref = float(mpmath.hyp2f1(a, b, c, x))
+            assert abs(value - ref) <= 1e-13 * abs(ref), (group.label, s, shift, x)
+
+
+def test_real_gamma_quotient():
+    # real arguments give a real quotient, each Gamma with its own sign
+    got = hyper._gamma_quotient((4.0, -4.5), (0.25, -0.75))
+    mpmath.mp.dps = 30
+    ref = mpmath.gamma(4.0) * mpmath.gamma(-4.5) / (mpmath.gamma(0.25) * mpmath.gamma(-0.75))
+    assert isinstance(got, float) and got == pytest.approx(float(ref), rel=1e-14)
+    # beyond double range the quotient goes through ln_gamma
+    big = hyper._gamma_quotient((200.0, 0.5), (180.0, 1.5))
+    ref = mpmath.gamma(200) * mpmath.gamma(0.5) / (mpmath.gamma(180) * mpmath.gamma(1.5))
+    assert complex(big).real == pytest.approx(float(ref), rel=1e-12)
+    # a pole of a denominator Gamma gives 0, of a numerator Gamma raises
+    assert hyper._gamma_quotient((4.0, -4.5), (-2.0, 3.0)) == 0.0
+    with pytest.raises(ValidationError):
+        hyper._gamma_quotient((4.0, -3.0), (0.25, 1.5))

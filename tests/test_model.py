@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import rankone.ballavg
+import rankone.spherical
 from rankone import model
 from rankone.ballavg import psi_on_grid
 from rankone.errors import ValidationError
@@ -47,10 +48,12 @@ def unit_f():
 
 def test_average_preserves_constants(spec):
     ts = np.array([0.5, 5.0, 20.0])
-    atom = model._atom_multipliers(spec, ts)
+    rows = model._multipliers(spec, ts, atoms=True)
+    atom, omega = rows[: len(spec.atoms)], rows[len(spec.atoms) :]
     assert np.all(atom[0] == 1.0)  # exact, not approximate
     assert np.all(np.abs(atom[1:]) < 1.0)
-    assert np.all(np.abs(model._omega_multipliers(spec, ts)) < 1.0)
+    assert np.all(np.abs(omega) < 1.0)
+    np.testing.assert_allclose(model._multipliers(spec, ts, atoms=False), omega, rtol=0.0, atol=1e-15)
 
 
 def test_deviation_single_component_is_psi(h3):
@@ -111,6 +114,35 @@ def test_reports_reject_nan_in_grid(spec, unit_f, report, grid, monkeypatch):
     monkeypatch.setattr(rankone.ballavg, "_jacobi_2f1", refuse)
     with pytest.raises(ValidationError, match="time grid"):
         report(spec, unit_f, np.array(grid))
+
+
+@pytest.mark.parametrize(
+    "report, args, triples",
+    [
+        (theorem_mean_report, (np.linspace(1.0, 40.0, 79),), 2),
+        (direction_convergence, (np.array([10.0, 20.0, 40.0]),), 3),
+        (discrete_constant_report, (0.1, 40), 2),
+    ],
+)
+def test_each_report_is_one_volume_pass(spec, unit_f, report, args, triples, monkeypatch):
+    # every component's multiplier comes from one batched psi: one 2F1 call
+    # with a triple per component, and one _ball_volumes pass
+    kernels, volumes = [], []
+    kernel, volume = rankone.spherical.gauss_2f1_neg, rankone.ballavg._ball_volumes
+
+    def counting_kernel(a, b, c, x):
+        kernels.append(len(a))
+        return kernel(a, b, c, x)
+
+    def counting_volume(group, radii):
+        volumes.append(np.size(radii))
+        return volume(group, radii)
+
+    monkeypatch.setattr(rankone.spherical, "gauss_2f1_neg", counting_kernel)
+    monkeypatch.setattr(rankone.ballavg, "_ball_volumes", counting_volume)
+    report(spec, unit_f, *args)
+    assert kernels == [triples]
+    assert len(volumes) == 1
 
 
 def test_direction_convergence_monotone(spec, unit_f):

@@ -20,6 +20,7 @@ import rankone
 from rankone.ballavg import ball_volume, psi_on_grid
 from rankone.groups import complementary, principal
 from rankone.hyper import DegenerateParamWarning
+from rankone.spherical import spherical_fn_many
 
 _RADII = (0.01, 0.1, 0.5, 1.0, 1.3169, 2.0, 5.0, 10.0, 20.0)
 _GROUPS = ("so:2", "so:3", "so:5", "su:3", "sp:2", "f4")
@@ -200,6 +201,36 @@ def test_psi_against_mpmath(name):
                 got = psi_on_grid(group, param, np.array([t]))[0]
             tight = not caught and x != 16.0
             assert abs(got - want) <= (1e-13 if tight else 1e-10), (name, kind, x, t)
+
+
+# so:5 c:1 puts a - b = 1 on an integer, the connection formula's
+# degenerate path.  Distances from mpmath at t = 2, 5 and 20 when that path
+# averaged one pair of perturbations in complex arithmetic: an error of
+# order eps^2 log^2(1 - x) set them from t = 5 on.
+_DEGENERATE_BEFORE = {"phi": (1.962e-11, 1.363e-13, 1.063e-18), "psi": (3.635e-11, 1.489e-13, 1.367e-18)}
+
+
+def test_degenerate_path_no_further_from_mpmath():
+    # psi by the identity in rankone.ballavg, divided by the volume's (s = rho)
+    group = rankone.parse_group("so:5")
+    ts = (2.0, 5.0, 20.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateParamWarning)
+        got = {
+            "phi": spherical_fn_many(group, complementary(1.0), ts),
+            "psi": psi_on_grid(group, complementary(1.0), ts),
+        }
+    with mpmath.workdps(30):
+        rho, c = mpmath.mpf(group.rho), mpmath.mpf(group.alpha) + 1
+        a, b = (rho + 1) / 2, (rho - 1) / 2
+        for i, t in enumerate(ts):
+            x = -mpmath.sinh(mpmath.mpf(t)) ** 2
+            ref = {
+                "phi": mpmath.hyp2f1(a, b, c, x),
+                "psi": mpmath.hyp2f1(a + 1, b + 1, c + 1, x) / mpmath.hyp2f1(rho + 1, 1, c + 1, x),
+            }
+            for key, before in _DEGENERATE_BEFORE.items():
+                assert abs(got[key][i] - float(ref[key])) <= before[i], (key, t)
 
 
 def test_table_is_mpmath_psi():

@@ -23,6 +23,27 @@ from rankone.surface import (
 )
 
 
+@pytest.mark.parametrize("d", [1e-9, 1e-4, 1.0, 20.0])
+def test_distance_against_mpmath(d):
+    # from 0.3 + 1.2i straight up and sideways, both at distance d; the
+    # reference takes the float endpoints as given
+    x0, y0 = 0.3, 1.2
+    for x, y in ((x0, y0 * math.exp(d)), (x0 + 2.0 * y0 * math.sinh(0.5 * d), y0)):
+        with mpmath.workdps(50):
+            q = ((mpmath.mpf(x) - x0) ** 2 + (mpmath.mpf(y) - y0) ** 2) / (2 * mpmath.mpf(y) * y0)
+            ref = float(mpmath.acosh(1 + q))
+        assert float(surface._dist_xy(x0, y0, x, y)) == pytest.approx(ref, rel=1e-14)
+        assert float(surface._dist_xy(x, y, x0, y0)) == pytest.approx(ref, rel=1e-14)
+
+
+def test_tiny_disk_rejects_point_outside_it():
+    # the point 1.4e-8 above the centre (hyperbolic distance) lies outside
+    # a disk of radius 1e-8; arccosh(1 + q) rounded its distance to 0
+    disk = DiskIndicator(HPoint(0.0, 1.5), 1e-8)
+    ys = 1.5 * np.exp(np.array([1.4e-8, 0.6e-8, 0.0]))
+    np.testing.assert_array_equal(disk.eval_batch(np.zeros(3), ys), [0.0, 1.0, 1.0])
+
+
 def test_distance_closed_forms():
     # vertical geodesic: d(i, e*i) = 1
     assert surface._dist_xy(0.0, 1.0, 0.0, math.e) == pytest.approx(1.0, rel=1e-14)
