@@ -20,7 +20,6 @@ from .groups import (
     trivial,
 )
 from .spherical import (
-    CFunctionValue,
     certify_decay_bound,
     hc_c_function,
     spherical_fn_many,
@@ -80,7 +79,6 @@ __all__ = [
     "parse_param",
     "principal",
     "trivial",
-    "CFunctionValue",
     "certify_decay_bound",
     "hc_c_function",
     "spherical_fn_many",

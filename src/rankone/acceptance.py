@@ -2,8 +2,9 @@
 
 Each criterion function runs one self-contained check against frozen
 oracle values and returns a result record; run_all executes the full
-suite in order.  The checks pin concrete groups, grids, seeds, and
-tolerances so that a pass is reproducible bit for bit.
+suite in order, and records a criterion that raises ValidationError or
+ConvergenceError as a FAIL.  The checks pin concrete groups, grids,
+seeds, and tolerances so that a pass is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .ballavg import (
     psi_lipschitz_check,
     psi_on_grid,
 )
+from .errors import ConvergenceError, ValidationError
 from .groups import complementary, make_group, principal, trivial
 from .model import (
     PuritySpectrum,
@@ -86,7 +88,7 @@ def criterion_c_function() -> CriterionResult:
     for s in (0.3, 0.5, 0.9):
         phi = float(spherical_fn_many(group, complementary(s), np.array([t]))[0])
         scaled = phi * math.exp((group.rho - s) * t)
-        c = hc_c_function(group, complementary(s)).value.real
+        c = hc_c_function(group, complementary(s)).real
         worst = max(worst, abs(scaled - c) / abs(c), abs(c - 1.0 / s) * s)
     elapsed = time.perf_counter() - start
     passed = worst <= 1e-8
@@ -322,10 +324,20 @@ ALL_CRITERIA: List[Callable[[], CriterionResult]] = [
 
 
 def run_all(report: Optional[Callable[[str], None]] = None) -> List[CriterionResult]:
-    """Run every criterion in order, optionally streaming one line per result."""
+    """Run every criterion in order, optionally streaming one line per result.
+
+    A criterion that raises ValidationError or ConvergenceError fails with
+    the exception's message, named after its function, and the rest still run.
+    """
     results = []
-    for check in ALL_CRITERIA:
-        result = check()
+    for number, check in enumerate(ALL_CRITERIA, start=1):
+        start = time.perf_counter()
+        try:
+            result = check()
+        except (ValidationError, ConvergenceError) as exc:
+            name = check.__name__.removeprefix("criterion_").replace("_", " ")
+            detail = f"{type(exc).__name__}: {exc}"
+            result = CriterionResult(number, name, False, detail, time.perf_counter() - start)
         results.append(result)
         if report is not None:
             report(result.line())

@@ -373,7 +373,7 @@ def psi_asymptotic_constant(group: RankOneGroup, param: SpectralParam) -> float:
 
 def psi_asymptotic_formula(group: RankOneGroup, s: float) -> float:
     """Derived constant c(s) * 2 rho / (rho + s) for a complementary parameter."""
-    cval = hc_c_function(group, complementary(s)).value.real
+    cval = hc_c_function(group, complementary(s)).real
     return cval * 2.0 * group.rho / (group.rho + s)
 
 

@@ -140,7 +140,7 @@ def cmd_sphfn(args) -> int:
     if param.is_trivial or param.s_complex(group) == 0.0:
         ratio = np.full_like(ts, math.nan)
     else:
-        c_mag = hc_c_function(group, param).magnitude
+        c_mag = abs(hc_c_function(group, param))
         ratio = np.abs(values) * np.exp(decay * ts) / c_mag
     rows = [[float(t), float(v), float(e), float(r)]
             for t, v, e, r in zip(ts, values, envelope, ratio)]
@@ -195,9 +195,7 @@ def cmd_volume(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec, f = load_spectrum(args.spec)
-    if not (args.steps >= 2 and args.t_max > args.t_min):
-        raise ValidationError("need steps >= 2 and t-max > t-min")
-    ts = np.linspace(args.t_min, args.t_max, args.steps)
+    ts = _linspace(args)
     report = theorem_mean_report(spec, f, ts)
     if len(spec.atoms) >= 2 and f.atom_norms[1] > 0.0:
         distances = direction_convergence(spec, f, ts)

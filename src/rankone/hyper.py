@@ -13,9 +13,11 @@ argument |x|/(1+|x|) is the smaller one, and for real a, b, c > 0 the
 defining series alternates in sign at every term, while the Pfaff terms
 keep one sign once n > b - c.
 
-gauss_2f1_neg takes one (a, b, c) triple or several at one x.  It checks
-the grid and splits it into the two regions once, and each region sums
-the series of every triple together.
+gauss_2f1_neg takes equal-length lists a and b, one real c shared by
+every pair and an array x, and returns one real row per pair (a_i, b_i):
+each pair is real or a complex-conjugate pair.  It checks the grid and
+splits it into the two regions once, and each region sums the series of
+every pair together.
 
 A series' coefficients are built once in a scalar loop.  The sum is one
 matrix product of the coefficient rows (real parts, and imaginary parts
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import warnings
 from typing import Union
 
@@ -254,7 +257,7 @@ def _evaluate(series: list, y: np.ndarray) -> list:
 
 
 def _sums(series: list, y: np.ndarray) -> list:
-    """Each series summed at the real points y (nonempty, 1-d).
+    """Each series summed at the real points y (1-d).
 
     Once Re c + N > 0 the term ratio after N is bounded by R_N (see
     _ratio_bound), so with r = R_N |y| < 1 the tail after term N is at most
@@ -264,7 +267,7 @@ def _sums(series: list, y: np.ndarray) -> list:
     points that miss get more terms and another pass of that series alone.
     ConvergenceError is raised when max_terms terms do not suffice.
     """
-    v = float(np.max(np.abs(y)))
+    v = float(np.max(np.abs(y), initial=0.0))
     bounds = [s.grow(v, _SERIES_TOL) for s in series]
     totals = _evaluate(series, y)
     for s, total, bound in zip(series, totals, bounds):
@@ -280,15 +283,6 @@ def _sums(series: list, y: np.ndarray) -> list:
     return totals
 
 
-def _series_sum(p: Number, q: Number, c: Number, y: np.ndarray, max_terms: int) -> np.ndarray:
-    """sum_n (p)_n (q)_n / ((c)_n n!) y^n at real points y (1-d); see _sums."""
-    series = _Series(p, q, c, max_terms)
-    y = np.asarray(y, dtype=np.float64)
-    if y.size == 0:
-        return np.zeros(y.shape, dtype=np.complex128 if series.complex else np.float64)
-    return _sums([series], y)[0]
-
-
 def _pfaff_rows(triples: list, x: np.ndarray) -> list:
     """One Pfaff row per triple at the points x (nonempty, 1-d); see gauss_2f1_neg."""
     # 2F1(a,b;c;x) = (1-x)^(-a) 2F1(a, c-b; c; x/(x-1)); maps x<=0 into [0,1)
@@ -298,8 +292,8 @@ def _pfaff_rows(triples: list, x: np.ndarray) -> list:
     return [np.exp(-a * log1mx) * s for (a, _, _), s in zip(triples, sums)]
 
 
-def _conjugate_pair(a: Number, b: Number, c: Number) -> bool:
-    return isinstance(a, complex) and isinstance(b, complex) and b == a.conjugate() and isinstance(c, float)
+def _conjugate_pair(a: Number, b: Number) -> bool:
+    return isinstance(a, complex) and b == a.conjugate()
 
 
 def _connection_terms(a: Number, b: Number, c: Number) -> tuple:
@@ -310,7 +304,7 @@ def _connection_terms(a: Number, b: Number, c: Number) -> tuple:
     and twice its real part taken.  A term whose coefficient has a
     denominator pole is dropped.
     """
-    conjugate = _conjugate_pair(a, b, c)
+    conjugate = _conjugate_pair(a, b)
     terms = []
     for p, q in ((a, b),) if conjugate else ((a, b), (b, a)):
         coef = _gamma_quotient((c, q - p), (q, c - p))
@@ -393,68 +387,45 @@ def _as_scalar(v: Number) -> Number:
     return v if v.imag != 0.0 else float(v.real)
 
 
-def _triples(a, b, c) -> tuple:
-    """gauss_2f1_neg's (a, b, c) triples, and whether any argument lists several.
+def gauss_2f1_neg(a, b, c, x) -> np.ndarray:
+    """2F1(a_i, b_i; c; x) for x <= 0: one float64 row per pair (a_i, b_i), each shaped like x.
 
-    A scalar argument is shared by every triple.
-    """
-    listed = [isinstance(v, (list, tuple)) or (isinstance(v, np.ndarray) and v.ndim > 0) for v in (a, b, c)]
-    if not any(listed):
-        return [(_as_scalar(a), _as_scalar(b), _as_scalar(c))], False
-    counts = {len(v) for v, many in zip((a, b, c), listed) if many}
-    if len(counts) > 1:
-        raise ValidationError("a, b and c list different numbers of triples")
-    count = counts.pop()
-    columns = [map(_as_scalar, v) if many else [_as_scalar(v)] * count for v, many in zip((a, b, c), listed)]
-    return list(zip(*columns)), True
+    a and b are equal-length sequences, c is one real number that is not a
+    nonpositive integer, and x is an array of any shape.  Each pair is
+    real or an exact complex-conjugate pair, so every row is real.
+    Anything else raises ValidationError before any series work.  The grid
+    is checked and split into the two regions once, and each region sums
+    the series of every pair in one pass; see the module docstring.
+    Degenerate connection parameters (a - b within 1e-5 of an integer at
+    large |x|) are handled by perturbation and reported through
+    DegenerateParamWarning.
 
-
-def gauss_2f1_neg(a, b, c, x) -> Union[float, complex, np.ndarray]:
-    """2F1(a, b; c; x) for x <= 0 (scalar or array x), at one triple or several.
-
-    a, b and c are scalars, or equal-length sequences (a scalar shared by
-    all) that list several triples; then the result has one row per triple,
-    each shaped like x, and one triple is the one-row case.
-    The grid is checked and split into the two regions once, and each
-    region sums the series of every triple in one pass; see the module
-    docstring.  a and b may be real or a complex-conjugate pair; a row is
-    real for real-valued inputs (conjugate pairs included), and the result
-    is complex when any row is not.  Degenerate connection parameters
-    (a - b within 1e-5 of an integer at large |x|) are handled by
-    perturbation and reported through DegenerateParamWarning.
-
-    Verified domain: real a, b, c with c - b > 0, or a conjugate pair a, b
-    with real c and c - Re b > 0.  psi's kernel shifts a, b and c by 1, which
-    leaves c - b unchanged.  Real c - b far below 0 stays outside: the Pfaff
+    Verified domain: real a, b with c - b > 0, or a conjugate pair a, b
+    with c - Re b > 0.  psi's kernel shifts a, b and c by 1, which leaves
+    c - b unchanged.  Real c - b far below 0 stays outside: the Pfaff
     coefficients then alternate in sign while n < b - c, and cancel.
     """
-    triples, batched = _triples(a, b, c)
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    flat = xs.ravel()
+    if len(a) != len(b):
+        raise ValidationError("a and b list different numbers of parameters")
+    if not isinstance(c, numbers.Real) or _is_pole(complex(c)):
+        raise ValidationError(f"c = {c} must be real and not a nonpositive integer")
+    c = float(c)
+    triples = []
+    for p, q in zip(a, b):
+        p, q = _as_scalar(p), _as_scalar(q)
+        if (isinstance(p, complex) or isinstance(q, complex)) and not _conjugate_pair(p, q):
+            raise ValidationError(f"a = {p}, b = {q} is neither real nor a complex-conjugate pair")
+        triples.append((p, q, c))
+    flat = np.asarray(x, dtype=np.float64).ravel()
     # Written so that NaN fails the test too.
     if flat.size and not flat.max() <= 0.0:
         raise ValidationError("gauss_2f1_neg requires x <= 0")
-    for _, _, c in triples:
-        if isinstance(c, float) and _is_pole(complex(c)):
-            raise ValidationError(f"c = {c} is a nonpositive integer")
 
-    real = [not (isinstance(a, complex) or isinstance(b, complex)) or _conjugate_pair(a, b, c) for a, b, c in triples]
-    out = [np.ones(flat.size, np.float64 if r else np.complex128) for r in real]
-    live = [i for i, (a, b, _) in enumerate(triples) if a != 0.0 and b != 0.0]
+    out = np.ones((len(triples), flat.size))
+    live = [i for i, (p, q, _) in enumerate(triples) if p != 0.0 and q != 0.0]
     conn = np.abs(flat) > _PFAFF_MAX
     for mask, region_rows in ((~conn, _pfaff_rows), (conn, _connection_rows)):
         if live and mask.any():
             for i, row in zip(live, region_rows([triples[i] for i in live], flat[mask])):
-                out[i][mask] = _cast(row, out[i].dtype)
-
-    if batched:
-        return np.array(out).reshape((len(triples),) + np.shape(x))
-    if np.isscalar(x):
-        return out[0][0].item()
-    return out[0].reshape(xs.shape)
-
-
-def _cast(values: np.ndarray, dtype) -> np.ndarray:
-    if dtype == np.float64 and np.iscomplexobj(values):
-        return np.real(values)
-    return values.astype(dtype, copy=False)
+                out[i, mask] = np.real(row)
+    return out.reshape((len(triples),) + np.shape(x))

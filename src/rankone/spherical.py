@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -37,20 +36,8 @@ _UNIT_SLACK = 1e-11  # |phi| may exceed 1 by roundoff only
 MAX_PRINCIPAL_LAMBDA = 16.0
 
 
-@dataclass(frozen=True)
-class CFunctionValue:
-    """Decay coefficient c(s); complex on the tempered axis."""
-
-    param: SpectralParam
-    value: complex
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)
-
-
 def _jacobi_2f1(group: RankOneGroup, params: Sequence[SpectralParam], ts: np.ndarray, shift: float) -> np.ndarray:
-    """Re 2F1(a + shift, b + shift; c + shift; -sinh(t)^2), a, b = (rho +- s)/2, c = alpha + 1.
+    """2F1(a + shift, b + shift; c + shift; -sinh(t)^2), a, b = (rho +- s)/2, c = alpha + 1.
 
     One row per parameter, each shaped like ts, from one gauss_2f1_neg
     call.  Shift 0 gives phi_s and shift 1 the kernel of psi_s.  The domain
@@ -73,7 +60,7 @@ def _jacobi_2f1(group: RankOneGroup, params: Sequence[SpectralParam], ts: np.nda
     a = [(group.rho + v) / 2.0 + shift for v in s]
     b = [(group.rho - v) / 2.0 + shift for v in s]
     c = group.alpha + 1.0 + shift
-    return np.real(gauss_2f1_neg(a, b, c, x))
+    return gauss_2f1_neg(a, b, c, x)
 
 
 def _phi_rows(group: RankOneGroup, params: Sequence[SpectralParam], ts) -> np.ndarray:
@@ -116,8 +103,8 @@ def spherical_fn_many(group: RankOneGroup, param: SpectralParam, ts) -> np.ndarr
     return _phi_rows(group, [param], ts)[0]
 
 
-def hc_c_function(group: RankOneGroup, param: SpectralParam) -> CFunctionValue:
-    """Gamma-quotient decay coefficient.
+def hc_c_function(group: RankOneGroup, param: SpectralParam) -> complex:
+    """Gamma-quotient decay coefficient c(s); complex on the tempered axis.
 
     c(s) = 2^{rho-s} Gamma(alpha+1) Gamma(s)
            / [Gamma((rho+s)/2) Gamma((s+alpha-beta+1)/2)],
@@ -140,7 +127,7 @@ def hc_c_function(group: RankOneGroup, param: SpectralParam) -> CFunctionValue:
         - ln_gamma((rho + s) / 2.0)
         - ln_gamma((s + alpha - beta + 1.0) / 2.0)
     )
-    return CFunctionValue(param=param, value=cmath.exp(log_value))
+    return cmath.exp(log_value)
 
 
 def certify_decay_bound(

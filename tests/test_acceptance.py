@@ -5,7 +5,10 @@ or look at the failure message) and asserts it passed.  Tolerances and
 configurations live in rankone.acceptance; nothing here may weaken them.
 """
 
-from rankone import acceptance
+import pytest
+
+from rankone import acceptance, cli
+from rankone.errors import ConvergenceError, ValidationError
 
 
 def _check(criterion):
@@ -67,3 +70,23 @@ def test_suite_is_complete():
     names = [fn.__name__ for fn in acceptance.ALL_CRITERIA]
     assert len(set(names)) == 11
     assert all(name.startswith("criterion_") for name in names)
+
+
+@pytest.mark.parametrize("error", [ValidationError, ConvergenceError])
+def test_raising_criterion_fails_and_the_rest_run(error, monkeypatch, capsys):
+    # criterion 02 raises; verify still prints every line and the summary,
+    # and exits 1.  The others are stubbed to keep the test fast.
+    def stub(number):
+        return lambda: acceptance.CriterionResult(number, f"stub {number}", True, "ok", 0.0)
+
+    def criterion_c_function():
+        raise error("c(s) did not settle")
+
+    criteria = [stub(number) for number in range(1, 12)]
+    criteria[1] = criterion_c_function
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", criteria)
+    assert cli.main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 12 and lines[-1] == "10/11 criteria passed"
+    assert lines[1].startswith(f"criterion 02 c function: FAIL ({error.__name__}: c(s) did not settle; ")
+    assert all(" PASS " in line for line in lines[:1] + lines[2:11])

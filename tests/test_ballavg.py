@@ -278,7 +278,7 @@ def test_psi_rejects_nan_in_grid(h3, grid, no_quadrature):
 
 
 _KERNELS = {
-    "gauss_2f1_neg": lambda group, ts: gauss_2f1_neg(1.0, 1.5, 2.0, ts),
+    "gauss_2f1_neg": lambda group, ts: gauss_2f1_neg([1.0], [1.5], 2.0, ts)[0],
     "spherical_fn_many": lambda group, ts: spherical_fn_many(group, complementary(0.5), ts),
     "psi_on_grid": lambda group, ts: psi_on_grid(group, principal(1.0), ts),
     "ball_volume": ball_volume,

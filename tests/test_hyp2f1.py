@@ -10,32 +10,32 @@ import pytest
 from rankone import hyper
 from rankone.errors import ConvergenceError, ValidationError
 from rankone.groups import complementary, make_group, principal
-from rankone.hyper import DegenerateParamWarning, _series_sum, gauss_2f1_neg
+from rankone.hyper import DegenerateParamWarning, gauss_2f1_neg
 from rankone.spherical import MAX_PRINCIPAL_LAMBDA, spherical_fn_many
 
 
 def test_elementary_closed_forms():
     # 2F1(1,1;2;x) = -ln(1-x)/x
-    assert gauss_2f1_neg(1.0, 1.0, 2.0, -1.0) == pytest.approx(math.log(2.0), rel=1e-13)
+    assert gauss_2f1_neg([1.0], [1.0], 2.0, -1.0)[0] == pytest.approx(math.log(2.0), rel=1e-13)
     # 2F1(1,1/2;3/2;-x^2) = arctan(x)/x
-    assert gauss_2f1_neg(1.0, 0.5, 1.5, -1.0) == pytest.approx(math.pi / 4.0, rel=1e-13)
+    assert gauss_2f1_neg([1.0], [0.5], 1.5, -1.0)[0] == pytest.approx(math.pi / 4.0, rel=1e-13)
     # 2F1(a,b;b;x) = (1-x)^(-a), b arbitrary
     for x in [-0.2, -2.0, -40.0]:
-        got = gauss_2f1_neg(0.7, 1.9, 1.9, x)
+        got = gauss_2f1_neg([0.7], [1.9], 1.9, x)[0]
         assert got == pytest.approx((1.0 - x) ** -0.7, rel=1e-12)
 
 
 def test_zero_parameter_short_circuit():
     ts = np.array([-0.1, -1.0, -100.0])
-    assert np.all(gauss_2f1_neg(0.0, 0.5, 1.0, ts) == 1.0)
-    assert np.all(gauss_2f1_neg(0.5, 0.0, 1.0, ts) == 1.0)
+    assert np.all(gauss_2f1_neg([0.0], [0.5], 1.0, ts) == 1.0)
+    assert np.all(gauss_2f1_neg([0.5], [0.0], 1.0, ts) == 1.0)
 
 
 def test_parameter_symmetry():
     xs = np.array([-0.3, -2.1, -17.0])
     a, b, c = 0.43, 1.27, 1.5
-    ab = gauss_2f1_neg(a, b, c, xs)
-    ba = gauss_2f1_neg(b, a, c, xs)
+    ab = gauss_2f1_neg([a], [b], c, xs)[0]
+    ba = gauss_2f1_neg([b], [a], c, xs)[0]
     np.testing.assert_allclose(ab, ba, rtol=1e-11)
 
 
@@ -45,8 +45,8 @@ def test_region_overlap_consistency():
     # straddle the cutoff closely enough that the function's own motion
     # (about 2e-13 relative here) stays below the comparison tolerance
     x0 = -hyper._PFAFF_MAX
-    left = gauss_2f1_neg(a, b, c, x0 * (1.0 + 1e-12))
-    right = gauss_2f1_neg(a, b, c, x0 * (1.0 - 1e-12))
+    left = gauss_2f1_neg([a], [b], c, x0 * (1.0 + 1e-12))[0]
+    right = gauss_2f1_neg([a], [b], c, x0 * (1.0 - 1e-12))[0]
     assert left == pytest.approx(right, rel=1e-10)
 
 
@@ -71,7 +71,8 @@ def test_dispatch_splits_at_pfaff_max(a, b, c, monkeypatch):
     for triples in ([(a, b, c)], [(a, b, c), (b, a, c)]):
         for calls in seen.values():
             calls.clear()
-        gauss_2f1_neg(*zip(*triples), xs)
+        a_list, b_list, _ = zip(*triples)
+        gauss_2f1_neg(a_list, b_list, c, xs)
         assert [len(calls) for calls in seen.values()] == [1, 1]
         (pfaff_triples, pfaff), (connection_triples, connection) = seen["pfaff"][0], seen["connection"][0]
         assert pfaff_triples == connection_triples == triples
@@ -98,7 +99,7 @@ def test_generic_real_parameters_small_x_against_mpmath():
     xs = np.array([-0.01, -0.1, -0.25, -0.4, -0.5])
     mpmath.mp.dps = 30
     for a, b, c in cases:
-        got = gauss_2f1_neg(a, b, c, xs)
+        got = gauss_2f1_neg([a], [b], c, xs)[0]
         for x, value in zip(xs, got):
             ref = float(mpmath.hyp2f1(a, b, c, x))
             assert abs(value - ref) <= 1e-10 * abs(ref), (a, b, c, x)
@@ -139,7 +140,7 @@ def test_against_mpmath_spots():
     ]
     for a, b, c, x in cases:
         ref = float(mpmath.hyp2f1(a, b, c, x))
-        got = gauss_2f1_neg(a, b, c, x)
+        got = gauss_2f1_neg([a], [b], c, x)[0]
         assert got == pytest.approx(ref, rel=1e-11), (a, b, c, x)
 
 
@@ -147,7 +148,7 @@ def test_conjugate_pair_returns_real():
     # principal-series shape: a, b = (rho +- i lam)/2
     a = 0.5 + 0.85j
     b = 0.5 - 0.85j
-    vals = gauss_2f1_neg(a, b, 1.0, np.array([-0.2, -5.0, -200.0]))
+    vals = gauss_2f1_neg([a], [b], 1.0, np.array([-0.2, -5.0, -200.0]))[0]
     assert vals.dtype == np.float64
     mpmath.mp.dps = 30
     ref = float(mpmath.hyp2f1(a, b, 1.0, -5.0).real)
@@ -160,10 +161,10 @@ def test_degenerate_difference_warns_and_stays_accurate():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateParamWarning):
-            gauss_2f1_neg(a + 0.5, b, c, -100.0)
+            gauss_2f1_neg([a + 0.5], [b], c, -100.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateParamWarning)
-        got = gauss_2f1_neg(a + 0.5, b, c, -100.0)
+        got = gauss_2f1_neg([a + 0.5], [b], c, -100.0)[0]
     mpmath.mp.dps = 30
     ref = float(mpmath.hyp2f1(a + 0.5, b, c, -100.0))
     assert got == pytest.approx(ref, rel=1e-7)
@@ -171,11 +172,11 @@ def test_degenerate_difference_warns_and_stays_accurate():
 
 def test_positive_x_rejected():
     with pytest.raises(ValidationError):
-        gauss_2f1_neg(0.5, 0.5, 1.0, 0.25)
+        gauss_2f1_neg([0.5], [0.5], 1.0, 0.25)
     with pytest.raises(ValidationError):
-        gauss_2f1_neg(0.5, 0.5, 1.0, [-0.2, math.nan])  # NaN fails the guard too
+        gauss_2f1_neg([0.5], [0.5], 1.0, [-0.2, math.nan])  # NaN fails the guard too
     with pytest.raises(ValidationError):
-        gauss_2f1_neg(0.5, 0.5, -1.0, -0.25)  # c at a pole
+        gauss_2f1_neg([0.5], [0.5], -1.0, -0.25)  # c at a pole
 
 
 # Inside each region, and exactly on the |x| = 3 cutoff.
@@ -195,7 +196,7 @@ def test_spherical_parameters_against_mpmath(group, kind):
         s = s.real
         assert 1.0 - s < 0.0
     a, b, c = (group.rho + s) / 2.0, (group.rho - s) / 2.0, group.alpha + 1.0
-    got = gauss_2f1_neg(a, b, c, np.array(_REGION_POINTS))
+    got = gauss_2f1_neg([a], [b], c, np.array(_REGION_POINTS))[0]
     mpmath.mp.dps = 40
     for x, value in zip(_REGION_POINTS, got):
         ref = float(mpmath.re(mpmath.hyp2f1(a, b, c, x)))
@@ -205,12 +206,12 @@ def test_spherical_parameters_against_mpmath(group, kind):
 def test_series_term_cap_raises():
     # 2F1(1/2, 1/2; 1; -1/2) needs far more than three terms
     with pytest.raises(ConvergenceError):
-        _series_sum(0.5, 0.5, 1.0, np.array([-0.5]), max_terms=3)
+        hyper._sums([hyper._Series(0.5, 0.5, 1.0, max_terms=3)], np.array([-0.5]))[0]
 
 
 def test_empty_argument_returns_empty():
-    assert _series_sum(0.5, 0.5, 1.0, np.zeros(0), max_terms=300).shape == (0,)
-    assert gauss_2f1_neg(0.5 + 0.3j, 0.5 - 0.3j, 1.0, np.zeros(0)).shape == (0,)
+    assert hyper._sums([hyper._Series(0.5, 0.5, 1.0, max_terms=300)], np.zeros(0))[0].shape == (0,)
+    assert gauss_2f1_neg([0.5 + 0.3j], [0.5 - 0.3j], 1.0, np.zeros(0))[0].shape == (0,)
 
 
 @pytest.mark.parametrize("lam", [0.25, 10.0])
@@ -256,7 +257,7 @@ def test_series_sum_over_two_blocks_against_mpmath(case, monkeypatch):
         fill(table, ys)
 
     monkeypatch.setattr(hyper, "_fill_powers", spy)
-    got = _series_sum(p, q, c, y, max_terms=1200)
+    got = hyper._sums([hyper._Series(p, q, c, max_terms=1200)], y)[0]
     assert [ys.size for _, ys in fills[:2]] == [block, 1]
     assert len(fills) > 2, "no point took the re-pass"
     assert all(nbytes <= hyper._TABLE_BYTES for nbytes, _ in fills)
@@ -275,7 +276,7 @@ def test_conjugate_pair_connection_against_mpmath(rho, lam, c):
     # doubles its real part
     a = complex(rho, lam) / 2.0
     xs = np.array([-3.5, -50.0, -2500.0])
-    got = gauss_2f1_neg(a, a.conjugate(), c, xs)
+    got = gauss_2f1_neg([a], [a.conjugate()], c, xs)[0]
     mpmath.mp.dps = 30
     for x, value in zip(xs, got):
         ref = float(mpmath.re(mpmath.hyp2f1(a, a.conjugate(), c, x)))
@@ -301,26 +302,42 @@ def test_principal_frequency_bound_against_mpmath(group):
 
 
 def test_several_triples_in_one_call():
-    # one row per triple, each equal to that triple's own call up to the
+    # one row per pair, each equal to that pair's own call up to the
     # rounding of the shared matrix product, which the lam = 16 conjugate
-    # pair's cancelling Pfaff series magnifies; a scalar argument is
-    # shared, and x keeps its shape in every row
+    # pair's cancelling Pfaff series magnifies; c is shared, and x keeps
+    # its shape in every row
     xs = np.array([[-0.2, -2.5], [-7.0, -1e4]])
-    triples = [(0.35, 0.95, 1.0), (0.5 + 8.0j, 0.5 - 8.0j, 1.5), (1.5, 0.5, 1.5), (0.0, 0.3, 2.0)]
+    pairs = [(0.35, 0.95), (0.5 + 8.0j, 0.5 - 8.0j), (1.5, 0.5), (0.0, 0.3)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateParamWarning)  # 1.5 - 0.5 is an integer
-        rows = gauss_2f1_neg(*zip(*triples), xs)
+        rows = gauss_2f1_neg(*zip(*pairs), 1.5, xs)
         assert rows.shape == (4, 2, 2) and rows.dtype == np.float64
-        for row, triple in zip(rows, triples):
-            np.testing.assert_allclose(row, gauss_2f1_neg(*triple, xs), rtol=1e-13, atol=0.0)
+        for row, (a, b) in zip(rows, pairs):
+            np.testing.assert_allclose(row, gauss_2f1_neg([a], [b], 1.5, xs)[0], rtol=1e-13, atol=0.0)
     shared = gauss_2f1_neg([0.35, 0.95], [0.95, 0.35], 1.0, -5.0)
     assert shared.shape == (2,)
     assert shared[0] == pytest.approx(shared[1], rel=1e-14)
-    # a complex row makes the whole result complex, and leaves the real rows real
-    mixed = gauss_2f1_neg([0.35, 0.5 + 1.0j], [0.95, 0.25], 1.0, xs)
-    assert mixed.dtype == np.complex128 and not mixed[0].imag.any()
+
+
+@pytest.mark.parametrize(
+    "a, b, c",
+    [
+        ([0.35, 0.5 + 1.0j], [0.95, 0.5 - 0.9j], 1.0),  # complex, not a conjugate pair
+        ([0.35, 0.5 + 1.0j], [0.95, 0.25], 1.0),  # complex a with real b: no real row
+        ([0.5 + 1.0j], [0.5 - 1.0j], 1.5 + 0.5j),  # complex c
+        ([0.5 + 1.0j], [0.5 - 1.0j], 1.5 + 0.0j),  # complex c, even with no imaginary part
+        ([0.35, 0.5], [0.95], 1.0),  # unequal lengths
+    ],
+)
+def test_outside_domain_rejected_before_any_work(a, b, c, monkeypatch):
+    # each pair must be real or conjugate, c real, and a and b of one length
+    def refuse(triples, x):
+        raise AssertionError("series work began")
+
+    monkeypatch.setattr(hyper, "_pfaff_rows", refuse)
+    monkeypatch.setattr(hyper, "_connection_rows", refuse)
     with pytest.raises(ValidationError):
-        gauss_2f1_neg([0.35, 0.5], [0.95], 1.0, xs)
+        gauss_2f1_neg(a, b, c, np.array([-0.5, -50.0]))
 
 
 @pytest.mark.parametrize("group, s", [(make_group("sp", 2), 4.5), (make_group("f4"), 9.9), (make_group("f4"), 7.3)])
@@ -333,7 +350,7 @@ def test_real_connection_against_mpmath_at_negative_gamma_arguments(group, s):
     for shift in (0.0, 1.0):
         a, b, c = (group.rho + s) / 2.0 + shift, (group.rho - s) / 2.0 + shift, group.alpha + 1.0 + shift
         assert b - a < 0.0 and c - a < 0.0
-        got = gauss_2f1_neg(a, b, c, xs)
+        got = gauss_2f1_neg([a], [b], c, xs)[0]
         assert got.dtype == np.float64
         for x, value in zip(xs, got):
             ref = float(mpmath.hyp2f1(a, b, c, x))

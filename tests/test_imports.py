@@ -3,9 +3,10 @@
 An import counts as used if the module reads it or its import line carries
 "# noqa: F401".  The package's __init__ is left out: its imports are the
 re-exported API, each listed once in rankone.__all__, the one list of
-public names.  A module-level _PRIVATE constant must be read somewhere in
-the package.  A method defined on a class must be read, as an attribute or
-a string, in the package, the benchmark or the tests.
+public names.  A module-level _PRIVATE constant, function or class must be
+read somewhere in the package, so no private helper lives on for the tests
+alone.  A method defined on a class must be read, as an attribute or a
+string, in the package, the benchmark or the tests.
 """
 
 import ast
@@ -74,8 +75,7 @@ def _constants(tree: ast.Module) -> set:
     }
 
 
-def test_no_unread_private_constants():
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in _PACKAGE]
+def _read_in_package(trees: list) -> set:
     read = set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -83,9 +83,27 @@ def test_no_unread_private_constants():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
+    return read
+
+
+def test_no_unread_private_constants():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in _PACKAGE]
     defined = set().union(*(_constants(tree) for tree in trees))
     assert defined, "no private constants found"
-    assert sorted(defined - read) == []
+    assert sorted(defined - _read_in_package(trees)) == []
+
+
+def test_every_private_function_and_class_is_read_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in _PACKAGE}
+    defined = {
+        f"{module}.{node.name}": node.name
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    }
+    read = _read_in_package(list(trees.values()))
+    assert len(defined) > 20, "too few private functions found"
+    assert sorted(name for name, bare in defined.items() if bare not in read) == []
 
 
 def test_every_method_is_read():
