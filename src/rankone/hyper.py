@@ -263,8 +263,11 @@ def _sums(series: list, y: np.ndarray) -> list:
     _ratio_bound), so with r = R_N |y| < 1 the tail after term N is at most
     |c_N| |y|^N r / (1 - r).  Each series starts with the first count whose
     bound at max|y| is below 1e-16, and all are summed from one power table.
-    Then every point must have its own bound below 1e-16 of its |sum|; the
-    points that miss get more terms and another pass of that series alone.
+    Then every point must have its own bound below 1e-16 of its |sum|.  A
+    first screen flags the points whose |sum| is small enough to miss
+    against the bound at max|y|, and the per-point check runs on those
+    only, so a series with none flagged skips it.  The points that miss get
+    more terms and another pass of that series alone.
     ConvergenceError is raised when max_terms terms do not suffice.
     """
     v = float(np.max(np.abs(y), initial=0.0))
@@ -273,7 +276,7 @@ def _sums(series: list, y: np.ndarray) -> list:
     for s, total, bound in zip(series, totals, bounds):
         # A point's own bound is at most `bound`, so only small sums can miss.
         idx = np.flatnonzero(_SERIES_TOL * np.abs(total) < bound)
-        while True:
+        while idx.size:
             idx = idx[s.misses(y[idx], total[idx])]
             if not idx.size:
                 break

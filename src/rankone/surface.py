@@ -88,11 +88,11 @@ def _so21_radius(t, u):
 
 
 def _draw_cartan(t, rng, n):
-    # Draw order is fixed: theta1, theta2, then the radial uniform.
-    theta1 = rng.uniform(0.0, math.pi, n)
-    theta2 = rng.uniform(0.0, math.pi, n)
-    u = rng.uniform(0.0, 1.0, n)
-    return theta1, theta2, _so21_radius(t, u)
+    # Draw order is fixed: theta1, theta2, then the radial uniform.  The
+    # angles are one (2, n) block of the stream, scaled to [0, pi) in place.
+    thetas = rng.random((2, n))
+    thetas *= math.pi
+    return thetas[0], thetas[1], _so21_radius(t, rng.random(n))
 
 
 # --------------------------------------------------------------------------
@@ -121,13 +121,13 @@ def _certify_word(x_in, y_in, x, y, word):
     # fails the check instead of slipping past "any error too large".
     r2 = np.square(x)
     r2 += np.square(y)
-    if not (np.max(np.abs(x)) <= 0.5 + 1e-12 and np.min(r2) >= 1.0 - 1e-12):
+    if not (np.abs(x).max() <= 0.5 + 1e-12 and r2.min() >= 1.0 - 1e-12):
         raise ConvergenceError("reduction left a point outside the domain")
     # In range |ad| and |bc| stay below 2^53, so both products and their
     # difference are exact.
     det = wa * wd
     det -= wb * wc
-    if not np.all(det == 1.0):
+    if not (det == 1.0).all():
         raise ConvergenceError("accumulated word does not have determinant 1")
     # The word's image of the input: (a z + b) / (c z + d), with c z + d = p + i q.
     p = wc * x_in
@@ -156,7 +156,7 @@ def _certify_word(x_in, y_in, x, y, word):
     scale += 1.0
     scale *= y
     num /= scale
-    worst = float(np.max(num)) / (_WORD_K * _EPS)
+    worst = float(num.max()) / (_WORD_K * _EPS)
     if not worst <= 1.0:
         raise ConvergenceError("accumulated word does not reproduce the reduced point")
     return worst
@@ -182,15 +182,15 @@ def _reduce_batch(x, y):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # 2 cosh d(i, z) = (x^2 + 1) / y + y; NaN and infinities fail it.
         in_range = (y_in > 0.0) & ((x_in * x_in + 1.0) / y_in + y_in <= _TWO_COSH_REACH)
-    if not np.all(in_range):
+    if not in_range.all():
         raise ValidationError(f"points to reduce must lie within hyperbolic distance {_REACH:g} of i")
     x = x_in.copy()
     y = y_in.copy()
     size = x.size
-    wa = np.ones_like(x)
-    wb = np.zeros_like(x)
-    wc = np.zeros_like(x)
-    wd = np.ones_like(x)
+    wa = np.ones(size)
+    wb = np.zeros(size)
+    wc = np.zeros(size)
+    wd = np.ones(size)
     n = np.empty_like(x)
     r2 = np.empty_like(x)
     tmp = np.empty_like(x)
@@ -377,7 +377,7 @@ def _run_chunk(t, base, obs, seq, size):
         x, y = _orbit_xy(theta1[block], theta2[block], tau[block], base.x, base.y)
         xr, yr, _ = _reduce_batch(x, y)
         values[block] = obs.eval_batch(xr, yr)
-    return float(np.sum(values)), float(np.sum(values * values))
+    return float(values.sum()), float((values * values).sum())
 
 
 _DEFAULT_BASE = HPoint(0.1, 1.3)
@@ -436,8 +436,12 @@ def mc_average(
     _check_reach(t, base)
     label = obs.label()
     sizes = _chunk_sizes(n, _CHUNK)
-    seqs = np.random.SeedSequence(seed).spawn(len(sizes))
-    partials = [_run_chunk(float(t), base, obs, seq, size) for seq, size in zip(seqs, sizes)]
+    # Chunk i draws from the i-th child of SeedSequence(seed), the one its
+    # spawn() would return.
+    partials = [
+        _run_chunk(float(t), base, obs, np.random.SeedSequence(seed, spawn_key=(i,)), size)
+        for i, size in enumerate(sizes)
+    ]
     total = sum(p[0] for p in partials)
     total_sq = sum(p[1] for p in partials)
     estimate = total / n

@@ -7,7 +7,7 @@ configurations live in rankone.acceptance; nothing here may weaken them.
 
 import pytest
 
-from rankone import acceptance, cli
+from rankone import acceptance, cli, model
 from rankone.errors import ConvergenceError, ValidationError
 
 
@@ -52,6 +52,15 @@ def test_criterion_08_direction():
 
 def test_criterion_09_grid_summability():
     _check(acceptance.criterion_grid_summability)
+
+
+def test_criterion_09_fails_on_a_closed_form_off_by_1e_10(monkeypatch):
+    # the enumeration gap, about 1e-10, is above the criterion's 1e-12
+    closed = model._interval_sum_closed
+    monkeypatch.setattr(model, "_interval_sum_closed", lambda delta, m: closed(delta, m) * (1.0 + 1e-10))
+    result = acceptance.criterion_grid_summability()
+    assert not result.passed, result.line()
+    assert " FAIL " in result.line()
 
 
 def test_criterion_10_mc_ergodic():

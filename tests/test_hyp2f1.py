@@ -270,6 +270,28 @@ def test_series_sum_over_two_blocks_against_mpmath(case, monkeypatch):
         assert abs(got[i] - ref) <= 1e-14 * max(1.0, abs(ref)), (case, y[i])
 
 
+def test_sums_skip_the_per_point_check_when_no_point_is_flagged(monkeypatch):
+    # Positive parameters at y in [0, 1/2]: every sum is at least 1, far
+    # above the tail bound at max|y|, so the first screen flags no point.
+    calls = []
+    misses = hyper._Series.misses
+
+    def spy(self, ys, sums):
+        calls.append(ys.size)
+        return misses(self, ys, sums)
+
+    monkeypatch.setattr(hyper._Series, "misses", spy)
+    params = [(0.5, 0.7, 1.5), (1.2, 0.3, 2.0)]
+    y = np.linspace(0.0, 0.5, 201)
+    got = hyper._sums([hyper._Series(p, q, c, max_terms=300) for p, q, c in params], y)
+    assert calls == []
+    mpmath.mp.dps = 30
+    for (p, q, c), row in zip(params, got):
+        for i in range(0, y.size, 50):
+            ref = float(mpmath.hyp2f1(p, q, c, y[i]))
+            assert abs(row[i] - ref) <= 1e-14 * ref, (p, q, c, y[i])
+
+
 @pytest.mark.parametrize("rho, lam, c", [(1.0, 5.0, 1.5), (2.0, 0.3, 2.5), (3.0, 9.3, 2.0), (11.0, 7.0, 8.5)])
 def test_conjugate_pair_connection_against_mpmath(rho, lam, c):
     # b = conj(a), c real: the connection formula evaluates one term and

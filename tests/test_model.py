@@ -232,6 +232,19 @@ def test_time_grid_structure():
     assert len(m1) == 2 and m1[0] == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("m_max", [2, 40])
+def test_time_grid_matches_block_concatenation(m_max):
+    # the one-array fill gives the bits of the list-of-blocks construction
+    blocks = [np.array([1.0])]
+    for m in range(1, m_max + 1):
+        q = model._interval_count(0.5, m)
+        blocks.append(m + np.arange(1, q + 1, dtype=np.float64) / q)
+    expected = np.concatenate(blocks)
+    ts = time_grid(0.5, m_max)
+    assert ts.dtype == expected.dtype and ts.shape == expected.shape
+    assert ts.tobytes() == expected.tobytes()
+
+
 def test_time_grid_growth_capped(monkeypatch):
     with pytest.raises(ValidationError, match="above the cap"):
         time_grid(2.0, 60)
@@ -275,6 +288,27 @@ def _interval_sum_mpmath(delta: float, m: int, q: int) -> float:
             1 + y - (q + 1) ** 2 * y**q + (2 * q * q + 2 * q - 1) * y ** (q + 1) - q * q * y ** (q + 2)
         ) / (1 - y) ** 3
         return float(mpmath.exp(-mpmath.mpf(delta) * m) * (m * m * g0 + 2 * m * g1 / q + g2 / q**2))
+
+
+@pytest.mark.parametrize("delta", [0.45, 0.5, 0.55])
+@pytest.mark.parametrize("m", [1, 20, 40])
+def test_interval_enumerate_matches_the_array_expression(delta, m):
+    # the in-place buffers give the bits of the plain elementwise expression
+    q = model._interval_count(delta, m)
+    points = m + np.arange(1, q + 1, dtype=np.float64) / q
+    terms = points**2 * np.exp(-delta * points)
+    esum, worst = model._interval_enumerate(delta, m)
+    assert np.float64(esum).tobytes() == np.sum(terms).tobytes()
+    assert np.float64(worst).tobytes() == np.max(terms).tobytes()
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-2, 0.05, 0.5])
+@pytest.mark.parametrize("m", [1, 10, 40])
+def test_interval_sum_closed_against_mpmath(delta, m):
+    # below delta = 0.1 the closed form's numerators would cancel to about
+    # delta^2 and delta^3; the series form keeps every digit
+    exact = _interval_sum_mpmath(delta, m, model._interval_count(delta, m))
+    assert model._interval_sum_closed(delta, m) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 # largest = floor(2 (ln delta + 100 ln 10) / delta), the last m_max with
