@@ -68,10 +68,23 @@ class HPoint:
 
 def _mobius_xy(a, b, c, d, x, y):
     # Real Moebius action with the imaginary part written explicitly as
-    # det * y / |cz + d|^2, which keeps it positive for det = 1.
-    den = (c * x + d) ** 2 + (c * y) ** 2
-    xn = (a * x + b) * (c * x + d) + a * c * y * y
-    return xn / den, y / den
+    # det * y / |cz + d|^2, which keeps it positive for det = 1.  With
+    # cz + d = p + i c y, p is formed once; the arguments are not written.
+    p = c * x
+    p += d
+    den = p * p
+    cy = c * y
+    cy *= cy
+    den += cy
+    xn = a * x
+    xn += b
+    xn *= p
+    acyy = a * c
+    acyy *= y
+    acyy *= y
+    xn += acyy
+    xn /= den
+    return xn, y / den
 
 
 def _dist_xy(x1, y1, x2, y2):
@@ -165,6 +178,11 @@ def _certify_word(x_in, y_in, x, y, word):
 def _reduce_batch(x, y):
     """Fold points into {|Re| <= 1/2, |z| >= 1}, accumulating the word.
 
+    The input is translated into the strip |Re| <= 1/2 once, and each
+    sweep then applies S to the points with |z| < 1 together with the
+    translation that brings them back to the strip; a point that did not
+    take S is not translated again.
+
     The range is every point within hyperbolic distance 28 of i, that is
     (x^2 + 1) / y + y <= 2 cosh 28: for x in [-1/2, 1/2] it holds every y
     in [1e-12, 1e12].  A point outside it, or not finite, is rejected with
@@ -184,54 +202,74 @@ def _reduce_batch(x, y):
         in_range = (y_in > 0.0) & ((x_in * x_in + 1.0) / y_in + y_in <= _TWO_COSH_REACH)
     if not in_range.all():
         raise ValidationError(f"points to reduce must lie within hyperbolic distance {_REACH:g} of i")
-    x = x_in.copy()
+    # T^{-m}, m = rint(x), applied to the input and the identity word;
+    # 0.0 - m, not -m, gives the +0.0 that translating a zero entry gives.
+    m = np.rint(x_in)
+    x = x_in - m
     y = y_in.copy()
     size = x.size
     wa = np.ones(size)
-    wb = np.zeros(size)
+    wb = np.subtract(0.0, m)
     wc = np.zeros(size)
     wd = np.ones(size)
-    n = np.empty_like(x)
     r2 = np.empty_like(x)
     tmp = np.empty_like(x)
     inside = np.empty(x.shape, dtype=bool)
+    np.square(x, out=r2)
+    np.square(y, out=tmp)
+    r2 += tmp
     for _ in range(_SWEEP_CAP):
-        # Every point is translated each sweep: one already in the strip
-        # gets n = 0 and keeps its coordinates and word, so no mask of
-        # finished points is needed.
-        np.rint(x, out=n)
-        x -= n
-        # T^{-n} on the left: top row picks up -n times the bottom row.
-        np.multiply(n, wc, out=tmp)
-        wa -= tmp
-        np.multiply(n, wd, out=tmp)
-        wb -= tmp
-        np.square(x, out=r2)
-        np.square(y, out=tmp)
-        r2 += tmp
+        # Every point is in the strip |x| <= 1/2 here, and r2 is its
+        # |z|^2: only S takes a point out of the strip, and the translation
+        # that goes with S brings back the points that took it.
         np.less(r2, _DOMAIN_EDGE, out=inside)
         count = np.count_nonzero(inside)
         if count == 0:
             break
+        # S and the T^{-n} after it in one step: with v = x / |z|^2 the
+        # image -v + i y / |z|^2 takes n = rint(-v) = -m for m = rint(v),
+        # so x becomes m - v, and the word's rows (a, b), (c, d) become
+        # m (a, b) - (c, d) and (a, b).
         if 2 * count > size:
             # Most points take S: apply it to the whole arrays, then put
             # back the few that should not have taken it.
             keep = np.flatnonzero(np.logical_not(inside, out=inside))
             saved = x[keep], y[keep], wa[keep], wb[keep], wc[keep], wd[keep]
             x /= r2
-            np.negative(x, out=x)
             y /= r2
-            # S on the left swaps the rows with a sign.
-            np.negative(wc, out=wc)
-            np.negative(wd, out=wd)
+            np.rint(x, out=m)
+            np.subtract(m, x, out=x)
+            np.multiply(m, wa, out=tmp)
+            np.subtract(tmp, wc, out=wc)
+            np.multiply(m, wb, out=tmp)
+            np.subtract(tmp, wd, out=wd)
             wa, wb, wc, wd = wc, wd, wa, wb
             x[keep], y[keep], wa[keep], wb[keep], wc[keep], wd[keep] = saved
+            np.square(x, out=r2)
+            np.square(y, out=tmp)
+            r2 += tmp
         else:
+            # Few points take S: gather them, and scatter back their new
+            # point, word and |z|^2.
             idx = np.flatnonzero(inside)
             r2i = r2[idx]
-            x[idx] = -x[idx] / r2i
-            y[idx] = y[idx] / r2i
-            wa[idx], wb[idx], wc[idx], wd[idx] = -wc[idx], -wd[idx], wa[idx], wb[idx]
+            xi = x[idx]
+            xi /= r2i
+            mi = np.rint(xi)
+            np.subtract(mi, xi, out=xi)
+            yi = y[idx]
+            yi /= r2i
+            x[idx] = xi
+            y[idx] = yi
+            a, b = wa[idx], wb[idx]
+            wa[idx] = mi * a - wc[idx]
+            wb[idx] = mi * b - wd[idx]
+            wc[idx] = a
+            wd[idx] = b
+            np.square(xi, out=xi)
+            np.square(yi, out=yi)
+            xi += yi
+            r2[idx] = xi
     else:
         raise ConvergenceError("reduction did not terminate within the iteration cap")
     word = (wa, wb, wc, wd)
@@ -279,6 +317,9 @@ class DiskIndicator:
         to_circle = (cx * cx + cy * cy - 1.0) / (2.0 * cy)
         if min(to_lines, to_circle) < sr:
             raise ValidationError("disk must be contained in the fundamental domain")
+        # d(z, c) < r iff |z - c|^2 < 4 y c_y sinh^2(r/2) = y * _scale: the
+        # quantity _dist_xy forms before its arcsinh, compared squared.
+        self._scale = 4.0 * cy * math.sinh(0.5 * self.radius) ** 2
 
     def label(self) -> str:
         return f"disk:{self.center.x:g},{self.center.y:g},{self.radius:g}"
@@ -287,8 +328,12 @@ class DiskIndicator:
         return 2.0 * math.pi * (math.cosh(self.radius) - 1.0) / _SURFACE_AREA
 
     def eval_batch(self, x, y):
-        d = _dist_xy(np.asarray(x), np.asarray(y), self.center.x, self.center.y)
-        return (d < self.radius).astype(np.float64)
+        q = np.subtract(x, self.center.x)
+        q *= q
+        dy = np.subtract(y, self.center.y)
+        dy *= dy
+        q += dy
+        return (q < np.multiply(y, self._scale)).astype(np.float64)
 
 
 class ConstantObservable:
@@ -355,10 +400,29 @@ def _orbit_xy(theta1, theta2, tau, x0, y0):
     """
     t1 = np.tan(theta1)
     t2 = np.tan(theta2)
-    s = np.exp(-tau)
+    s = np.negative(tau)
+    np.exp(s, out=s)
     u = t2 * s
-    x, y = _mobius_xy(s - t2 * t1, s * t1 + t2, -(u + t1), 1.0 - u * t1, x0, y0)
-    return x, y * (s * (1.0 + t1 * t1) * (1.0 + t2 * t2))
+    # The matrix [[s - t2 t1, s t1 + t2], [-(u + t1), 1 - u t1]], u = t2 s,
+    # built in place.
+    a = t2 * t1
+    np.subtract(s, a, out=a)
+    b = s * t1
+    b += t2
+    c = u + t1
+    np.negative(c, out=c)
+    np.multiply(u, t1, out=u)
+    d = np.subtract(1.0, u, out=u)
+    x, y = _mobius_xy(a, b, c, d, x0, y0)
+    # y times the determinant s (1 + t1^2)(1 + t2^2).
+    np.square(t1, out=t1)
+    t1 += 1.0
+    np.square(t2, out=t2)
+    t2 += 1.0
+    s *= t1
+    s *= t2
+    y *= s
+    return x, y
 
 
 def _run_chunk(t, base, obs, seq, size):

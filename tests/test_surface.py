@@ -44,6 +44,47 @@ def test_tiny_disk_rejects_point_outside_it():
     np.testing.assert_array_equal(disk.eval_batch(np.zeros(3), ys), [0.0, 1.0, 1.0])
 
 
+def _dist_mp(x, y, cx, cy):
+    with mpmath.workdps(50):
+        x, y = mpmath.mpf(float(x)), mpmath.mpf(float(y))
+        return 2 * mpmath.asinh(mpmath.sqrt(((x - cx) ** 2 + (y - cy) ** 2) / (4 * y * cy)))
+
+
+@pytest.mark.parametrize("cx, cy, r", [(0.0, 1.5, 0.25), (0.1, 1.3, 0.2), (0.0, 1.5, 1e-8)])
+def test_disk_predicate_against_mpmath_on_rings(cx, cy, r):
+    # points on the circles of hyperbolic radius r (1 -+ 1e-9) about the
+    # centre, rounded to float; the reference is the distance of the
+    # rounded point itself
+    disk = DiskIndicator(HPoint(cx, cy), r)
+    phi = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    for rho in (r * (1.0 - 1e-9), r * (1.0 + 1e-9)):
+        with mpmath.workdps(50):
+            ch, sh = mpmath.cosh(rho), mpmath.sinh(rho)
+            xs = np.array([float(cx + cy * sh * mpmath.sin(p)) for p in phi])
+            ys = np.array([float(cy * ch + cy * sh * mpmath.cos(p)) for p in phi])
+        want = np.array([_dist_mp(x, y, cx, cy) < r for x, y in zip(xs, ys)], dtype=np.float64)
+        np.testing.assert_array_equal(disk.eval_batch(xs, ys), want)
+        if r > 1e-6:
+            # at these radii rounding does not carry a point across the circle
+            assert np.all(want == (rho < r))
+
+
+def test_disk_predicate_matches_distance_on_orbit_points():
+    # the squared comparison decides d < r exactly as the distance does,
+    # on 2^20 reduced Monte Carlo orbit points
+    xs, ys = [], []
+    for seed, t in enumerate((2.0, 4.5, 7.0, 10.0)):
+        x, y, _ = surface._reduce_batch(*_orbit_points(t, 2**18, 30 + seed))
+        xs.append(x)
+        ys.append(y)
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    for cx, cy, r in ((0.0, 1.5, 0.25), (0.1, 1.3, 0.2)):
+        got = DiskIndicator(HPoint(cx, cy), r).eval_batch(x, y)
+        want = surface._dist_xy(x, y, cx, cy) < r
+        assert np.count_nonzero(want) > 10**4
+        np.testing.assert_array_equal(got, want.astype(np.float64))
+
+
 def test_distance_closed_forms():
     # vertical geodesic: d(i, e*i) = 1
     assert surface._dist_xy(0.0, 1.0, 0.0, math.e) == pytest.approx(1.0, rel=1e-14)
@@ -155,31 +196,80 @@ def _orbit_mp(theta1, theta2, tau, x0, y0):
         return float(w.real), float(w.imag)
 
 
-@pytest.mark.parametrize("t", [1e-9, 2.0, 10.0, 15.0])
-def test_orbit_map_matches_mpmath(t):
-    # the tangent-form map against the rotation-matrix product in mpmath,
-    # on the sampler's draws and on the angles where tan is 0 or huge
+def _orbit_draws(t):
+    # the sampler's draws and the angles where tan is 0 or huge
     theta1, theta2, tau = surface._draw_cartan(t, np.random.default_rng(17), 300)
     edges = [0.0, math.nextafter(math.pi / 2, 0.0), math.pi / 2, math.nextafter(math.pi / 2, 4.0), math.nextafter(math.pi, 0.0)]
     pairs = [(a, b, r) for a in edges for b in edges for r in (0.0, t)]
     theta1 = np.concatenate([theta1, [p[0] for p in pairs]])
     theta2 = np.concatenate([theta2, [p[1] for p in pairs]])
     tau = np.concatenate([tau, [p[2] for p in pairs]])
-    for x0, y0 in ((0.1, 1.3), (-0.37, 0.6)):
+    return theta1, theta2, tau
+
+
+_ORBIT_BASES = ((0.1, 1.3), (-0.37, 0.6))
+
+
+@pytest.mark.parametrize("t", [1e-9, 2.0, 10.0, 15.0])
+def test_orbit_map_matches_mpmath(t):
+    # the tangent-form map against the rotation-matrix product in mpmath
+    theta1, theta2, tau = _orbit_draws(t)
+    for x0, y0 in _ORBIT_BASES:
         x, y = surface._orbit_xy(theta1, theta2, tau, x0, y0)
         ref = np.array([_orbit_mp(a, b, r, x0, y0) for a, b, r in zip(theta1, theta2, tau)])
         assert np.all(np.abs(x - ref[:, 0]) <= 1e-13 * np.maximum(1.0, np.abs(ref[:, 0])))
         assert np.all(np.abs(y - ref[:, 1]) <= 1e-13 * ref[:, 1])
 
 
+def _orbit_expression(theta1, theta2, tau, x0, y0):
+    # the orbit map written as one expression per entry, each temporary
+    # its own array: the in-place map must give these bits
+    t1 = np.tan(theta1)
+    t2 = np.tan(theta2)
+    s = np.exp(-tau)
+    u = t2 * s
+    a, b, c, d = s - t2 * t1, s * t1 + t2, -(u + t1), 1.0 - u * t1
+    den = (c * x0 + d) ** 2 + (c * y0) ** 2
+    x = ((a * x0 + b) * (c * x0 + d) + a * c * y0 * y0) / den
+    return x, y0 / den * (s * (1.0 + t1 * t1) * (1.0 + t2 * t2))
+
+
+@pytest.mark.parametrize("t", [1e-9, 2.0, 10.0, 15.0])
+def test_orbit_map_bits(t):
+    theta1, theta2, tau = _orbit_draws(t)
+    for x0, y0 in _ORBIT_BASES:
+        got = surface._orbit_xy(theta1, theta2, tau, x0, y0)
+        ref = _orbit_expression(theta1, theta2, tau, x0, y0)
+        for g, r in zip(got, ref):
+            assert np.array_equal(g.view(np.uint64), r.view(np.uint64))
+
+
+def _tie_points():
+    # S^{-1} w for w on the lines Re w = k + 1/2, and the points one ulp to
+    # either side in x: their S images land on a half-integer within
+    # rounding, where rint ties
+    wx, wy = np.meshgrid([0.5, -0.5, 1.5, -1.5, 2.5], [0.3, 0.9, 1.1, 2.0, 7.0])
+    r2 = wx * wx + wy * wy
+    x, y = (-wx / r2).ravel(), (wy / r2).ravel()
+    x = np.concatenate([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+    return x, np.tile(y, 3)
+
+
 @pytest.mark.parametrize("t", [0.01, 2.0, 6.0, 10.0, 15.0])
 def test_reduction_matches_masked_loop(t):
     # boundary points: the lines |x| = 1/2 (where rounding ties), the
-    # corners, and the unit circle
+    # corners, the unit circle, and points whose S image ties.  The
+    # reduction translates only the points that took S, so a word entry
+    # may differ from this loop, which translates every point, in the
+    # sign of a zero only; array_equal and the certificate do not see it.
     phi = np.linspace(math.pi / 3.0, 2.0 * math.pi / 3.0, 9)
-    edge_x = np.concatenate([[0.5, -0.5, 0.5, -0.5, 1.5, -2.5, 0.5, 0.5], np.cos(phi)])
-    edge_y = np.concatenate([[math.sqrt(3.0) / 2.0] * 2 + [0.3, 2.0, 0.7, 1.0, 1e-3, 1.0], np.sin(phi)])
-    for seed, size in enumerate((1, 1000, 8191, 8192, 8193, 65536)):
+    tie_x, tie_y = _tie_points()
+    edge_x = np.concatenate([[0.5, -0.5, 0.5, -0.5, 1.5, -2.5, 0.5, 0.5], np.cos(phi), tie_x])
+    edge_y = np.concatenate([[math.sqrt(3.0) / 2.0] * 2 + [0.3, 2.0, 0.7, 1.0, 1e-3, 1.0], np.sin(phi), tie_y])
+    # many of them take S at once, and S puts them on a half-integer exactly
+    r2 = tie_x * tie_x + tie_y * tie_y
+    assert np.count_nonzero((np.abs(tie_x) <= 0.5) & (r2 < 1.0) & (-tie_x / r2 % 1.0 == 0.5)) >= 10
+    for seed, size in enumerate((1, 2, 1000, 4097, 8191, 8192, 8193, 65536)):
         x, y = _orbit_points(t, size, seed)
         x, y = np.concatenate([x, edge_x]), np.concatenate([y, edge_y])
         got_x, got_y, got_word = surface._reduce_batch(x, y)
