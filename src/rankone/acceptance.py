@@ -127,7 +127,7 @@ def criterion_decay_certificates() -> CriterionResult:
 
 
 def criterion_ball_volume() -> CriterionResult:
-    """Quadrature against the closed-form volume and its growth constant.
+    """ball_volume against the separately coded H3 volume, and its growth constant.
 
     The normalized limit e^{-2t} m(B_t) of the closed form
     (sinh t cosh t - t)/2 is 1/8, which is the frozen expected value.

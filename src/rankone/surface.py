@@ -534,11 +534,11 @@ class KSResult:
 def ks_radial_test(t: float, n: int, seed: int) -> KSResult:
     """Compare the empirical law of the sampled radius with the Haar CDF.
 
-    The reference CDF is the volume profile's cdf on SO(2,1): one verified
-    quadrature pass of the density sinh(tau) over the sorted draws with t
-    appended, divided by m(B_t), so it shares no algebra with the
-    closed-form radius it audits.  The threshold 1.63 / sqrt(n) is the
-    asymptotic 1 percent critical value of the two-sided statistic.
+    The reference CDF is the volume profile's cdf on SO(2,1), read as 0
+    or 1 outside [0, t].  Its volumes, 2 sinh^2(tau/2), share algebra but
+    no code with _so21_radius, which inverts them; the tests check them
+    against a quadrature of the density.  The threshold 1.63 / sqrt(n) is
+    the asymptotic 1 percent critical value of the two-sided statistic.
     """
     if not t > 0.0:
         raise ValidationError("radius t must be positive")
@@ -550,7 +550,7 @@ def ks_radial_test(t: float, n: int, seed: int) -> KSResult:
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     _, _, tau = _draw_cartan(t, rng, n)
     tau = np.sort(tau)
-    cdf = profile.cdf(tau, float(t))
+    cdf = profile.cdf(np.clip(tau, 0.0, t), float(t))
     grid = np.arange(1, n + 1, dtype=np.float64) / n
     statistic = float(np.max(np.maximum(grid - cdf, cdf - (grid - 1.0 / n))))
     return KSResult(float(t), n, statistic, 1.63 / math.sqrt(n))

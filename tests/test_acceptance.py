@@ -7,7 +7,7 @@ configurations live in rankone.acceptance; nothing here may weaken them.
 
 import pytest
 
-from rankone import acceptance, cli, model
+from rankone import acceptance, ballavg, cli, model
 from rankone.errors import ConvergenceError, ValidationError
 
 
@@ -32,6 +32,15 @@ def test_criterion_03_decay_certificates():
 
 def test_criterion_04_ball_volume():
     _check(acceptance.criterion_ball_volume)
+
+
+def test_criterion_04_fails_on_volumes_off_by_1e_8(monkeypatch):
+    # every m(B_t) scaled by 1 + 1e-8, well above the criterion's 1e-10
+    kernel = ballavg._ball_volumes
+    monkeypatch.setattr(ballavg, "_ball_volumes", lambda group, radii: kernel(group, radii) * (1.0 + 1e-8))
+    result = acceptance.criterion_ball_volume()
+    assert not result.passed, result.line()
+    assert " FAIL " in result.line()
 
 
 def test_criterion_05_psi_asymptotics():

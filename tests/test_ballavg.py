@@ -20,7 +20,6 @@ import rankone
 from rankone import ballavg, spherical
 from rankone.ballavg import (
     _ball_volumes,
-    _panel_edges,
     ball_volume,
     build_volume_profile,
     delta,
@@ -31,7 +30,7 @@ from rankone.ballavg import (
     psi_on_grid,
     volume_regularity,
 )
-from rankone.errors import ConvergenceError, ValidationError
+from rankone.errors import ValidationError
 from rankone.groups import complementary, make_group, principal, trivial
 from rankone.hyper import DegenerateParamWarning, gauss_2f1_neg
 from rankone.spherical import MAX_PRINCIPAL_LAMBDA, spherical_fn_many
@@ -79,57 +78,78 @@ def test_volume_closed_form_grid(h3):
         assert ball_volume(h3, float(t)) == pytest.approx(_vol_oracle(t), rel=1e-10)
 
 
-def test_volume_quadrature_halving(h3, monkeypatch):
-    # panel refinement must not move the answer at the advertised accuracy
-    coarse = ball_volume(h3, 12.0)
-    monkeypatch.setattr(ballavg, "_PANEL_WIDTH", 0.125)
-    fine = ball_volume(h3, 12.0)
-    assert coarse == pytest.approx(fine, rel=1e-12)
+# Every case of the antiderivative: q = n2 odd (su, sp, f4), q even with
+# p = n1 + n2 odd (so:even, custom:101,100) and both even (so:odd,
+# custom:40,20 and custom:100,100), from one to 301 = 2 rho.
+_ORACLE_GROUPS = [
+    "so:2", "so:3", "so:4", "so:5", "so:6", "so:21", "so:40", "so:50", "so:51",
+    "su:2", "su:3", "su:20", "sp:2", "sp:9", "f4",
+    "custom:1,0", "custom:40,20", "custom:100,100", "custom:101,100",
+]
 
 
-def _count_passes(monkeypatch):
-    # panel count of every Delta evaluation, from the shape of its node
-    # array: one per pass of up to _PANEL_BLOCK panels
-    panels = []
-    original = ballavg.delta
+def _quadrature_volume(group, t: float):
+    # mpmath Gauss-Legendre quadrature of Delta at 20 digits.  Divided by
+    # Delta(t) the integrand is at most 1, as mpmath's absolute error
+    # control needs; the panels double in width away from t, where the
+    # integrand falls like e^{-2 rho (t - x)}.
+    with mpmath.workdps(20):
+        top = mpmath.mpf(t)
 
-    def counting(group, t):
-        panels.append(np.shape(t)[0])
-        return original(group, t)
+        def dens(x):
+            return mpmath.sinh(x) ** group.n1 * mpmath.sinh(2 * x) ** group.n2
 
-    monkeypatch.setattr(ballavg, "delta", counting)
-    return panels
-
-
-def test_volume_pass_evaluates_one_panel_block_at_a_time(h3, monkeypatch):
-    # Delta is held for at most _PANEL_BLOCK panels at once, however many
-    # radii the pass covers
-    panels = _count_passes(monkeypatch)
-    radii = np.random.default_rng(5).uniform(0.5, 6.0, 10**5)
-    volumes = _ball_volumes(h3, radii)
-    assert len(panels) > 1 and max(panels) <= ballavg._PANEL_BLOCK
-    oracle = (np.sinh(radii) * np.cosh(radii) - radii) / 2.0
-    np.testing.assert_allclose(volumes, oracle, rtol=1e-10)
+        peak = dens(top)
+        cuts = [mpmath.mpf(2) ** k / (2 * group.rho) for k in range(12)]
+        cuts = [0] + [y for y in cuts if y < top] + [top]
+        return peak * mpmath.quad(lambda y: dens(top - y) / peak, cuts, method="gauss-legendre")
 
 
-@pytest.mark.parametrize("name", ["so:2", "so:3", "so:5", "su:3", "sp:2", "f4"])
-def test_volume_passes_at_first_width(name, monkeypatch):
-    # the named groups need no refinement on a grid from near 0 to the radius bound
+@pytest.mark.parametrize("name", _ORACLE_GROUPS)
+def test_volume_matches_quadrature_oracle(name):
+    # 1e-3 up to 0.99 of the radius bound 700 / (2 rho); below the smallest
+    # normal double only absolute digits remain (custom:100,100 to t = 0.021)
     group = rankone.parse_group(name)
-    panels = _count_passes(monkeypatch)
-    _ball_volumes(group, np.linspace(1e-3, 690.0 / (2.0 * group.rho), 40))
-    assert len(panels) == 1
+    radii = np.geomspace(1e-3, 0.99 * 350.0 / group.rho, 10)
+    assert _ball_volumes(group, np.zeros(1))[0] == 0.0
+    for t, value in zip(radii, _ball_volumes(group, radii)):
+        exact = _quadrature_volume(group, float(t))
+        assert abs(value - exact) <= 1e-13 * exact + np.finfo(np.float64).tiny, (t, value, exact)
 
 
-@pytest.mark.parametrize("name", ["so:21", "so:40", "sp:9", "so:50", "custom:40,20"])
-def test_high_dimension_volume_passes_at_first_width(name, monkeypatch):
-    # for n1 + n2 > 19 the breaks at the ratio 1 + 6/(n1 + n2) near 0 let the
-    # 10-node check pass without refinement, however small the first radius
+def _series_cut(m: int) -> float:
+    # the radius where the bound tail x^N cosh^2 t on the omitted terms of
+    # I_2m's tanh^2 series reaches _SERIES_TOL, with x = tanh^2 t and tail
+    # the first omitted coefficient (1/2)_N / (m + 3/2)_N
+    n = ballavg._SERIES_TERMS
+    tail = math.prod((k + 0.5) / (k + m + 1.5) for k in range(n))
+    lo, hi = 0.0, 30.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if tail * math.tanh(mid) ** (2 * n) * math.cosh(mid) ** 2 <= ballavg._SERIES_TOL:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("name", ["so:3", "so:5", "so:21", "so:51"])
+def test_volume_series_and_exponential_sum_agree_at_the_cut(name, monkeypatch):
+    # so:(2m+1) has m(B_t) = I_2m(t): the series below the cut and the
+    # exponential sum above it, which agree to 1e-14 across it
     group = rankone.parse_group(name)
-    panels = _count_passes(monkeypatch)
-    for radii in ([1e-3], [0.01, 0.02], [5e-4, 0.3, 1.0]):
-        _ball_volumes(group, np.array(radii))
-    assert len(panels) == 3
+    radii = _series_cut((group.n1 + group.n2) // 2) * np.array([0.98, 0.999, 1.001, 1.02])
+    volumes = _ball_volumes(group, radii)
+    monkeypatch.setattr(ballavg, "_SERIES_TOL", math.inf)
+    series = _ball_volumes(group, radii)
+    # the same two series points as the default call, bit for bit
+    np.testing.assert_array_equal(volumes[:2], _ball_volumes(group, radii[:2]))
+    monkeypatch.setattr(ballavg, "_SERIES_TOL", 0.0)
+    exponential = _ball_volumes(group, radii)
+    np.testing.assert_array_equal(volumes[2:], exponential[2:])
+    np.testing.assert_allclose(series, exponential, rtol=1e-14, atol=0.0)
+    exact = [float(_quadrature_volume(group, float(t))) for t in radii]
+    np.testing.assert_allclose(volumes, exact, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("name", ["sp:9", "so:40", "so:50"])
@@ -141,18 +161,6 @@ def test_high_dimension_profile_builds(name):
     total = ball_volume(group, 1.0)
     np.testing.assert_allclose(profile.volume(radii), ball_volume(group, radii), rtol=0.0,
                                atol=1e-9 * total)
-
-
-def test_volume_refines_six_times_then_raises(h3, monkeypatch):
-    # with no tolerance the check never passes: six passes, from width 0.25
-    # and halving, on the breaks 0, 3 2^-8, ..., 3/2 and 3, then ConvergenceError
-    monkeypatch.setattr(ballavg, "_REL_TOL", 0.0)
-    panels = _count_passes(monkeypatch)
-    with pytest.raises(ConvergenceError, match="did not converge at t=3.0"):
-        ball_volume(h3, 3.0)
-    breaks = np.concatenate([[0.0], 3.0 * 0.5 ** np.arange(8, -1, -1)])
-    assert panels == [_panel_edges(breaks, 0.25 * 0.5**k).size - 1 for k in range(6)]
-    assert panels[0] == 17
 
 
 def test_volume_growth_constant(h3):
@@ -170,6 +178,30 @@ def test_volume_validation(h3):
     # an array of radii, zero included, gives each radius's volume
     want = [0.0, _vol_oracle(1.0), _vol_oracle(2.0)]
     np.testing.assert_allclose(ball_volume(h3, [0.0, 1.0, 2.0]), want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["so:2", "so:3", "su:3"])
+@pytest.mark.parametrize("radii", [[-1.0], [1.0, math.nan], [0.0, 1000.0], [math.inf]])
+def test_volume_validation_comes_first(name, radii, monkeypatch):
+    # a negative, NaN or over-bound radius is rejected before any volume work,
+    # on each of the three forms of the antiderivative
+    def refuse(*args, **kwargs):
+        raise AssertionError("volume work started before the radii were validated")
+
+    for kernel in ("_times_power", "_even_volumes"):
+        monkeypatch.setattr(ballavg, kernel, refuse)
+    with pytest.raises(ValidationError):
+        _ball_volumes(rankone.parse_group(name), np.array(radii))
+
+
+def test_volume_needs_radius_bound_of_one():
+    # 2 rho <= 700 keeps the tables in double range: so:701 (rho = 350) is
+    # the largest so group, and its volumes are positive and finite
+    volumes = _ball_volumes(rankone.parse_group("so:701"), np.array([0.1, 0.5, 0.999]))
+    assert np.all(np.isfinite(volumes)) and np.all(np.diff(volumes) > 0.0)
+    for name in ("so:702", "custom:1,350", "custom:3000,0"):
+        with pytest.raises(ValidationError, match=r"2 rho max\(t, 1\) <= 700"):
+            ball_volume(rankone.parse_group(name), 0.1)
 
 
 def test_volume_regularity_matches_difference_quotient(h3):
@@ -190,27 +222,6 @@ def test_profile_matches_direct_volume(h3):
     # 1e-9 of the total mass, the scale that inverse-CDF sampling sees
     for t in [1e-4, 0.01, 0.3, 1.7, 2.123456, 4.0, 5.999, 6.0]:
         assert abs(float(profile.volume(t)) - ball_volume(h3, t)) <= 1e-9 * total
-
-
-def test_panel_edges_match_linspace_loop():
-    # reference: each gap split by np.linspace, as a loop
-    def reference(breaks, width):
-        edges = [breaks[:1]]
-        for lo, hi in zip(breaks[:-1], breaks[1:]):
-            n = max(1, int(math.ceil((hi - lo) / width - 1e-12)))
-            edges.append(np.linspace(lo, hi, n + 1)[1:])
-        return np.concatenate(edges)
-
-    rng = np.random.default_rng(4)
-    for t_max in (1e-3, 0.7, 6.0, 8.37, 40.0):
-        radii = np.sort(rng.uniform(0.0, t_max, 25))
-        for breaks in (
-            np.array([0.0, t_max]),
-            np.concatenate([[0.0], radii, [t_max]]),
-            np.concatenate([[0.0], radii[:3], radii[:3], [t_max]]),  # repeated breaks
-        ):
-            for width in (0.25, 0.125, 0.1, 1.0):
-                np.testing.assert_array_equal(_panel_edges(breaks, width), reference(breaks, width))
 
 
 def _check_radii(t_max: float) -> np.ndarray:
@@ -262,17 +273,18 @@ def test_profile_sampling_distribution(h3):
 
 
 @pytest.fixture
-def no_quadrature(monkeypatch):
-    # any evaluation of Delta or a 2F1 means work started before validation
+def no_kernel_work(monkeypatch):
+    # any evaluation of Delta, a 2F1 or a ball volume means work started
+    # before validation
     def refuse(*args, **kwargs):
-        raise AssertionError("quadrature ran before its input was validated")
+        raise AssertionError("a kernel ran before its input was validated")
 
-    monkeypatch.setattr(rankone.ballavg, "delta", refuse)
-    monkeypatch.setattr(rankone.ballavg, "_jacobi_2f1", refuse)
+    for name in ("delta", "_jacobi_2f1", "_ball_volumes"):
+        monkeypatch.setattr(rankone.ballavg, name, refuse)
 
 
 @pytest.mark.parametrize("grid", [[math.nan], [math.nan, 2.0, 3.0], [1.0, math.nan, 3.0], [1.0, 2.0, math.nan]])
-def test_psi_rejects_nan_in_grid(h3, grid, no_quadrature):
+def test_psi_rejects_nan_in_grid(h3, grid, no_kernel_work):
     with pytest.raises(ValidationError):
         psi_on_grid(h3, principal(1.0), np.array(grid))
 
@@ -337,15 +349,17 @@ def test_profile_small_radius_on_so2():
 
 
 def test_import_loads_no_scipy():
-    # scipy is a test-only oracle and numpy.ma is never needed: neither the
-    # import nor an MC call nor a psi grid may pull them in
+    # scipy is a test-only oracle, and numpy.ma and numpy.polynomial are never
+    # needed: neither the import nor an MC call nor a psi grid nor a ball
+    # volume may pull them in
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rankone.__file__)))
     code = (
         "import sys, numpy as np, rankone as r\n"
         "r.mc_average(6.0, 4096, r.parse_observable('cusp:2'), seed=1)\n"
         "r.psi_on_grid(r.make_group('so', 3), r.principal(1.0), np.linspace(0.5, 4.0, 8))\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))"
+        "r.ball_volume(r.make_group('su', 3), np.linspace(0.0, 4.0, 8))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "             or m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'polynomial'])))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
@@ -413,7 +427,7 @@ def test_psi_is_one_2f1_per_radius(name, param, monkeypatch):
 
 
 def test_psi_is_one_volume_pass_per_grid(h3, monkeypatch):
-    # psi divides by one verified _ball_volumes pass over the whole grid
+    # psi divides by one _ball_volumes call over the whole grid
     calls = []
     original = ballavg._ball_volumes
 

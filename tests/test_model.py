@@ -106,12 +106,13 @@ def test_mean_report_grid_validation(spec, unit_f):
 @pytest.mark.parametrize("report", [theorem_mean_report, direction_convergence, deviation_on_grid])
 @pytest.mark.parametrize("grid", [[math.nan], [math.nan, 2.0, 3.0], [1.0, math.nan, 3.0], [1.0, 2.0, math.nan]])
 def test_reports_reject_nan_in_grid(spec, unit_f, report, grid, monkeypatch):
-    # any evaluation of Delta or a 2F1 means work started before validation
+    # any evaluation of Delta, a 2F1 or a ball volume means work started
+    # before validation
     def refuse(*args, **kwargs):
-        raise AssertionError("quadrature ran before the grid was validated")
+        raise AssertionError("a kernel ran before the grid was validated")
 
-    monkeypatch.setattr(rankone.ballavg, "delta", refuse)
-    monkeypatch.setattr(rankone.ballavg, "_jacobi_2f1", refuse)
+    for name in ("delta", "_jacobi_2f1", "_ball_volumes"):
+        monkeypatch.setattr(rankone.ballavg, name, refuse)
     with pytest.raises(ValidationError, match="time grid"):
         report(spec, unit_f, np.array(grid))
 

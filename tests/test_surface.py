@@ -678,8 +678,10 @@ def test_ks_radial_sampler():
     [
         lambda t, u: u * t,  # tau uniform on [0, t]
         lambda t, u: 0.99 * 2.0 * np.arcsinh(np.sqrt(u) * math.sinh(0.5 * t)),
+        # sinh(t) for sinh(t/2): draws leave the ball, and fail the statistic
+        lambda t, u: 2.0 * np.arcsinh(np.sqrt(u) * math.sinh(t)),
     ],
-    ids=["uniform", "shrunk"],
+    ids=["uniform", "shrunk", "full-angle"],
 )
 def test_ks_rejects_wrong_radial_law(t, mutant, monkeypatch):
     monkeypatch.setattr(surface, "_so21_radius", mutant)
