@@ -152,6 +152,47 @@ def test_volume_series_and_exponential_sum_agree_at_the_cut(name, monkeypatch):
     np.testing.assert_allclose(volumes, exact, rtol=1e-14, atol=0.0)
 
 
+def _count_delta_calls(monkeypatch):
+    # every evaluation of Delta, by the size of its argument; the closed form
+    # needs none
+    calls = []
+    original = ballavg.delta
+
+    def counting(group, t):
+        calls.append(np.size(t))
+        return original(group, t)
+
+    monkeypatch.setattr(ballavg, "delta", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["so:2", "so:3", "so:5", "su:3", "sp:2", "f4"])
+def test_volume_passes_at_first_width(name, monkeypatch):
+    # a grid from near 0 to the radius bound is one closed-form pass: no
+    # Delta evaluation, and each volume is the one its radius gets alone
+    group = rankone.parse_group(name)
+    calls = _count_delta_calls(monkeypatch)
+    radii = np.linspace(1e-3, 690.0 / (2.0 * group.rho), 40)
+    volumes = _ball_volumes(group, radii)
+    assert calls == []
+    assert np.all(np.isfinite(volumes)) and np.all(volumes > 0.0) and np.all(np.diff(volumes) > 0.0)
+    alone = np.array([_ball_volumes(group, np.array([t]))[0] for t in radii])
+    np.testing.assert_allclose(volumes, alone, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["so:21", "so:40", "sp:9", "so:50", "custom:40,20"])
+def test_high_dimension_volume_passes_at_first_width(name, monkeypatch):
+    # for n1 + n2 > 19, where Delta ~ t^(n1 + n2) near 0, small radii still
+    # need no Delta evaluation and keep 13 digits against the quadrature
+    group = rankone.parse_group(name)
+    calls = _count_delta_calls(monkeypatch)
+    for radii in ([1e-3], [0.01, 0.02], [5e-4, 0.3, 1.0]):
+        volumes = _ball_volumes(group, np.array(radii))
+        exact = [float(_quadrature_volume(group, t)) for t in radii]
+        np.testing.assert_allclose(volumes, exact, rtol=1e-13, atol=0.0)
+    assert calls == []
+
+
 @pytest.mark.parametrize("name", ["sp:9", "so:40", "so:50"])
 def test_high_dimension_profile_builds(name):
     # the profile is read at 1e-3, where Delta ~ t^(n1 + n2)
