@@ -1,10 +1,11 @@
 """Acceptance suite: the quantitative checks the package promises to pass.
 
 Each criterion function runs one self-contained check against frozen
-oracle values and returns a result record; run_all executes the full
-suite in order, and records a criterion that raises ValidationError or
-ConvergenceError as a FAIL.  The checks pin concrete groups, grids,
-seeds, and tolerances so that a pass is reproducible bit for bit.
+oracle values and returns its verdict, (passed, detail).  ALL_CRITERIA
+is the ordered table of (name, check, time budget); run_criterion
+numbers, names, times and records each one.  The checks pin concrete
+groups, grids, seeds, and tolerances so that a pass is reproducible bit
+for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,6 +41,8 @@ from .surface import (
     mc_average,
 )
 
+Verdict = Tuple[bool, str]
+
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -58,9 +61,8 @@ def _h3():
     return make_group("so", 3)
 
 
-def criterion_spherical_oracle() -> CriterionResult:
+def criterion_spherical_oracle() -> Verdict:
     """Closed-form check of the spherical functions on hyperbolic 3-space."""
-    start = time.perf_counter()
     group = _h3()
     ts = np.logspace(math.log10(0.01), math.log10(25.0), 200)
     worst = 0.0
@@ -72,16 +74,11 @@ def criterion_spherical_oracle() -> CriterionResult:
         vals = spherical_fn_many(group, principal(lam), ts)
         oracle = np.sin(lam * ts) / (lam * np.sinh(ts))
         worst = max(worst, float(np.max(np.abs(vals - oracle))))
-    elapsed = time.perf_counter() - start
-    passed = worst <= 1e-10 and elapsed < 10.0
-    return CriterionResult(
-        1, "spherical oracle", passed, f"worst abs err {worst:.2e}", elapsed
-    )
+    return worst <= 1e-10, f"worst abs err {worst:.2e}"
 
 
-def criterion_c_function() -> CriterionResult:
+def criterion_c_function() -> Verdict:
     """Scaled spherical values at t=40 against the gamma-factor constant."""
-    start = time.perf_counter()
     group = _h3()
     t = 40.0
     worst = 0.0
@@ -90,16 +87,11 @@ def criterion_c_function() -> CriterionResult:
         scaled = phi * math.exp((group.rho - s) * t)
         c = hc_c_function(group, complementary(s)).real
         worst = max(worst, abs(scaled - c) / abs(c), abs(c - 1.0 / s) * s)
-    elapsed = time.perf_counter() - start
-    passed = worst <= 1e-8
-    return CriterionResult(
-        2, "c-function consistency", passed, f"worst rel err {worst:.2e}", elapsed
-    )
+    return worst <= 1e-8, f"worst rel err {worst:.2e}"
 
 
-def criterion_decay_certificates() -> CriterionResult:
+def criterion_decay_certificates() -> Verdict:
     """Empirical decay constants are finite, and exactly 1 for the constants."""
-    start = time.perf_counter()
     group = _h3()
     params = [
         trivial(),
@@ -114,25 +106,18 @@ def criterion_decay_certificates() -> CriterionResult:
     certified = certify_decay_bound(group, params, grid)
     finite = all(math.isfinite(c) for _, c in certified)
     trivial_const = next(c for p, c in certified if p.is_trivial)
-    passed = finite and trivial_const == 1.0
-    elapsed = time.perf_counter() - start
     worst = max(c for _, c in certified)
-    return CriterionResult(
-        3,
-        "decay certificates",
-        passed,
-        f"max constant {worst:.4f}, constants exactly {trivial_const}",
-        elapsed,
-    )
+    return finite and trivial_const == 1.0, f"max constant {worst:.4f}, constants exactly {trivial_const}"
 
 
-def criterion_ball_volume() -> CriterionResult:
+def criterion_ball_volume() -> Verdict:
     """ball_volume against the separately coded H3 volume, and its growth constant.
 
     The normalized limit e^{-2t} m(B_t) of the closed form
     (sinh t cosh t - t)/2 is 1/8, which is the frozen expected value.
+    Both parts must hold to 1e-12, 35 times the oracle's own cancellation
+    at t = 0.1 (2.8e-14).
     """
-    start = time.perf_counter()
     group = _h3()
     worst = 0.0
     for t in np.linspace(0.1, 30.0, 60):
@@ -141,20 +126,12 @@ def criterion_ball_volume() -> CriterionResult:
         worst = max(worst, abs(v - oracle) / oracle)
     norm_limit = ball_volume(group, 30.0) * math.exp(-60.0)
     limit_err = abs(norm_limit - 0.125)
-    elapsed = time.perf_counter() - start
-    passed = worst <= 1e-10 and limit_err <= 1e-6
-    return CriterionResult(
-        4,
-        "ball volume",
-        passed,
-        f"worst rel err {worst:.2e}, normalized limit off by {limit_err:.2e}",
-        elapsed,
-    )
+    passed = worst <= 1e-12 and limit_err <= 1e-12
+    return passed, f"worst rel err {worst:.2e}, normalized limit off by {limit_err:.2e}"
 
 
-def criterion_psi_asymptotics() -> CriterionResult:
+def criterion_psi_asymptotics() -> Verdict:
     """Scaled ball averages settle on the elementary-integration constant."""
-    start = time.perf_counter()
     group = _h3()
     s = 0.5
     vals = psi_on_grid(group, complementary(s), np.array([30.0, 40.0]))
@@ -163,20 +140,11 @@ def criterion_psi_asymptotics() -> CriterionResult:
     limit = psi_asymptotic_constant(group, complementary(s))
     oracle = 8.0 / 3.0  # c(s) 2 rho / (rho + s) = 2 * 2 / 1.5 on H3
     limit_err = abs(limit - oracle)
-    elapsed = time.perf_counter() - start
-    passed = rel_diff < 1e-3 and limit_err <= 1e-6
-    return CriterionResult(
-        5,
-        "psi asymptotics",
-        passed,
-        f"scaled drift {rel_diff:.2e}, limit off by {limit_err:.2e}",
-        elapsed,
-    )
+    return rel_diff < 1e-3 and limit_err <= 1e-6, f"scaled drift {rel_diff:.2e}, limit off by {limit_err:.2e}"
 
 
-def criterion_shell_lipschitz() -> CriterionResult:
+def criterion_shell_lipschitz() -> Verdict:
     """Ball-average increments stay within the volume-shell bound."""
-    start = time.perf_counter()
     group = _h3()
     params = [trivial(), complementary(0.5), principal(1.0)]
     min_slack = math.inf
@@ -185,11 +153,7 @@ def criterion_shell_lipschitz() -> CriterionResult:
             for param in params:
                 jump, bound = psi_lipschitz_check(group, param, [t, t + eps])
                 min_slack = min(min_slack, float(bound[0] - jump[0]))
-    elapsed = time.perf_counter() - start
-    passed = min_slack >= -1e-9
-    return CriterionResult(
-        6, "shell Lipschitz bound", passed, f"min slack {min_slack:.2e}", elapsed
-    )
+    return min_slack >= -1e-9, f"min slack {min_slack:.2e}"
 
 
 def _reference_spectrum():
@@ -204,49 +168,35 @@ def _reference_spectrum():
     return spec, f
 
 
-def criterion_mean_envelope() -> CriterionResult:
+def criterion_mean_envelope() -> Verdict:
     """Spectral-model deviations stay under the drifting exponential envelope."""
-    start = time.perf_counter()
     spec, f = _reference_spectrum()
     grid = np.linspace(1.0, 40.0, 79)
     report = theorem_mean_report(spec, f, grid)
     refined = theorem_mean_report(spec, f, np.linspace(1.0, 40.0, 157))
     sup_change = abs(refined.sup_ratio - report.sup_ratio) / report.sup_ratio
     exponent_err = abs(report.fitted_exponent - (-0.6))
-    elapsed = time.perf_counter() - start
     passed = (
         math.isfinite(report.sup_ratio)
         and sup_change < 0.01
         and exponent_err <= 0.05
     )
-    return CriterionResult(
-        7,
-        "mean decay envelope",
-        passed,
-        f"sup {report.sup_ratio:.4f}, refinement drift {sup_change:.2e}, "
-        f"exponent {report.fitted_exponent:.4f}",
-        elapsed,
-    )
+    return passed, (f"sup {report.sup_ratio:.4f}, refinement drift {sup_change:.2e}, "
+                    f"exponent {report.fitted_exponent:.4f}")
 
 
-def criterion_direction() -> CriterionResult:
+def criterion_direction() -> Verdict:
     """Normalized deviation aligns with the leading nonconstant atom."""
-    start = time.perf_counter()
     spec, f = _reference_spectrum()
     dists = direction_convergence(spec, f, np.array([10.0, 20.0, 40.0]))
     final = float(dists[-1])
-    elapsed = time.perf_counter() - start
     passed = final < 1e-3 and bool(np.all(np.diff(dists) < 0))
-    return CriterionResult(
-        8, "direction convergence", passed, f"distance at t=40 is {final:.2e}", elapsed
-    )
+    return passed, f"distance at t=40 is {final:.2e}"
 
 
-def criterion_grid_summability() -> CriterionResult:
+def criterion_grid_summability() -> Verdict:
     """Refining-grid series is dominated termwise and Cauchy at the recorded M."""
-    start = time.perf_counter()
     report = finite_sum_check(0.5, 200, enumerate_limit=60)
-    elapsed = time.perf_counter() - start
     passed = (
         report.domination_checked_to == 60
         and report.domination_min_slack >= -1e-12
@@ -254,91 +204,77 @@ def criterion_grid_summability() -> CriterionResult:
         and report.cauchy_m == 100
         and report.cauchy_gap < 1e-6
     )
-    return CriterionResult(
-        9,
-        "grid summability",
-        passed,
-        f"min domination slack {report.domination_min_slack:.2e}, "
-        f"|S(200)-S(100)| = {report.cauchy_gap:.2e}",
-        elapsed,
-    )
+    return passed, (f"min domination slack {report.domination_min_slack:.2e}, "
+                    f"|S(200)-S(100)| = {report.cauchy_gap:.2e}")
 
 
-def criterion_mc_ergodic() -> CriterionResult:
+def criterion_mc_ergodic() -> Verdict:
     """Monte Carlo ball average converges to the space average."""
-    start = time.perf_counter()
     target = 3.0 / (2.0 * math.pi)
     run = mc_average(6.0, 1_000_000, CuspIndicator(2.0), 42)
     dev = abs(run.estimate - target)
     const = mc_average(6.0, 10_000, ConstantObservable(), 42)
     ks = ks_radial_test(6.0, 100_000, 42)
-    elapsed = time.perf_counter() - start
     passed = (
         dev <= 4.0 * run.standard_error
         and const.estimate == 1.0
         and const.standard_error == 0.0
         and ks.ok
-        and elapsed < 120.0
     )
-    return CriterionResult(
-        10,
-        "MC ergodic limit",
-        passed,
-        f"deviation {dev:.2e} vs 4se {4*run.standard_error:.2e}, "
-        f"KS {ks.statistic:.4f} < {ks.threshold:.4f}",
-        elapsed,
-    )
+    return passed, (f"deviation {dev:.2e} vs 4se {4*run.standard_error:.2e}, "
+                    f"KS {ks.statistic:.4f} < {ks.threshold:.4f}")
 
 
-def criterion_mc_decay_scan() -> CriterionResult:
+def criterion_mc_decay_scan() -> Verdict:
     """MC deviations across radii stay inside envelope or noise band."""
-    start = time.perf_counter()
     report = decay_scan(np.arange(2.0, 9.0), 1_000_000, CuspIndicator(2.0), 42)
     bounds = np.maximum(report.envelopes, 4.0 * report.stderrs)
     ok = bool(np.all(report.deviations <= bounds * (1.0 + 1e-12)))
-    elapsed = time.perf_counter() - start
     passed = ok and report.fitted_exponent is not None and report.fitted_exponent < 0.0
-    return CriterionResult(
-        11,
-        "MC decay scan",
-        passed,
-        f"envelope C {report.fitted_constant:.4f}, "
-        f"exponent {report.fitted_exponent:.3f}",
-        elapsed,
-    )
+    return passed, f"envelope C {report.fitted_constant:.4f}, exponent {report.fitted_exponent:.3f}"
 
 
-ALL_CRITERIA: List[Callable[[], CriterionResult]] = [
-    criterion_spherical_oracle,
-    criterion_c_function,
-    criterion_decay_certificates,
-    criterion_ball_volume,
-    criterion_psi_asymptotics,
-    criterion_shell_lipschitz,
-    criterion_mean_envelope,
-    criterion_direction,
-    criterion_grid_summability,
-    criterion_mc_ergodic,
-    criterion_mc_decay_scan,
+# Criterion n is entry n - 1: (name, check, time budget in seconds or None).
+ALL_CRITERIA: List[Tuple[str, Callable[[], Verdict], Optional[float]]] = [
+    ("spherical oracle", criterion_spherical_oracle, 10.0),
+    ("c-function consistency", criterion_c_function, None),
+    ("decay certificates", criterion_decay_certificates, None),
+    ("ball volume", criterion_ball_volume, None),
+    ("psi asymptotics", criterion_psi_asymptotics, None),
+    ("shell Lipschitz bound", criterion_shell_lipschitz, None),
+    ("mean decay envelope", criterion_mean_envelope, None),
+    ("direction convergence", criterion_direction, None),
+    ("grid summability", criterion_grid_summability, None),
+    ("MC ergodic limit", criterion_mc_ergodic, 120.0),
+    ("MC decay scan", criterion_mc_decay_scan, None),
 ]
 
 
-def run_all(report: Optional[Callable[[str], None]] = None) -> List[CriterionResult]:
-    """Run every criterion in order, optionally streaming one line per result.
+def run_criterion(number: int) -> CriterionResult:
+    """Run criterion `number` of ALL_CRITERIA and time it.
 
-    A criterion that raises ValidationError or ConvergenceError fails with
-    the exception's message, named after its function, and the rest still run.
+    It fails if it raises ValidationError or ConvergenceError, with the
+    exception's message as its detail, or if it takes its time budget or
+    longer.
     """
+    name, check, budget = ALL_CRITERIA[number - 1]
+    start = time.perf_counter()
+    try:
+        passed, detail = check()
+    except (ValidationError, ConvergenceError) as exc:
+        passed, detail = False, f"{type(exc).__name__}: {exc}"
+    seconds = time.perf_counter() - start
+    if budget is not None and not seconds < budget:
+        passed, detail = False, f"{detail}, over its {budget:g}s budget"
+    return CriterionResult(number, name, passed, detail, seconds)
+
+
+def run_all(report: Optional[Callable[[str], None]] = None) -> List[CriterionResult]:
+    """Run every criterion in order, optionally streaming one line per result;
+    a failing criterion does not stop the rest."""
     results = []
-    for number, check in enumerate(ALL_CRITERIA, start=1):
-        start = time.perf_counter()
-        try:
-            result = check()
-        except (ValidationError, ConvergenceError) as exc:
-            name = check.__name__.removeprefix("criterion_").replace("_", " ")
-            detail = f"{type(exc).__name__}: {exc}"
-            result = CriterionResult(number, name, False, detail, time.perf_counter() - start)
-        results.append(result)
+    for number in range(1, len(ALL_CRITERIA) + 1):
+        results.append(run_criterion(number))
         if report is not None:
-            report(result.line())
+            report(results[-1].line())
     return results

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -110,18 +110,29 @@ class SpectralVector:
 
 @dataclass(frozen=True, eq=False)
 class DecayReport:
-    """Deviation sizes against the t e^{-(rho-r)t} envelope on a grid."""
+    """Deviation sizes against the t e^{-(rho-r)t} envelope on a grid.
+
+    ratios, deviation over envelope (0 where the envelope is 0), and their
+    maximum sup_ratio are derived on construction.
+    """
 
     ts: np.ndarray
     deviations: np.ndarray
     envelopes: np.ndarray
-    ratios: np.ndarray
-    sup_ratio: float
+    ratios: np.ndarray = field(init=False)
+    sup_ratio: float = field(init=False)
     fitted_exponent: Optional[float]
     fitted_constant: Optional[float]
     fitted_exponent_stderr: Optional[float] = None
     estimates: Optional[np.ndarray] = None
     stderrs: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        dev, env = self.deviations, self.envelopes
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(env > 0.0, dev / np.where(env > 0.0, env, 1.0), 0.0)
+        object.__setattr__(self, "ratios", ratios)
+        object.__setattr__(self, "sup_ratio", float(np.max(ratios)) if ratios.size else 0.0)
 
 
 def _require_aligned(spec: PuritySpectrum, f: SpectralVector) -> None:
@@ -185,9 +196,6 @@ def theorem_mean_report(spec: PuritySpectrum, f: SpectralVector, t_grid) -> Deca
     dev = deviation_on_grid(spec, f, ts)
     fnorm = f.norm()
     env = ts * np.exp(-(spec.group.rho - spec.r) * ts) * fnorm
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(env > 0.0, dev / np.where(env > 0.0, env, 1.0), 0.0)
-    sup_ratio = float(np.max(ratios)) if ratios.size else 0.0
     positive = dev > 0.0
     fitted_exponent = None
     fitted_constant = None
@@ -199,8 +207,6 @@ def theorem_mean_report(spec: PuritySpectrum, f: SpectralVector, t_grid) -> Deca
         ts=ts,
         deviations=dev,
         envelopes=env,
-        ratios=ratios,
-        sup_ratio=sup_ratio,
         fitted_exponent=fitted_exponent,
         fitted_constant=fitted_constant,
     )

@@ -605,15 +605,10 @@ def decay_scan(
             fitted_exponent = float(coef[0])
             exponent_stderr = float(math.sqrt(max(cov[0, 0], 0.0)))
     envelopes = fitted_constant * shape
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(envelopes > 0.0, deviations / np.where(envelopes > 0.0, envelopes, 1.0), 0.0)
-    sup_ratio = float(np.max(ratios)) if ratios.size else 0.0
     return DecayReport(
         ts=ts,
         deviations=deviations,
         envelopes=envelopes,
-        ratios=ratios,
-        sup_ratio=sup_ratio,
         fitted_exponent=fitted_exponent,
         fitted_constant=fitted_constant,
         fitted_exponent_stderr=exponent_stderr,

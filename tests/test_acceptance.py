@@ -1,8 +1,9 @@
 """Acceptance gate: every promised quantitative check, one test each.
 
-Each test prints the criterion's single-line verdict (run pytest with -s
-or look at the failure message) and asserts it passed.  Tolerances and
-configurations live in rankone.acceptance; nothing here may weaken them.
+Each criterion test runs its ALL_CRITERIA entry through run_criterion,
+prints the single-line verdict (run pytest with -s or look at the
+failure message) and asserts it passed.  Tolerances and configurations
+live in rankone.acceptance; nothing here may weaken them.
 """
 
 import pytest
@@ -10,101 +11,102 @@ import pytest
 from rankone import acceptance, ballavg, cli, model
 from rankone.errors import ConvergenceError, ValidationError
 
-
-def _check(criterion):
-    result = criterion()
-    print(result.line())
-    assert result.passed, result.line()
-    return result
-
-
-def test_criterion_01_spherical_oracle():
-    _check(acceptance.criterion_spherical_oracle)
-
-
-def test_criterion_02_c_function():
-    _check(acceptance.criterion_c_function)
-
-
-def test_criterion_03_decay_certificates():
-    _check(acceptance.criterion_decay_certificates)
+# What `rankone verify` numbers and names, line by line.
+_GOLDEN = [
+    (1, "spherical oracle"),
+    (2, "c-function consistency"),
+    (3, "decay certificates"),
+    (4, "ball volume"),
+    (5, "psi asymptotics"),
+    (6, "shell Lipschitz bound"),
+    (7, "mean decay envelope"),
+    (8, "direction convergence"),
+    (9, "grid summability"),
+    (10, "MC ergodic limit"),
+    (11, "MC decay scan"),
+]
 
 
-def test_criterion_04_ball_volume():
-    _check(acceptance.criterion_ball_volume)
+def _criterion_test(number, check):
+    def test():
+        result = acceptance.run_criterion(number)
+        print(result.line())
+        assert result.passed, result.line()
+
+    test.__name__ = f"test_criterion_{number:02d}_{check.__name__.removeprefix('criterion_')}"
+    return test
 
 
-def test_criterion_04_fails_on_volumes_off_by_1e_8(monkeypatch):
-    # every m(B_t) scaled by 1 + 1e-8, well above the criterion's 1e-10
+# One test body over the table, named test_criterion_NN_<check> per entry.
+for _number, (_, _check, _) in enumerate(acceptance.ALL_CRITERIA, start=1):
+    _test = _criterion_test(_number, _check)
+    globals()[_test.__name__] = _test
+
+
+def test_criterion_04_fails_on_volumes_off_by_1e_11(monkeypatch):
+    # every m(B_t) scaled by 1 + 1e-11, ten times the criterion's 1e-12
     kernel = ballavg._ball_volumes
-    monkeypatch.setattr(ballavg, "_ball_volumes", lambda group, radii: kernel(group, radii) * (1.0 + 1e-8))
-    result = acceptance.criterion_ball_volume()
+    monkeypatch.setattr(ballavg, "_ball_volumes", lambda group, radii: kernel(group, radii) * (1.0 + 1e-11))
+    result = acceptance.run_criterion(4)
     assert not result.passed, result.line()
     assert " FAIL " in result.line()
-
-
-def test_criterion_05_psi_asymptotics():
-    _check(acceptance.criterion_psi_asymptotics)
-
-
-def test_criterion_06_shell_lipschitz():
-    _check(acceptance.criterion_shell_lipschitz)
-
-
-def test_criterion_07_mean_envelope():
-    _check(acceptance.criterion_mean_envelope)
-
-
-def test_criterion_08_direction():
-    _check(acceptance.criterion_direction)
-
-
-def test_criterion_09_grid_summability():
-    _check(acceptance.criterion_grid_summability)
 
 
 def test_criterion_09_fails_on_a_closed_form_off_by_1e_10(monkeypatch):
     # the enumeration gap, about 1e-10, is above the criterion's 1e-12
     closed = model._interval_sum_closed
     monkeypatch.setattr(model, "_interval_sum_closed", lambda delta, m: closed(delta, m) * (1.0 + 1e-10))
-    result = acceptance.criterion_grid_summability()
+    result = acceptance.run_criterion(9)
     assert not result.passed, result.line()
     assert " FAIL " in result.line()
-
-
-def test_criterion_10_mc_ergodic():
-    result = _check(acceptance.criterion_mc_ergodic)
-    assert result.seconds < 120.0
-
-
-def test_criterion_11_mc_decay_scan():
-    _check(acceptance.criterion_mc_decay_scan)
 
 
 def test_suite_is_complete():
     # structural only: the criteria themselves run in the tests above,
     # and `rankone verify` exercises run_all end to end
-    assert len(acceptance.ALL_CRITERIA) == 11
-    names = [fn.__name__ for fn in acceptance.ALL_CRITERIA]
-    assert len(set(names)) == 11
-    assert all(name.startswith("criterion_") for name in names)
+    assert [name for name, _, _ in acceptance.ALL_CRITERIA] == [name for _, name in _GOLDEN]
+    checks = [check for _, check, _ in acceptance.ALL_CRITERIA]
+    assert all(getattr(acceptance, check.__name__) is check for check in checks)
+    assert len({check.__name__ for check in checks}) == 11
+    assert all(check.__name__.startswith("criterion_") for check in checks)
+    budgets = [budget for _, _, budget in acceptance.ALL_CRITERIA]
+    assert budgets == [10.0] + [None] * 8 + [120.0, None]
+
+
+def _stub_table(monkeypatch, checks=None):
+    # the real names and budgets; each check a quick PASS unless `checks` maps its number
+    table = [(name, (checks or {}).get(number, lambda: (True, "ok")), budget)
+             for number, (name, _, budget) in enumerate(acceptance.ALL_CRITERIA, start=1)]
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", table)
+
+
+def test_verify_numbers_and_names_every_line(monkeypatch, capsys):
+    _stub_table(monkeypatch)
+    assert cli.main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "11/11 criteria passed"
+    assert [line.partition(": ")[0] for line in lines[:-1]] == [
+        f"criterion {number:02d} {name}" for number, name in _GOLDEN
+    ]
+
+
+def test_criterion_over_its_budget_fails(monkeypatch):
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [("stub", lambda: (True, "ok"), 0.0)])
+    result = acceptance.run_criterion(1)
+    assert not result.passed
+    assert result.line().startswith("criterion 01 stub: FAIL (ok, over its 0s budget; ")
 
 
 @pytest.mark.parametrize("error", [ValidationError, ConvergenceError])
 def test_raising_criterion_fails_and_the_rest_run(error, monkeypatch, capsys):
     # criterion 02 raises; verify still prints every line and the summary,
     # and exits 1.  The others are stubbed to keep the test fast.
-    def stub(number):
-        return lambda: acceptance.CriterionResult(number, f"stub {number}", True, "ok", 0.0)
-
     def criterion_c_function():
         raise error("c(s) did not settle")
 
-    criteria = [stub(number) for number in range(1, 12)]
-    criteria[1] = criterion_c_function
-    monkeypatch.setattr(acceptance, "ALL_CRITERIA", criteria)
+    _stub_table(monkeypatch, {2: criterion_c_function})
     assert cli.main(["verify"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 12 and lines[-1] == "10/11 criteria passed"
-    assert lines[1].startswith(f"criterion 02 c function: FAIL ({error.__name__}: c(s) did not settle; ")
+    assert lines[1].startswith(f"criterion 02 c-function consistency: FAIL ({error.__name__}: c(s) did not settle; ")
     assert all(" PASS " in line for line in lines[:1] + lines[2:11])

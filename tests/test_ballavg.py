@@ -341,14 +341,17 @@ _KERNELS = {
 
 @pytest.mark.parametrize("kernel", list(_KERNELS))
 def test_empty_radii_give_empty_arrays(h3, kernel, monkeypatch):
-    # no radii, no 2F1 or quadrature work (gauss_2f1_neg is called directly)
+    # no radii, no 2F1, Delta or volume work (gauss_2f1_neg is called directly);
+    # so:3's volumes come from _even_volumes, su:3's from _poly_rule
     def refuse(*args, **kwargs):
-        raise AssertionError("a 2F1 or Delta was evaluated")
+        raise AssertionError("a 2F1, Delta or volume kernel was evaluated")
 
     monkeypatch.setattr(rankone.spherical, "gauss_2f1_neg", refuse)
-    monkeypatch.setattr(rankone.ballavg, "delta", refuse)
-    out = _KERNELS[kernel](h3, [])
-    assert isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (0,)
+    for name in ("delta", "_even_volumes", "_poly_rule"):
+        monkeypatch.setattr(rankone.ballavg, name, refuse)
+    for group in (h3, make_group("su", 3)):
+        out = _KERNELS[kernel](group, [])
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (0,)
 
 
 # Every t_max builds, including those below 1 where a Hermite table with
