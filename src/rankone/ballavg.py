@@ -39,7 +39,7 @@ _SERIES_TERMS = 48  # terms of the tanh^2 series of int_0^t sinh^2m
 _SERIES_TOL = 2.0**-53  # bound on the omitted terms, relative to the sum
 _EXP_ARG_LIMIT = 700.0  # exp overflow guard for e^{2 rho t}
 _KNOTS = 33  # equispaced knots of a volume profile, 0 and t_max included
-_NEWTON_STEPS = 40  # cap for the bracketed Newton radial inversion
+_HALVINGS = 64  # bisection steps of the radial inversion: below double spacing at any allowed t
 _CDF_TOL = 1e-12  # a sampled radius's mass must match its target to this, of m(B_t)
 
 
@@ -194,8 +194,8 @@ class VolumeProfile:
     """Ball volumes on [0, t_max], with the radial CDF of a ball and its inverse.
 
     Every volume is one _ball_volumes call.  `cumulative` holds
-    m(B_t) at the _KNOTS equispaced `knots`; sample_radius brackets each
-    target mass by it.
+    m(B_t) at the _KNOTS equispaced `knots`; sample_radius bisects on
+    _ball_volumes directly.
     """
 
     group: RankOneGroup
@@ -221,13 +221,11 @@ class VolumeProfile:
     def sample_radius(self, t: float, u) -> np.ndarray:
         """Invert the radial CDF of B_t at the uniform variates u.
 
-        `cumulative` brackets each target mass u m(B_t) by a knot interval;
-        each radius starts from the interval's chord and takes Newton steps
-        on _ball_volumes with Delta as the slope, kept inside the bracket (a
-        step that would leave it bisects instead).  Iteration stops once
-        every residual is within 1e-14 relative to its target mass, or the
-        bracket has shrunk to 1e-15 t.  The result must then reproduce
-        u m(B_t) to 1e-12 relative to m(B_t), or ConvergenceError is raised.
+        Each radius is the lower end of a bracket on [0, t] around the
+        target mass u m(B_t), halved _HALVINGS times against _ball_volumes,
+        so u = 0 gives 0 and every radius is at most t.  The result must
+        reproduce u m(B_t) to 1e-12 relative to m(B_t), or ConvergenceError
+        is raised.
         """
         u = np.atleast_1d(np.asarray(u, dtype=np.float64))
         if u.size and not (np.min(u) >= 0.0 and np.max(u) <= 1.0):
@@ -236,32 +234,17 @@ class VolumeProfile:
         if not total > 0.0:
             raise ValidationError("cannot sample a zero-volume ball")
         target = u * total
-        # The last usable interval is the one whose right knot is the first
-        # knot >= t; u = 1 at t = t_max would otherwise index one past the end.
-        last = min(max(int(np.searchsorted(self.knots, t)) - 1, 0), self.knots.size - 2)
-        k = np.minimum(np.searchsorted(self.cumulative, target, side="right") - 1, last)
-        lo = self.knots[k]
-        hi = np.minimum(self.knots[k + 1], t)  # keeps every draw inside the ball
-        rise = self.cumulative[k + 1] - self.cumulative[k]
-        chord = (target - self.cumulative[k]) / np.where(rise > 0.0, rise, 1.0)
-        tau = np.clip(lo + (self.knots[k + 1] - lo) * chord, lo, hi)
-        resid = _ball_volumes(self.group, tau) - target
-        for _ in range(_NEWTON_STEPS):
-            done = (np.abs(resid) <= 1e-14 * target) | (hi - lo <= 1e-15 * t)
-            if np.all(done):
-                break
-            lo = np.where(resid < 0.0, tau, lo)
-            hi = np.where(resid > 0.0, tau, hi)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = tau - resid / delta(self.group, tau)
-            # Inclusive test: a step that rounds back onto tau, now a bracket
-            # end, is kept; a strict one would bisect nearly converged points.
-            tau = np.where(done, tau, np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi)))
-            resid = _ball_volumes(self.group, tau) - target
-        err = np.max(np.abs(resid), initial=0.0) / total
+        lo = np.zeros_like(target)
+        hi = np.full_like(target, t)
+        for _ in range(_HALVINGS):
+            mid = 0.5 * (lo + hi)
+            below = _ball_volumes(self.group, mid) < target
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        err = np.max(np.abs(_ball_volumes(self.group, lo) - target), initial=0.0) / total
         if err > _CDF_TOL:
             raise ConvergenceError(f"radial inversion missed CDF tolerance: {err:.3e}")
-        return tau
+        return lo
 
 
 def build_volume_profile(group: RankOneGroup, t_max: float) -> VolumeProfile:

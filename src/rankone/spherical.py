@@ -13,7 +13,6 @@ with the gamma-quotient coefficient computed by hc_c_function.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Iterable, List, Sequence, Tuple
 
@@ -21,9 +20,8 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 from .groups import PRINCIPAL_KIND, RankOneGroup, SpectralParam, check_param
-from .hyper import gauss_2f1_neg, ln_gamma
+from .hyper import _gamma_quotient, gauss_2f1_neg
 
-_LN2 = math.log(2.0)
 _UNIT_SLACK = 1e-11  # |phi| may exceed 1 by roundoff only
 # Largest principal lam evaluated, for phi and for psi's kernel (the same
 # 2F1 with a, b, c shifted by 1).  On so:3, the worst case among the
@@ -111,7 +109,9 @@ def hc_c_function(group: RankOneGroup, param: SpectralParam) -> complex:
 
     defined for complementary parameters 0 < s <= rho' and tempered
     parameters with lam > 0; the constant function and the s = 0 boundary
-    are rejected.
+    are rejected.  The Gamma quotient is the connection formula's
+    (hyper._gamma_quotient): math.gamma ratios for real s, log-gammas on
+    the tempered axis.
     """
     check_param(group, param)
     if param.is_trivial:
@@ -120,14 +120,8 @@ def hc_c_function(group: RankOneGroup, param: SpectralParam) -> complex:
     if s == 0.0:
         raise ValidationError("s = 0 boundary point has a c-function pole")
     rho, alpha, beta = group.rho, group.alpha, group.beta
-    log_value = (
-        (rho - s) * _LN2
-        + ln_gamma(alpha + 1.0)
-        + ln_gamma(s)
-        - ln_gamma((rho + s) / 2.0)
-        - ln_gamma((s + alpha - beta + 1.0) / 2.0)
-    )
-    return cmath.exp(log_value)
+    quotient = _gamma_quotient((alpha + 1.0, s), ((rho + s) / 2.0, (s + alpha - beta + 1.0) / 2.0))
+    return 2.0 ** (rho - s) * quotient  # complex, as s is
 
 
 def certify_decay_bound(

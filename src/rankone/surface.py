@@ -142,28 +142,15 @@ def _certify_word(x_in, y_in, x, y, word):
     det -= wb * wc
     if not (det == 1.0).all():
         raise ConvergenceError("accumulated word does not have determinant 1")
-    # The word's image of the input: (a z + b) / (c z + d), with c z + d = p + i q.
-    p = wc * x_in
-    p += wd
-    q = wc * y_in
-    num = wa * q
-    num *= y_in
-    np.square(q, out=q)
-    den = np.square(p)
-    den += q
-    np.multiply(wa, x_in, out=q)
-    q += wb
-    q *= p
-    num += q
-    num /= den
+    # The word's image of the input, from the orbit map's own Moebius action.
+    num, den = _mobius_xy(wa, wb, wc, wd, x_in, y_in)
     num -= x
     np.abs(num, out=num)
-    np.divide(y_in, den, out=den)
     den -= y
     np.abs(den, out=den)
     np.maximum(num, den, out=num)
     # Residual over the scale (1 + (1 + |x_in|) / y_in) y.
-    scale = np.abs(x_in, out=p)
+    scale = np.abs(x_in, out=den)
     scale += 1.0
     scale /= y_in
     scale += 1.0

@@ -330,6 +330,30 @@ def test_psi_rejects_nan_in_grid(h3, grid, no_kernel_work):
         psi_on_grid(h3, principal(1.0), np.array(grid))
 
 
+_REJECTED = {
+    "volume-below-0": lambda g, prof: prof.volume(-0.1),
+    "volume-above-t-max": lambda g, prof: prof.volume([1.0, 4.5]),
+    "profile-t-max-0": lambda g, prof: build_volume_profile(g, 0.0),
+    "sample-u-below-0": lambda g, prof: prof.sample_radius(2.0, [0.5, -1e-9]),
+    "sample-u-above-1": lambda g, prof: prof.sample_radius(2.0, [1.0 + 1e-9]),
+    "sample-u-nan": lambda g, prof: prof.sample_radius(2.0, [math.nan]),
+    "bound-r-0": lambda g, prof: psi_bound_check(g, [complementary(0.4)], [1.0, 2.0], 0.0),
+    "bound-r-neg": lambda g, prof: psi_bound_check(g, [complementary(0.4)], [1.0, 2.0], -0.4),
+    "bound-empty-grid": lambda g, prof: psi_bound_check(g, [complementary(0.4)], [], 0.4),
+    "asymptotic-principal": lambda g, prof: psi_asymptotic_constant(g, principal(1.0)),
+    "asymptotic-at-rho": lambda g, prof: psi_asymptotic_constant(g, complementary(g.rho)),
+}
+
+
+@pytest.mark.parametrize("case", list(_REJECTED))
+def test_profile_and_psi_checks_reject_bad_input_first(h3, case, no_kernel_work):
+    # the profile is built field by field, so no volume work precedes the call
+    knots = np.linspace(0.0, 4.0, 33)
+    profile = ballavg.VolumeProfile(h3, 4.0, knots, np.zeros_like(knots))
+    with pytest.raises(ValidationError):
+        _REJECTED[case](h3, profile)
+
+
 _KERNELS = {
     "gauss_2f1_neg": lambda group, ts: gauss_2f1_neg([1.0], [1.5], 2.0, ts)[0],
     "spherical_fn_many": lambda group, ts: spherical_fn_many(group, complementary(0.5), ts),
@@ -540,6 +564,7 @@ def test_psi_bound_check_positive_finite(h3):
     assert math.isfinite(sup) and sup > 0.0
     with pytest.raises(ValidationError):
         psi_bound_check(h3, [complementary(0.6)], ts, 0.4)  # re s > r
+    assert psi_bound_check(h3, [], ts, 0.4) == 0.0
 
 
 def test_lipschitz_shell_bound(h3):

@@ -1,10 +1,14 @@
 """The benchmark's own output checks pass on one round of every workload.
 
 A call that fails its check in `perfbench/workloads.py` counts against the
-benchmark run, so a change that breaks one fails here first.
+benchmark run, so a change that breaks one fails here first.  The traced
+run is also started end to end, as `python perfbench/run.py` would be.
 """
 
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +36,19 @@ def test_first_round_passes_its_checks(workloads, name):
             if reason is not None:
                 failures.append(reason)
     assert failures == []
+
+
+@pytest.mark.parametrize("name", ["mc-ball", "spectral"])
+def test_traced_run_ends_correct(name):
+    # one traced second of the workload, about 1.3 s each; mc-ball's spans
+    # must account for nearly all of its wall time
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", name,
+         "--seconds", "1", "--trace", "1"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr
+    if name == "mc-ball":
+        assert result["metrics"]["trace.self_coverage"]["value"] >= 0.95

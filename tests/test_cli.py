@@ -6,15 +6,18 @@ import csv
 import inspect
 import json
 import math
+import shlex
 
 import numpy as np
 import pytest
 
+import rankone
 from rankone import ballavg, cli
 from rankone.ballavg import ball_volume, psi_lipschitz_check, volume_regularity
 from rankone.errors import ConvergenceError
 from rankone.groups import complementary, make_group
 from rankone.spherical import spherical_fn_many
+from rankone.surface import HPoint, mc_average, parse_observable
 
 
 def _read_csv(path):
@@ -80,12 +83,33 @@ def test_verify_rejects_other_groups(capsys):
     ["grid", "--delta", "0.5", "--m-max", "5000", "--points"],
     # an enumerated interval would hold e^40 points
     ["grid", "--delta", "2", "--m-max", "40"],
+    # a radius range needs two steps and t-max above t-min
+    ["sphfn", "--param", "c:0.5", "--steps", "1"],
+    ["sphfn", "--param", "c:0.5", "--t-min", "2", "--t-max", "2"],
+    ["volume", "--t-min", "3", "--t-max", "1"],
+    ["mc-scan", "--t-grid", "1:x:1", "--samples", "100", "--obs", "cusp:2"],
+    ["mc-scan", "--t-grid", "1:3:0", "--samples", "100", "--obs", "cusp:2"],
+    ["mc-scan", "--t-grid", "1,,2", "--samples", "100", "--obs", "cusp:2"],
+    ["mc", "--t", "1", "--samples", "100", "--obs", "cusp:2", "--base", "0.1"],
+    ["mc", "--t", "1", "--samples", "100", "--obs", "cusp:2", "--base", "0.1,y"],
+    ["mc", "--t", "1", "--samples", "100", "--obs", "cusp:2", "--base", "0.1,-1"],
+    ["psi", "--param", "c:0.5", "--t-min", "0"],
+    ["volume"],
 ], ids=["mc-seed", "mc-scan-seed", "sphfn-radius", "grid-enumerate-limit",
         "grid-m-max", "grid-m-max-overflow", "grid-points-cap", "grid-points-overflow",
-        "grid-enumeration-cap"])
+        "grid-enumeration-cap", "steps-1", "t-max-at-t-min", "t-max-below-t-min",
+        "t-grid-malformed", "t-grid-step-0", "t-grid-empty-entry", "base-one-coordinate",
+        "base-malformed", "base-below-axis", "psi-t-min-0", "volume-no-radius"])
 def test_out_of_domain_input_exits_1(args, capsys):
     assert cli.main(args) == 1
     assert "rankone: error:" in capsys.readouterr().err
+
+
+def test_out_path_in_missing_directory_exits_1(tmp_path, capsys):
+    out = tmp_path / "missing" / "volume.csv"
+    assert cli.main(["volume", "--t-max", "2", "--steps", "3", "--out", str(out)]) == 1
+    assert "rankone: error:" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def _args_reads(name, defs, seen):
@@ -301,6 +325,33 @@ def test_mc_single_line_and_append(tmp_path, capsys):
     assert header[:4] == ["t", "samples", "seed", "observable"]
     assert len(rows) == 2
     assert rows[0][2] == "3" and rows[1][2] == "4"
+
+
+def test_mc_json_matches_mc_average_and_appends(tmp_path, capsys):
+    out = tmp_path / "mc.csv"
+    argv = ["mc", "--t", "1.5", "--samples", "2000", "--obs", "cusp:2.0",
+            "--seed", "3", "--base", "0.1,1.3", "--format", "json", "--out", str(out)]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"tool", "version", "invocation", "t", "samples", "seed",
+                            "observable", "base", "estimate", "stderr", "target"}
+    assert payload["tool"] == "rankone" and payload["version"] == rankone.__version__
+    assert payload["invocation"] == "rankone " + " ".join(argv[:-1] + [shlex.quote(str(out))])
+    assert (payload["t"], payload["samples"], payload["seed"]) == (1.5, 2000, 3)
+    assert payload["observable"] == "cusp:2" and payload["base"] == [0.1, 1.3]
+    obs = parse_observable("cusp:2.0")
+    run = mc_average(1.5, 2000, obs, 3, base=HPoint(0.1, 1.3))
+    # JSON floats round-trip, so equality here is bit for bit
+    assert payload["estimate"] == run.estimate and payload["stderr"] == run.standard_error
+    assert payload["target"] == obs.mean()
+    # --out still appends one CSV row in JSON mode
+    comments, header, rows = _read_csv(out)
+    assert len(comments) == 1 and len(rows) == 1
+    assert header == ["t", "samples", "seed", "observable", "base_x", "base_y",
+                      "estimate", "stderr", "target"]
+    assert float(rows[0][6]) == run.estimate and float(rows[0][7]) == run.standard_error
+    assert cli.main(argv) == 0
+    assert len(_read_csv(out)[2]) == 2
 
 
 def test_mc_scan_csv(tmp_path):

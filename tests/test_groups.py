@@ -6,6 +6,7 @@ import pytest
 
 from rankone.errors import ValidationError
 from rankone.groups import (
+    RankOneGroup,
     SpectralParam,
     check_param,
     complementary,
@@ -75,9 +76,26 @@ def test_parse_group_round_trips():
 
 def test_parse_group_rejects_garbage():
     for text in ["so", "so:1", "sl:3", "custom:5", "so:x",
-                 "custom:1,x", "custom:1.5,2", "custom:1,2,3"]:
+                 "custom:1,x", "custom:1.5,2", "custom:1,2,3",
+                 "custom:0,1", "custom:4,-1"]:
         with pytest.raises(ValidationError):
             parse_group(text)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RankOneGroup(1.5, 0, 1.0),
+        lambda: RankOneGroup(2, 0.5, 1.0),
+        lambda: make_group("custom", 3),
+        lambda: make_group("so", 2.5),
+        lambda: make_group("su", "3"),
+    ],
+    ids=["n1-float", "n2-float", "custom-scalar", "so-float-rank", "su-string-rank"],
+)
+def test_group_constructors_reject_bad_input(build):
+    with pytest.raises(ValidationError):
+        build()
 
 
 def test_rho_prime_range_enforced():
@@ -93,6 +111,8 @@ def test_param_constructors_and_parse():
     assert parse_param("p:2") == principal(2.0)
     with pytest.raises(ValidationError):
         parse_param("c:-1")
+    with pytest.raises(ValidationError):
+        principal(-1.0)
     with pytest.raises(ValidationError):
         parse_param("x:1")
     with pytest.raises(ValidationError):

@@ -174,6 +174,9 @@ def test_spectrum_alignment_enforced(spec):
     short = SpectralVector(atom_norms=(1.0,), omega_norms=(1.0, 1.0))
     with pytest.raises(ValidationError):
         deviation_on_grid(spec, short, [2.0])
+    for omega in ((1.0,), (1.0, 1.0, 1.0)):
+        with pytest.raises(ValidationError, match="omega entries"):
+            deviation_on_grid(spec, SpectralVector(atom_norms=(1.0, 1.0), omega_norms=omega), [2.0])
 
 
 def test_invalid_spectrum_rejected(h3):
@@ -359,6 +362,34 @@ def test_finite_sum_rejects_empty_enumeration(limit):
         finite_sum_check(0.5, 12, enumerate_limit=limit)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec, f: time_grid(0.0, 10),
+        lambda spec, f: time_grid(-0.5, 10),
+        lambda spec, f: time_grid(math.nan, 10),
+        lambda spec, f: time_grid(0.5, 0),
+        lambda spec, f: finite_sum_check(0.0, 10),
+        lambda spec, f: finite_sum_check(-0.5, 10),
+        lambda spec, f: finite_sum_check(0.5, 0),
+        lambda spec, f: discrete_constant_report(spec, f, 0.0, 10),
+        lambda spec, f: discrete_constant_report(spec, f, -0.5, 10),
+        lambda spec, f: discrete_constant_report(spec, f, 0.5, 0),
+    ],
+    ids=["grid-delta-0", "grid-delta-neg", "grid-delta-nan", "grid-m-max-0",
+         "sum-delta-0", "sum-delta-neg", "sum-m-max-0",
+         "series-eps-0", "series-eps-neg", "series-n-max-0"],
+)
+def test_grid_and_series_reject_bad_input_before_work(spec, unit_f, call, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the input was validated")
+
+    for name in ("_interval_count", "_interval_sum_closed", "_interval_enumerate", "_psi_rows"):
+        monkeypatch.setattr(model, name, refuse)
+    with pytest.raises(ValidationError):
+        call(spec, unit_f)
+
+
 def test_discrete_constant_consistent(spec, unit_f):
     eps = 0.5
     r60 = discrete_constant_report(spec, unit_f, eps, n_max=60)
@@ -407,3 +438,25 @@ def test_load_spectrum_rejects_malformed(tmp_path):
                 "f": {"atom_norms": [1.0, 1.0], "omega_norms": []},
             }
         )  # misaligned norms
+    # a config that is not a mapping, and fields that are not numbers
+    for cfg in ([1, 2], 3.0, None):
+        with pytest.raises(ValidationError, match="mapping"):
+            load_spectrum(cfg)
+    good = {
+        "group": "so:3",
+        "atoms": [1.0, 0.7],
+        "r": 0.4,
+        "omega": [{"param": "c:0.4", "weight": 1.0}],
+        "f": {"atom_norms": [1.0, 1.0], "omega_norms": [1.0]},
+    }
+    load_spectrum(good)
+    for key, value in (
+        ("atoms", [1.0, "x"]),
+        ("atoms", 0.7),
+        ("r", "x"),
+        ("r", None),
+        ("omega", [{"param": "c:0.4", "weight": "heavy"}]),
+        ("f", {"atom_norms": [1.0, "x"], "omega_norms": [1.0]}),
+    ):
+        with pytest.raises(ValidationError, match="bad spectrum config"):
+            load_spectrum({**good, key: value})

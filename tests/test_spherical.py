@@ -164,3 +164,12 @@ def test_decay_certificates(h3):
         decay = h3.rho - param.re_s(h3)
         ratio = vals * np.exp(decay * fine) / (1.0 + fine)
         assert np.max(ratio) <= constants[param.label()] * (1.0 + 1e-3)
+
+
+def test_decay_certificate_needs_a_grid(h3, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("2F1 evaluated for an empty grid")
+
+    monkeypatch.setattr(spherical, "gauss_2f1_neg", no_work)
+    with pytest.raises(ValidationError, match="empty t grid"):
+        certify_decay_bound(h3, [complementary(0.5)], [])

@@ -474,6 +474,18 @@ def test_disk_containment_enforced():
         DiskIndicator(HPoint(0.45, 1.5), 0.3)  # leaks across Re z = 1/2
     with pytest.raises(ValidationError):
         CuspIndicator(0.9)  # strip must sit inside the domain
+    for radius in (0.0, -0.1, math.nan):
+        with pytest.raises(ValidationError, match="radius"):
+            DiskIndicator(HPoint(0.0, 1.5), radius)
+    for center in (HPoint(0.6, 1.5), HPoint(-0.6, 1.5), HPoint(0.0, 0.9)):
+        with pytest.raises(ValidationError, match="center"):
+            DiskIndicator(center, 0.01)
+
+
+@pytest.mark.parametrize("x, y", [(0.0, 0.0), (0.0, -1.0), (0.0, math.nan), (math.nan, 1.0), (math.inf, 1.0)])
+def test_point_needs_finite_coordinates_and_positive_y(x, y):
+    with pytest.raises(ValidationError):
+        HPoint(x, y)
 
 
 def test_parse_observable():
@@ -482,6 +494,9 @@ def test_parse_observable():
     assert isinstance(parse_observable("const"), ConstantObservable)
     with pytest.raises(ValidationError):
         parse_observable("blob:1")
+    for text in ("disk:a,b,c", "disk:0.0,1.5", "cusp:x"):
+        with pytest.raises(ValidationError, match="malformed"):
+            parse_observable(text)
 
 
 def _assert_radius_law(t, rng, n):
@@ -609,6 +624,7 @@ def test_mc_validation(monkeypatch):
         raise AssertionError("no draw may happen outside the range")
 
     monkeypatch.setattr(surface, "_draw_cartan", refuse)
+    monkeypatch.setattr(surface, "build_volume_profile", refuse)
     # radii outside the domain are rejected before any variate is drawn
     for t in (-1.0, math.nan, math.inf, -math.inf, 700.5):
         with pytest.raises(ValidationError):
@@ -634,6 +650,10 @@ def test_mc_validation(monkeypatch):
         decay_scan(np.array([1.0, 2.0]), 100, CuspIndicator(2.0), -3)
     with pytest.raises(ValidationError, match="seed"):
         ks_radial_test(1.0, 100, -1)
+    # the KS audit needs a positive radius and at least 100 samples
+    for t, n in ((0.0, 100), (-1.0, 100), (math.nan, 100), (1.0, 99)):
+        with pytest.raises(ValidationError):
+            ks_radial_test(t, n, 1)
     monkeypatch.undo()
     # just inside the range the run completes
     run = mc_average(edge - 1e-5, 2000, CuspIndicator(2.0), 1, base=base)
@@ -707,7 +727,7 @@ def test_decay_scan_grid_validation():
         decay_scan(np.array([3.0, 2.0]), 1000, ConstantObservable(), 1)
 
 
-@pytest.mark.parametrize("grid", [[math.nan], [math.nan, 2.0, 3.0], [1.0, math.nan, 3.0], [1.0, 2.0, math.nan]])
+@pytest.mark.parametrize("grid", [[math.nan], [math.nan, 2.0, 3.0], [1.0, math.nan, 3.0], [1.0, 2.0, math.nan], []])
 def test_decay_scan_rejects_nan_in_grid(grid, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a Monte Carlo run started before the grid was validated")
