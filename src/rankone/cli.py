@@ -204,10 +204,10 @@ def cmd_simulate(args) -> int:
     rows = [[float(t), float(d), float(e), float(r), float(dd)]
             for t, d, e, r, dd in zip(
                 ts, report.deviations, report.envelopes, report.ratios, distances)]
-    comments = [
-        f"sup ratio {report.sup_ratio:.17g}",
-        f"fitted exponent {report.fitted_exponent:.17g}",
-    ]
+    comments = [f"sup ratio {report.sup_ratio:.17g}"]
+    # No exponent is fitted when fewer than two deviations are positive.
+    if report.fitted_exponent is not None:
+        comments.append(f"fitted exponent {report.fitted_exponent:.17g}")
     _emit_table(args, ["t", "deviation", "envelope", "ratio", "direction_distance"],
                 rows, comments)
     return 0

@@ -1,13 +1,16 @@
 """Monte Carlo ball averages on the modular surface.
 
 The group is PSL(2, R) acting on the upper half-plane, the quotient is by
-PSL(2, Z), and the uniform measure on a Riemannian ball is sampled in
-Cartan coordinates: two projective rotation angles plus a radius from the
-exact radial law, m(B_tau) = 2 pi (cosh tau - 1), inverted in closed form.
-Each sample moves the base point by one Moebius map built from the tangents
-of the two angles and e^{-tau}, so no sine or cosine is taken.  Orbit
-points are folded back into the standard fundamental domain, where
-indicator observables are compared against their exact normalized areas.
+PSL(2, Z), and the uniform measure on the hyperbolic disk of radius t
+about the base point x0 is sampled in polar coordinates about x0: one
+projective rotation angle plus a radius from the exact radial law,
+m(B_tau) = 2 pi (cosh tau - 1), inverted in closed form.  Each sample
+moves x0 by one map built from the tangent of the angle and e^{-tau}, so
+no sine or cosine is taken.  The sample points are folded back into the
+standard fundamental domain, where indicator observables are compared
+against their exact normalized areas.  For the cusp indicators the exact
+disk average is also known, as a finite sum over the orbit of x0
+(CuspIndicator.ball_mean).
 
 The reduction takes points within hyperbolic distance 28 of i (for
 |x| <= 1/2, every y in [1e-12, 1e12]), so the Monte Carlo takes radii
@@ -43,7 +46,7 @@ _SWEEP_CAP = 10**6
 # _reduce_batch for what holds inside it.
 _REACH = 28.0
 _TWO_COSH_REACH = 2.0 * math.cosh(_REACH)
-# Monte Carlo orbit points lie within t + d(i, base) of i.  The margin
+# Monte Carlo sample points lie within t + d(i, base) of i.  The margin
 # covers the rounding of the sample map, far below 1e-6 in distance.
 _MC_REACH = _REACH - 1e-6
 # Word tolerance in units of eps times the scale set in _certify_word.
@@ -51,6 +54,14 @@ _WORD_K = 8.0
 _EPS = float(np.finfo(np.float64).eps)
 # Hyperbolic area of the modular surface.
 _SURFACE_AREA = math.pi / 3.0
+# Largest radius of the cusp orbit sum: it has about 3 e^t / (pi Y)
+# terms, 77,715 for cusp:2 at t = 12.
+_ORBIT_SUM_T_MAX = 12.0
+# Orbit terms per block of the cap quadrature, and its Gauss-Legendre
+# order: 24 nodes already reach the conditioning floor at t = 1, the
+# widest integrand the quadrature takes.
+_CAP_BLOCK = 4096
+_CAP_NODES = 32
 _GROUP = make_group("so", 2)
 
 
@@ -100,12 +111,44 @@ def _so21_radius(t, u):
     return 2.0 * np.arcsinh(np.sqrt(u) * math.sinh(0.5 * t))
 
 
-def _draw_cartan(t, rng, n):
-    # Draw order is fixed: theta1, theta2, then the radial uniform.  The
-    # angles are one (2, n) block of the stream, scaled to [0, pi) in place.
-    thetas = rng.random((2, n))
-    thetas *= math.pi
-    return thetas[0], thetas[1], _so21_radius(t, rng.random(n))
+def _draw_polar(t, rng, n):
+    # One (2, n) block of the stream: row 0 is the angle, scaled to
+    # [0, pi) in place, and row 1 the radial uniform.
+    draws = rng.random((2, n))
+    draws[0] *= math.pi
+    return draws[0], _so21_radius(t, draws[1])
+
+
+def _ball_xy(theta, tau, x0, y0):
+    """x0 + y0 k(theta) a_{-tau} i, the point at distance tau from x0 + i y0.
+
+    k(theta) turns the tangent plane at i by 2 theta, so theta uniform on
+    [0, pi) with tau from the radial law is uniform on the ball.  With
+    t1 = tan(theta) and s = e^{-tau},
+
+        k(theta) a_{-tau} i = (t1 (1 - s^2) + i s (1 + t1^2)) / (1 + s^2 t1^2),
+
+    so the map takes one tan and one exp.  At tau = 0 the quotient in y
+    is exactly 1 and the sample is x0 itself.
+    """
+    t1 = np.tan(theta)
+    s = np.negative(tau)
+    np.exp(s, out=s)
+    den = s * t1
+    den *= den
+    den += 1.0
+    y = np.square(t1)
+    y += 1.0
+    y *= s
+    y /= den
+    y *= y0
+    np.square(s, out=s)
+    x = np.subtract(1.0, s, out=s)
+    x *= t1
+    x /= den
+    x *= y0
+    x += x0
+    return x, y
 
 
 # --------------------------------------------------------------------------
@@ -142,7 +185,7 @@ def _certify_word(x_in, y_in, x, y, word):
     det -= wb * wc
     if not (det == 1.0).all():
         raise ConvergenceError("accumulated word does not have determinant 1")
-    # The word's image of the input, from the orbit map's own Moebius action.
+    # The word's image of the input.
     num, den = _mobius_xy(wa, wb, wc, wd, x_in, y_in)
     num -= x
     np.abs(num, out=num)
@@ -268,6 +311,115 @@ def _reduce_batch(x, y):
 # Observables on the fundamental domain.
 
 
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on the Legendre recurrence, from the asymptotic
+    guesses cos(pi (k + 3/4) / (n + 1/2)).
+    """
+    x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(100):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        step = p1 / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(_CAP_NODES)
+
+
+def _cusp_cap_area(eta, t, height):
+    """Hyperbolic area of {Im z > height} inside radius-t disks centred at height eta.
+
+    That is A = 2 * integral of sqrt((eta e^t - y)(y - eta e^-t)) / y^2
+    dy over y from max(height, eta e^-t) to eta e^t.  With p = cosh t,
+    q = sinh t and y = eta (p + q cos u), u the angle at the disk's
+    Euclidean centre from its top, the cut at height lies at u = psi and
+
+        A = integral_0^psi 2 q^2 sin^2 u / (e^-t + 2 q cos^2(u/2))^2 du
+          = 4 p atan(e^-t tan(psi/2)) - 2 psi + 2 q sin psi / (e^-t + 2 q cos^2(psi/2)).
+
+    The closed form cancels for small caps and for small t, and the
+    integrand peaks near u = pi as t grows, so Gauss-Legendre takes
+    psi <= pi/2 at every t and every psi at t <= 1, and the closed form
+    the rest.  sin^2 and cos^2 of psi/2 come from (height - eta) / eta and
+    expm1(+-t), not from psi.  Relative error: a few eps times the
+    condition number of A in (eta, t, height); against mpmath, 1.4e-13 or
+    better at t = 1e-6 to 12 unless the cut lies within 1e-4 of the top
+    or bottom of the disk, where A is that sensitive to its inputs.
+    """
+    p, q = math.cosh(t), math.sinh(t)
+    emt = math.exp(-t)
+    d = (height - eta) / eta
+    # 2 q sin^2(psi/2) and 2 q cos^2(psi/2): the cut below the top and
+    # above the bottom of the disk, in units of eta.
+    above = np.maximum(math.expm1(t) - d, 0.0)
+    below = np.maximum(d - math.expm1(-t), 0.0)
+    half = np.arctan2(np.sqrt(above), np.sqrt(below))
+    area = np.empty_like(half)
+    closed = half > 0.25 * math.pi if t > 1.0 else np.zeros(half.shape, dtype=bool)
+    quad = ~closed
+    if np.any(quad):
+        h = half[quad, None]
+        u = h * (1.0 + _GL_NODES)
+        c = np.cos(0.5 * u)
+        den = emt + 2.0 * q * c * c
+        f = np.sin(u)
+        f *= f
+        f /= den * den
+        area[quad] = (2.0 * q * q) * (h[:, 0] * (f @ _GL_WEIGHTS))
+    if np.any(closed):
+        total = above[closed] + below[closed]
+        c2 = below[closed] / total
+        s2 = above[closed] / total
+        area[closed] = (
+            4.0 * p * np.arctan2(emt * np.sqrt(s2), np.sqrt(c2))
+            - 4.0 * half[closed]
+            + 4.0 * q * np.sqrt(s2 * c2) / (emt + 2.0 * q * c2)
+        )
+    return area
+
+
+def _cusp_orbit_heights(t, height, x0, y0):
+    """Imaginary parts eta = y0 / |c z0 + d|^2 of the orbit points whose t-disk reaches above height.
+
+    One term per coset of the stabiliser of infinity in PSL(2, Z), that
+    is per coprime (c, d) up to sign: (0, 1) and c >= 1.  A term counts
+    when eta e^t > height, that is |c z0 + d|^2 < y0 e^t / height.
+    """
+    bound = y0 * math.exp(t) / height
+    c = np.arange(1.0, math.floor(math.sqrt(bound) / y0) + 1.0)
+    reach = np.sqrt(np.maximum(bound - (c * y0) ** 2, 0.0))
+    # Every d with |c x0 + d| < reach, with a margin of one either side;
+    # the exact test below drops the extra ones.
+    lo = np.floor(-c * x0 - reach)
+    counts = (np.ceil(-c * x0 + reach) - lo + 1.0).astype(np.int64)
+    cs = np.repeat(c, counts)
+    ds = np.arange(cs.size, dtype=np.float64)
+    ds += np.repeat(lo - np.cumsum(counts) + counts, counts)
+    coprime = np.gcd(cs.astype(np.int64), ds.astype(np.int64)) == 1
+    cs, ds = cs[coprime], ds[coprime]
+    norm = (cs * x0 + ds) ** 2 + (cs * y0) ** 2
+    etas = y0 / norm[norm < bound]
+    if y0 * math.exp(t) > height:
+        etas = np.concatenate(([y0], etas))
+    return etas
+
+
+def _cusp_orbit_sum(t, height, x0, y0):
+    # The sum of CuspIndicator.ball_mean from the base x0 + i y0 as given.
+    etas = _cusp_orbit_heights(t, height, x0, y0)
+    total = 0.0
+    for lo in range(0, etas.size, _CAP_BLOCK):
+        total += float(_cusp_cap_area(etas[lo:lo + _CAP_BLOCK], t, height).sum())
+    return total / (4.0 * math.pi * math.sinh(0.5 * t) ** 2)
+
+
 class CuspIndicator:
     """Indicator of the cusp neighborhood Im z > height."""
 
@@ -281,6 +433,31 @@ class CuspIndicator:
 
     def mean(self) -> float:
         return (1.0 / self.height) / _SURFACE_AREA
+
+    def ball_mean(self, t: float, base: Optional[HPoint] = None) -> float:
+        """Exact average over the radius-t disk about base, the estimand of mc_average.
+
+        A point's reduced image lies above height >= 1 exactly when one
+        of its orbit points does, and then only one coset's does, so the
+        average is the sum over the orbit points g x0 of the area of
+        {Im z > height} inside their t-disks, divided by
+        m(B_t) = 4 pi sinh^2(t/2).  It is the same for every point of the
+        base's orbit, so the sum runs from the base's reduced point and
+        has about 3 e^t / (pi height) terms (77,715 for cusp:2 at t = 12)
+        wherever the base is.  The domain is 0 < t <= 12 and a base within
+        hyperbolic distance 28 of i, the reduction's range; anything else
+        is rejected with ValidationError before any term is formed.  At
+        t = 1, 2 and 6 it is within 5e-16 of mpmath.
+        """
+        t = float(t)
+        if not 0.0 < t <= _ORBIT_SUM_T_MAX:
+            raise ValidationError(
+                f"the cusp orbit sum takes radii in (0, {_ORBIT_SUM_T_MAX:g}]; got {t}"
+            )
+        if base is None:
+            base = _DEFAULT_BASE
+        x0, y0, _ = _reduce_batch(np.array([base.x]), np.array([base.y]))
+        return _cusp_orbit_sum(t, self.height, float(x0[0]), float(y0[0]))
 
     def eval_batch(self, x, y):
         return (np.asarray(y) > self.height).astype(np.float64)
@@ -378,43 +555,9 @@ def _chunk_sizes(n: int, chunk: int):
     return sizes
 
 
-def _orbit_xy(theta1, theta2, tau, x0, y0):
-    """g^{-1} x0 = k(-theta2) a_{-tau} k(-theta1) x0 as one Moebius map.
-
-    Projectively k(-theta) = [[1, tan theta], [-tan theta, 1]] and
-    a_{-tau} = diag(e^{-tau}, 1), so the product needs tan and exp only;
-    its determinant s (1 + t1^2)(1 + t2^2) goes into the imaginary part.
-    """
-    t1 = np.tan(theta1)
-    t2 = np.tan(theta2)
-    s = np.negative(tau)
-    np.exp(s, out=s)
-    u = t2 * s
-    # The matrix [[s - t2 t1, s t1 + t2], [-(u + t1), 1 - u t1]], u = t2 s,
-    # built in place.
-    a = t2 * t1
-    np.subtract(s, a, out=a)
-    b = s * t1
-    b += t2
-    c = u + t1
-    np.negative(c, out=c)
-    np.multiply(u, t1, out=u)
-    d = np.subtract(1.0, u, out=u)
-    x, y = _mobius_xy(a, b, c, d, x0, y0)
-    # y times the determinant s (1 + t1^2)(1 + t2^2).
-    np.square(t1, out=t1)
-    t1 += 1.0
-    np.square(t2, out=t2)
-    t2 += 1.0
-    s *= t1
-    s *= t2
-    y *= s
-    return x, y
-
-
 def _run_chunk(t, base, obs, seq, size):
     rng = np.random.Generator(np.random.PCG64(seq))
-    theta1, theta2, tau = _draw_cartan(t, rng, size)
+    theta, tau = _draw_polar(t, rng, size)
     # The chunk is drawn whole, so the substream order does not depend on
     # the block size.  Each block's temporaries stay in cache through the
     # reduction's sweeps, and the values are summed once at the end, so
@@ -422,10 +565,7 @@ def _run_chunk(t, base, obs, seq, size):
     values = np.empty(size)
     for lo in range(0, size, _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        # g^{-1} x0, one Moebius map built from tan of the angles; Haar
-        # measure on the ball is inversion invariant, so this has the law
-        # of g x0.
-        x, y = _orbit_xy(theta1[block], theta2[block], tau[block], base.x, base.y)
+        x, y = _ball_xy(theta[block], tau[block], base.x, base.y)
         xr, yr, _ = _reduce_batch(x, y)
         values[block] = obs.eval_batch(xr, yr)
     return float(values.sum()), float((values * values).sum())
@@ -443,8 +583,8 @@ def _check_seed(seed) -> int:
 
 
 def _check_reach(t: float, base: HPoint) -> None:
-    # An orbit point g^{-1} x0 lies within d(i, x0) of g^{-1} i, which lies
-    # within t of i; t + d(i, x0) must be inside the reduction's range.
+    # Every sample lies within t of x0, which lies d(i, x0) from i, so
+    # t + d(i, x0) must be inside the reduction's range.
     if not t + float(_dist_xy(0.0, 1.0, base.x, base.y)) <= _MC_REACH:
         raise ValidationError(
             f"radius plus the base point's distance from i must be below {_REACH:g}"
@@ -458,24 +598,22 @@ def mc_average(
     seed: int,
     base: Optional[HPoint] = None,
 ) -> MCRun:
-    """Monte Carlo estimate of the t-ball average of obs over the K-orbit of the base point.
+    """Monte Carlo estimate of the average of obs over the radius-t disk about the base point.
 
-    Each sample evaluates obs at g^-1 x0, with g uniform in the group ball
-    {g : d(g i, i) <= t} and x0 the base point.  The law of g^-1 x0 is
-    invariant under rotation about i, so the estimand is the disk average
-    of radius t about x0 averaged over the K-orbit of x0 about i, not the
-    disk average about x0 itself (they agree for x0 = i).  For cusp:2 at
-    base (0.1, 1.3) and t = 0.5 the two are 0.00816 and 0.02402.
+    Each sample evaluates obs at a point drawn uniformly from the
+    hyperbolic disk {z : d(z, x0) <= t}, x0 the base point, folded into
+    the fundamental domain.  For cusp indicators CuspIndicator.ball_mean
+    gives the exact value of this average.
 
     Samples are drawn in fixed-size chunks, each from its own substream
-    of the master seed, and reduced in chunk order.  At t = 0 the draws
-    are the average over the K-orbit of the base point, the limit as
-    t -> 0+.  The supported radii are t + d(i, base) < 28, so t < 27.72
-    at the default base (0.1, 1.3): every orbit point then lies in the
-    reduction's range, where each reduced point is certified by its
-    integer word to K eps (1 + (1 + |x|) / y) in the hyperbolic metric
-    (x, y the orbit point, K = 8; at most 1.4e-6 for t <= 20).  A radius
-    outside it is rejected with ValidationError before any draw.
+    of the master seed, and reduced in chunk order.  At t = 0 every sample
+    is x0 itself, so the estimate is obs at x0 exactly, with standard error
+    0.  The supported radii are t + d(i, base) < 28, so t < 27.72 at the
+    default base (0.1, 1.3): every sample then lies in the reduction's
+    range, where each reduced point is certified by its integer word to
+    K eps (1 + (1 + |x|) / y) in the hyperbolic metric (x, y the sample,
+    K = 8; at most 1.4e-6 for t <= 20).  A radius outside it is rejected
+    with ValidationError before any draw.
     """
     _check_radius(_GROUP, t)
     n = int(n)
@@ -521,11 +659,13 @@ class KSResult:
 def ks_radial_test(t: float, n: int, seed: int) -> KSResult:
     """Compare the empirical law of the sampled radius with the Haar CDF.
 
-    The reference CDF is the volume profile's cdf on SO(2,1), read as 0
-    or 1 outside [0, t].  Its volumes, 2 sinh^2(tau/2), share algebra but
-    no code with _so21_radius, which inverts them; the tests check them
-    against a quadrature of the density.  The threshold 1.63 / sqrt(n) is
-    the asymptotic 1 percent critical value of the two-sided statistic.
+    The radii come from the Monte Carlo's own (2, n) draw of angle and
+    radial uniforms.  The reference CDF is the volume profile's cdf on
+    SO(2,1), read as 0 or 1 outside [0, t].  Its volumes, 2 sinh^2(tau/2),
+    share algebra but no code with _so21_radius, which inverts them; the
+    tests check them against a quadrature of the density.  The threshold
+    1.63 / sqrt(n) is the asymptotic 1 percent critical value of the
+    two-sided statistic.
     """
     if not t > 0.0:
         raise ValidationError("radius t must be positive")
@@ -535,7 +675,7 @@ def ks_radial_test(t: float, n: int, seed: int) -> KSResult:
     seed = _check_seed(seed)
     profile = build_volume_profile(_GROUP, float(t))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    _, _, tau = _draw_cartan(t, rng, n)
+    _, tau = _draw_polar(t, rng, n)
     tau = np.sort(tau)
     cdf = profile.cdf(np.clip(tau, 0.0, t), float(t))
     grid = np.arange(1, n + 1, dtype=np.float64) / n

@@ -8,7 +8,7 @@ live in rankone.acceptance; nothing here may weaken them.
 
 import pytest
 
-from rankone import acceptance, ballavg, cli, model
+from rankone import acceptance, ballavg, cli, model, surface
 from rankone.errors import ConvergenceError, ValidationError
 
 # What `rankone verify` numbers and names, line by line.
@@ -59,6 +59,23 @@ def test_criterion_09_fails_on_a_closed_form_off_by_1e_10(monkeypatch):
     result = acceptance.run_criterion(9)
     assert not result.passed, result.line()
     assert " FAIL " in result.line()
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        lambda radius: lambda t, u: 1.01 * radius(t, u),  # z = +5.69 at t = 1
+        lambda radius: lambda t, u: u * t,  # tau uniform on [0, t]: |z| > 150
+    ],
+    ids=["tau-times-1.01", "tau-uniform"],
+)
+def test_criterion_10_fails_on_a_wrong_radial_law(mutant, monkeypatch):
+    # the KS part is stubbed to pass, so the orbit-sum check alone rejects it
+    monkeypatch.setattr(surface, "_so21_radius", mutant(surface._so21_radius))
+    monkeypatch.setattr(acceptance, "ks_radial_test", lambda t, n, seed: surface.KSResult(t, n, 0.0, 1.0))
+    result = acceptance.run_criterion(10)
+    assert not result.passed, result.line()
+    assert " FAIL (z vs orbit sum " in result.line()
 
 
 def test_suite_is_complete():

@@ -52,3 +52,16 @@ def test_traced_run_ends_correct(name):
     assert result["correct"] is True and result["failed"] == 0, proc.stderr
     if name == "mc-ball":
         assert result["metrics"]["trace.self_coverage"]["value"] >= 0.95
+
+
+def test_untraced_run_ends_correct():
+    # the way the benchmark itself runs: tracing off, here one second of
+    # the mc-sweep workload
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "mc-sweep",
+         "--seconds", "1", "--trace", "0"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr

@@ -290,6 +290,36 @@ def test_simulate_from_config(tmp_path):
     assert np.all(np.diff(devs) < 0.0)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_without_a_fitted_exponent(fmt, tmp_path):
+    # with no continuous part and the second atom's norm 0 at most one
+    # deviation is positive, so no exponent is fitted and the comment
+    # line is left out
+    cfg = {
+        "group": "so:3",
+        "atoms": [1.0, 0.7],
+        "r": 0.4,
+        "omega": [],
+        "f": {"atom_norms": [1.0, 0.0], "omega_norms": []},
+    }
+    spec_path = tmp_path / "spectrum.json"
+    spec_path.write_text(json.dumps(cfg))
+    out = tmp_path / f"report.{fmt}"
+    code = cli.main(
+        ["simulate", "--spec", str(spec_path), "--t-max", "10", "--steps", "5",
+         "--format", fmt, "--out", str(out)]
+    )
+    assert code == 0
+    text = out.read_text()
+    if fmt == "json":
+        payload = json.loads(text)
+        assert len(payload["rows"]) == 5
+        comments = payload["comments"]
+    else:
+        comments = [line[2:] for line in text.splitlines() if line.startswith("# ")][1:]
+    assert len(comments) == 1 and comments[0].startswith("sup ratio ")
+
+
 def test_simulate_impure_config_exits_1(tmp_path, capsys):
     cfg = {
         "group": "so:3",

@@ -170,6 +170,33 @@ def test_degenerate_difference_warns_and_stays_accurate():
     assert got == pytest.approx(ref, rel=1e-7)
 
 
+def test_two_pair_average_at_a_degenerate_difference(monkeypatch):
+    # so:5 at s = 1.000005: a - b lies 5e-6 from the integer 1, and of the
+    # shifts by +-2 eps one would land nearer it than the shifts by +-eps,
+    # so the connection formula averages the one pair, with no Richardson
+    # step.  All four radii lie in the connection region, x < -3.
+    lengths = []
+    pairs = hyper._connection_pairs
+
+    def recording(a, b):
+        out = pairs(a, b)
+        lengths.append(len(out))
+        return out
+
+    monkeypatch.setattr(hyper, "_connection_pairs", recording)
+    group, s = make_group("so", 5), 1.000005
+    ts = np.array([1.5, 2.0, 5.0, 20.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateParamWarning)
+        phi = spherical_fn_many(group, complementary(s), ts)
+    assert lengths == [2]
+    a, b, c = (group.rho + s) / 2.0, (group.rho - s) / 2.0, group.alpha + 1.0
+    mpmath.mp.dps = 40
+    for t, value in zip(ts, phi):
+        ref = float(mpmath.hyp2f1(a, b, c, -mpmath.sinh(mpmath.mpf(t)) ** 2))
+        assert abs(value - ref) <= 5e-10 * ref, t
+
+
 def test_positive_x_rejected():
     with pytest.raises(ValidationError):
         gauss_2f1_neg([0.5], [0.5], 1.0, 0.25)

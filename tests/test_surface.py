@@ -71,7 +71,7 @@ def test_disk_predicate_against_mpmath_on_rings(cx, cy, r):
 
 def test_disk_predicate_matches_distance_on_orbit_points():
     # the squared comparison decides d < r exactly as the distance does,
-    # on 2^20 reduced Monte Carlo orbit points
+    # on 2^20 reduced Monte Carlo sample points
     xs, ys = [], []
     for seed, t in enumerate((2.0, 4.5, 7.0, 10.0)):
         x, y, _ = surface._reduce_batch(*_orbit_points(t, 2**18, 30 + seed))
@@ -179,32 +179,26 @@ def _masked_reduce(x, y):
 def _orbit_points(t, size, seed):
     # the MC pipeline's points before reduction, for the whole draw at once
     rng = np.random.default_rng(seed)
-    return surface._orbit_xy(*surface._draw_cartan(t, rng, size), 0.1, 1.3)
+    return surface._ball_xy(*surface._draw_polar(t, rng, size), 0.1, 1.3)
 
 
-def _orbit_mp(theta1, theta2, tau, x0, y0):
-    # k(-theta2) a_{-tau} k(-theta1) z0 with cos and sin at 40 digits
+def _orbit_mp(theta, tau, x0, y0):
+    # x0 + y0 k(theta) a_{-tau} i with cos and sin at 40 digits
     with mpmath.workdps(40):
-        def k_inv(theta):
-            c, s = mpmath.cos(mpmath.mpf(theta)), mpmath.sin(mpmath.mpf(theta))
-            return mpmath.matrix([[c, s], [-s, c]])
-
-        half = mpmath.exp(-mpmath.mpf(tau) / 2)
-        g = k_inv(theta2) * mpmath.matrix([[half, 0], [0, 1 / half]]) * k_inv(theta1)
-        z = mpmath.mpc(x0, y0)
-        w = (g[0, 0] * z + g[0, 1]) / (g[1, 0] * z + g[1, 1])
-        return float(w.real), float(w.imag)
+        c, s = mpmath.cos(mpmath.mpf(theta)), mpmath.sin(mpmath.mpf(theta))
+        w = 1j * mpmath.exp(-mpmath.mpf(tau))
+        z = x0 + y0 * (c * w + s) / (-s * w + c)
+        return float(z.real), float(z.imag)
 
 
 def _orbit_draws(t):
     # the sampler's draws and the angles where tan is 0 or huge
-    theta1, theta2, tau = surface._draw_cartan(t, np.random.default_rng(17), 300)
+    theta, tau = surface._draw_polar(t, np.random.default_rng(17), 300)
     edges = [0.0, math.nextafter(math.pi / 2, 0.0), math.pi / 2, math.nextafter(math.pi / 2, 4.0), math.nextafter(math.pi, 0.0)]
-    pairs = [(a, b, r) for a in edges for b in edges for r in (0.0, t)]
-    theta1 = np.concatenate([theta1, [p[0] for p in pairs]])
-    theta2 = np.concatenate([theta2, [p[1] for p in pairs]])
-    tau = np.concatenate([tau, [p[2] for p in pairs]])
-    return theta1, theta2, tau
+    pairs = [(a, r) for a in edges for r in (0.0, t)]
+    theta = np.concatenate([theta, [p[0] for p in pairs]])
+    tau = np.concatenate([tau, [p[1] for p in pairs]])
+    return theta, tau
 
 
 _ORBIT_BASES = ((0.1, 1.3), (-0.37, 0.6))
@@ -212,36 +206,36 @@ _ORBIT_BASES = ((0.1, 1.3), (-0.37, 0.6))
 
 @pytest.mark.parametrize("t", [1e-9, 2.0, 10.0, 15.0])
 def test_orbit_map_matches_mpmath(t):
-    # the tangent-form map against the rotation-matrix product in mpmath
-    theta1, theta2, tau = _orbit_draws(t)
+    # the tangent-form map against the rotation matrix in mpmath
+    theta, tau = _orbit_draws(t)
     for x0, y0 in _ORBIT_BASES:
-        x, y = surface._orbit_xy(theta1, theta2, tau, x0, y0)
-        ref = np.array([_orbit_mp(a, b, r, x0, y0) for a, b, r in zip(theta1, theta2, tau)])
+        x, y = surface._ball_xy(theta, tau, x0, y0)
+        ref = np.array([_orbit_mp(a, r, x0, y0) for a, r in zip(theta, tau)])
         assert np.all(np.abs(x - ref[:, 0]) <= 1e-13 * np.maximum(1.0, np.abs(ref[:, 0])))
         assert np.all(np.abs(y - ref[:, 1]) <= 1e-13 * ref[:, 1])
 
 
-def _orbit_expression(theta1, theta2, tau, x0, y0):
-    # the orbit map written as one expression per entry, each temporary
+def _orbit_expression(theta, tau, x0, y0):
+    # the map written as one expression per coordinate, each temporary
     # its own array: the in-place map must give these bits
-    t1 = np.tan(theta1)
-    t2 = np.tan(theta2)
+    t1 = np.tan(theta)
     s = np.exp(-tau)
-    u = t2 * s
-    a, b, c, d = s - t2 * t1, s * t1 + t2, -(u + t1), 1.0 - u * t1
-    den = (c * x0 + d) ** 2 + (c * y0) ** 2
-    x = ((a * x0 + b) * (c * x0 + d) + a * c * y0 * y0) / den
-    return x, y0 / den * (s * (1.0 + t1 * t1) * (1.0 + t2 * t2))
+    den = 1.0 + (s * t1) * (s * t1)
+    return x0 + y0 * (t1 * (1.0 - s * s) / den), y0 * (s * (1.0 + t1 * t1) / den)
 
 
 @pytest.mark.parametrize("t", [1e-9, 2.0, 10.0, 15.0])
 def test_orbit_map_bits(t):
-    theta1, theta2, tau = _orbit_draws(t)
+    theta, tau = _orbit_draws(t)
     for x0, y0 in _ORBIT_BASES:
-        got = surface._orbit_xy(theta1, theta2, tau, x0, y0)
-        ref = _orbit_expression(theta1, theta2, tau, x0, y0)
+        got = surface._ball_xy(theta, tau, x0, y0)
+        ref = _orbit_expression(theta, tau, x0, y0)
         for g, r in zip(got, ref):
             assert np.array_equal(g.view(np.uint64), r.view(np.uint64))
+        # tau = 0 leaves the base point where it is, bit for bit
+        at_base = tau == 0.0
+        assert np.count_nonzero(at_base) == 5
+        assert np.all(got[0][at_base] == x0) and np.all(got[1][at_base] == y0)
 
 
 def _tie_points():
@@ -341,7 +335,7 @@ def _reduced(x, y):
 
 
 def _edge_points():
-    # the edges of the range: MC orbit points at t = 20 and 27.7, and
+    # the edges of the range: MC sample points at t = 20 and 27.7, and
     # points at y = 1e-12 with x uniform on [-1/2, 1/2]
     xs, ys = zip(_orbit_points(20.0, 40, 3), _orbit_points(27.7, 40, 4))
     x12 = np.random.default_rng(8).uniform(-0.5, 0.5, 40)
@@ -378,9 +372,11 @@ def test_certificate_rejects_a_moved_iterate():
 def test_certificate_rejects_one_translation_too_many():
     # T gamma keeps the determinant and carries the input to x + 1, so
     # only the image test can see it; at every point of this set the
-    # reduced y is below 320, where the tolerance is below 1
+    # certificate's tolerance is below 1 (it is wherever the reduced y
+    # is below 320; one point here has y = 375 and a tolerance of 2e-4)
     x_in, y_in, x, y, word = _reduced(*_edge_points())
-    assert np.max(y) < 320.0
+    tol = surface._WORD_K * surface._EPS * (1.0 + (1.0 + np.abs(x_in)) / y_in) * y
+    assert np.max(tol) < 1.0
     wa, wb, wc, wd = word
     for i in range(0, x.size, 7):
         shifted = [wa.copy(), wb.copy(), wc, wd]
@@ -460,6 +456,81 @@ def test_observable_means():
     )
 
 
+def _cap_mp(eta, t, height):
+    # 2 * integral of sqrt((eta e^t - y)(y - eta e^-t)) / y^2 dy over
+    # y from max(height, eta e^-t) to eta e^t, at 30 digits on twelve
+    # log-spaced panels (the integrand is largest near the bottom)
+    with mpmath.workdps(30):
+        eta, t, height = mpmath.mpf(eta), mpmath.mpf(t), mpmath.mpf(height)
+        top, bottom = eta * mpmath.exp(t), eta * mpmath.exp(-t)
+        lo = max(height, bottom)
+        if lo >= top:
+            return 0.0
+        cuts = [lo * (top / lo) ** (mpmath.mpf(k) / 12) for k in range(13)]
+        return float(mpmath.quad(lambda y: 2 * mpmath.sqrt(max((top - y) * (y - bottom), 0)) / y**2, cuts))
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.5, 1.0, 1.01, 2.0, 6.0, 12.0])
+def test_cusp_cap_area_matches_mpmath(t):
+    # the cut through the disk's Euclidean centre, just above its bottom,
+    # just below its top, and at three random heights; each eta is
+    # rounded to float before the reference sees it
+    height = 2.0
+    etas = np.array(
+        [height / math.cosh(t), height * math.exp(t) / (1.0 + 1e-3), height * math.exp(-t) / (1.0 - 1e-3)]
+        + list(height * np.exp(np.random.default_rng(5).uniform(-t, t, 3)))
+    )
+    got = surface._cusp_cap_area(etas, t, height)
+    for eta, area in zip(etas, got):
+        ref = _cap_mp(eta, t, height)
+        assert abs(area - ref) <= 1e-12 * ref, (eta, area, ref)
+    # a disk wholly above the line is all counted, one wholly below it not
+    full, empty = surface._cusp_cap_area(np.array([2.0 * height * math.exp(t), 0.9 * height * math.exp(-t)]), t, height)
+    assert full == pytest.approx(4.0 * math.pi * math.sinh(0.5 * t) ** 2, rel=1e-14)
+    assert empty == 0.0
+
+
+# cusp:2 at base (0.1, 1.3): the exact disk average from mpmath at 30
+# digits, and the number of orbit points whose t-disk reaches above y = 2
+CUSP_ORBIT_SUMS = [(1.0, 0.167463333784381, 2), (2.0, 0.359473239696701, 4), (6.0, 0.47494832046871, 195)]
+
+
+@pytest.mark.parametrize("t, value, terms", CUSP_ORBIT_SUMS)
+def test_cusp_ball_mean_reference_values(t, value, terms):
+    obs = CuspIndicator(2.0)
+    assert obs.ball_mean(t) == pytest.approx(value, rel=1e-12)
+    assert surface._cusp_orbit_heights(t, 2.0, 0.1, 1.3).size == terms
+    # the average over the disk about g x0 is the same for every g in
+    # PSL(2, Z): summed from the base moved by T or by S, every term
+    # changes and the total does not; ball_mean sums from the reduced
+    # base, also for a base far down the orbit
+    for x0, y0 in ((1.1, 1.3), (-0.1 / 1.7, 1.3 / 1.7)):
+        assert surface._cusp_orbit_sum(t, 2.0, x0, y0) == pytest.approx(value, rel=1e-12)
+    far = (1.3 * 1j + 0.1 + 7.0) / (3.0 * (1.3 * 1j + 7.1) + 1.0)
+    assert obs.ball_mean(t, HPoint(far.real, far.imag)) == pytest.approx(value, rel=1e-12)
+
+
+def test_cusp_ball_mean_at_its_largest_radius():
+    # t = 12 sums 77,715 terms, and the average is within 1e-5 of the
+    # space mean
+    obs = CuspIndicator(2.0)
+    assert surface._cusp_orbit_heights(12.0, 2.0, 0.1, 1.3).size == 77715
+    assert abs(obs.ball_mean(12.0) - obs.mean()) < 1e-5
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf, 12.000001])
+def test_cusp_ball_mean_rejects_radii_outside_its_domain(t, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no orbit term may be formed outside the domain")
+
+    monkeypatch.setattr(surface, "_cusp_orbit_heights", refuse)
+    with pytest.raises(ValidationError, match="radii"):
+        CuspIndicator(2.0).ball_mean(t)
+    # and a base outside the reduction's range, d(i, base) > 28
+    with pytest.raises(ValidationError, match="distance"):
+        CuspIndicator(2.0).ball_mean(1.0, HPoint(0.0, 1e-13))
+
+
 def test_observable_eval():
     cusp = CuspIndicator(2.0).eval_batch(np.array([0.1, 0.1]), np.array([2.5, 1.9]))
     np.testing.assert_array_equal(cusp, [1.0, 0.0])
@@ -500,11 +571,11 @@ def test_parse_observable():
 
 
 def _assert_radius_law(t, rng, n):
-    # g^{-1} i for g = k(theta1) a_tau k(theta2) lies at distance exactly tau from i
-    theta1, theta2, tau = surface._draw_cartan(t, rng, n)
-    x, y = surface._orbit_xy(theta1, theta2, tau, 0.0, 1.0)
-    np.testing.assert_allclose(surface._dist_xy(0.0, 1.0, x, y), tau, rtol=0.0, atol=1e-9)
-    assert np.all(tau <= t)
+    # x0 + y0 k(theta) a_{-tau} i lies at distance exactly tau from x0 + i y0
+    theta, tau = surface._draw_polar(t, rng, n)
+    x, y = surface._ball_xy(theta, tau, 0.1, 1.3)
+    np.testing.assert_allclose(surface._dist_xy(0.1, 1.3, x, y), tau, rtol=0.0, atol=1e-9)
+    assert np.all(tau <= t) and np.all((theta >= 0.0) & (theta < math.pi))
 
 
 def test_cartan_sample_radius_law():
@@ -562,19 +633,21 @@ def test_mc_seed_determinism():
     assert a.estimate != c.estimate
 
 
-# float.hex of (estimate, standard error), recorded before the MC pipeline
-# ran in blocks.  No n is a multiple of the block or chunk size, so partial
-# blocks and a partial final chunk both run.
+# float.hex of (estimate, standard error) of the average over the disk
+# about the base point.  No n is a multiple of the block or chunk size, so
+# partial blocks and a partial final chunk both run.  The cusp entries lie
+# within 1.2 sigma of CuspIndicator.ball_mean; the t = 0 disk entry is the
+# value at the base point, exactly.
 PINNED_MC = [
-    (2.0, 100000, "cusp:2", 1, "0x1.6ef34d6a161e5p-2", "0x1.8d81d1b9d16d7p-10"),
-    (8.0, 100000, "disk:0,1.5,0.25", 42, "0x1.86a2b1704ff43p-3", "0x1.45b1236a18784p-10"),
+    (2.0, 100000, "cusp:2", 1, "0x1.6e8fb00bcbe62p-2", "0x1.8d69f66182dc2p-10"),
+    (8.0, 100000, "disk:0,1.5,0.25", 42, "0x1.820c49ba5e354p-3", "0x1.4438bf16f1b05p-10"),
     (15.0, 70001, "const", 5, "0x1.0000000000000p+0", "0x0.0p+0"),
-    (15.0, 100003, "cusp:1.5", 9, "0x1.44a8e21ce6caep-1", "0x1.8f4be21ac03d3p-10"),
-    (2.0, 9000, "disk:0.1,1.3,0.2", 3, "0x1.3b2a1907f6e5dp-3", "0x1.f29317a13c00ap-9"),
-    (8.0, 131073, "cusp:2", 2, "0x1.e6b50ca579ad4p-2", "0x1.6998be187dcdfp-10"),
-    (0.0, 30001, "disk:0.1,1.3,0.2", 7, "0x1.dd82691c2f45fp-2", "0x1.7983454b7d2fdp-9"),
-    (10.0, 100001, "cusp:2", 11, "0x1.e79d1a62ba5c7p-2", "0x1.9e04014dceec4p-10"),
-    (10.0, 90001, "disk:0,1.5,0.25", 13, "0x1.80d6722b465fap-3", "0x1.555893eec2c4cp-10"),
+    (15.0, 100003, "cusp:1.5", 9, "0x1.46d73bb480b3ep-1", "0x1.8e4be34a868a0p-10"),
+    (2.0, 9000, "disk:0.1,1.3,0.2", 3, "0x1.26007482296a4p-3", "0x1.e479e4db0633cp-9"),
+    (8.0, 131073, "cusp:2", 2, "0x1.e8bf0ba07a2fcp-2", "0x1.69aa42dc306b8p-10"),
+    (0.0, 30001, "disk:0.1,1.3,0.2", 7, "0x1.0000000000000p+0", "0x0.0p+0"),
+    (10.0, 100001, "cusp:2", 11, "0x1.ea955025267d4p-2", "0x1.9e1f8f749a43fp-10"),
+    (10.0, 90001, "disk:0,1.5,0.25", 13, "0x1.7f5025a3242c2p-3", "0x1.54d3465804780p-10"),
 ]
 
 
@@ -593,37 +666,35 @@ def test_mc_error_scaling():
 
 
 def test_mc_converges_to_space_mean():
-    # at t = 8 the dynamical deviation has decayed well below the Monte
-    # Carlo noise at this sample size, so a pure noise bound applies
-    run = mc_average(8.0, 200000, CuspIndicator(2.0), 12)
-    target = CuspIndicator(2.0).mean()
+    # at t = 8 the exact disk average lies 0.00035 below the space mean,
+    # about a third of the Monte Carlo noise at this sample size; the
+    # estimate must match the exact value
+    obs = CuspIndicator(2.0)
+    run = mc_average(8.0, 200000, obs, 12)
+    target = obs.ball_mean(8.0)
+    assert -3.6e-4 < target - obs.mean() < -3.4e-4
     assert abs(run.estimate - target) <= 4.0 * run.standard_error
 
 
 def test_mc_t_zero_is_orbit_limit():
-    # As t -> 0+ the ball average tends to the average over the K-orbit of
-    # the base point, the circle about i through it, not to f(base).
+    # At t = 0 the ball is the base point alone, and every sample is the
+    # base point bit for bit; at t = 1e-9 every sample is within 1e-9 of
+    # it.  Both give the observable at the base point exactly, with
+    # standard error 0, for an observable that is 1 there and one that
+    # is 0 there.
     base = HPoint(0.1, 1.3)
-    obs = DiskIndicator(base, 0.2)
-    at_zero = mc_average(0.0, 20000, obs, 3, base=base)
-    near_zero = mc_average(1e-9, 20000, obs, 3, base=base)
-    assert at_zero.estimate == near_zero.estimate
-    assert at_zero.standard_error == near_zero.standard_error
-    # The disk covers the arc of the circle within 0.2 of the base point.
-    # S fixes i and turns the circle by half a revolution, so the arc's
-    # image is folded onto the disk too: twice the arc's share.
-    r0 = float(surface._dist_xy(0.0, 1.0, base.x, base.y))
-    cos_arc = (math.cosh(r0) ** 2 - math.cosh(0.2)) / math.sinh(r0) ** 2
-    orbit_mean = 2.0 * math.acos(cos_arc) / math.pi
-    assert abs(at_zero.estimate - orbit_mean) <= 4.0 * at_zero.standard_error
-    assert at_zero.estimate != obs.eval_batch(np.array([base.x]), np.array([base.y]))[0]
+    for obs, value in ((DiskIndicator(base, 0.2), 1.0), (CuspIndicator(2.0), 0.0)):
+        assert obs.eval_batch(np.array([base.x]), np.array([base.y]))[0] == value
+        for t in (0.0, 1e-9):
+            run = mc_average(t, 20000, obs, 3, base=base)
+            assert (run.estimate, run.standard_error) == (value, 0.0)
 
 
 def test_mc_validation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no draw may happen outside the range")
 
-    monkeypatch.setattr(surface, "_draw_cartan", refuse)
+    monkeypatch.setattr(surface, "_draw_polar", refuse)
     monkeypatch.setattr(surface, "build_volume_profile", refuse)
     # radii outside the domain are rejected before any variate is drawn
     for t in (-1.0, math.nan, math.inf, -math.inf, 700.5):
@@ -678,8 +749,11 @@ def test_mc_needs_no_volume_profile(t, monkeypatch):
 
     monkeypatch.setattr(surface, "build_volume_profile", refuse)
     monkeypatch.setattr(ballavg.VolumeProfile, "sample_radius", refuse)
-    run = mc_average(t, 5000, CuspIndicator(1.2), 2)
-    assert math.isfinite(run.estimate) and run.standard_error > 0.0
+    # the cusp line y = 1.2 runs through the base point: every disk of
+    # positive radius about it straddles the line, and t = 0 is the base
+    # point alone
+    run = mc_average(t, 5000, CuspIndicator(1.2), 2, base=HPoint(0.1, 1.2))
+    assert math.isfinite(run.estimate) and (run.standard_error > 0.0) == (t > 0.0)
     _assert_radius_law(t, np.random.default_rng(1), 5000)
 
 
