@@ -41,7 +41,14 @@ from .model import (
     time_grid,
 )
 from .spherical import hc_c_function, spherical_fn_many
-from .surface import HPoint, decay_scan, mc_average, parse_observable
+from .surface import (
+    _ORBIT_SUM_T_MAX,
+    CuspIndicator,
+    HPoint,
+    decay_scan,
+    mc_average,
+    parse_observable,
+)
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage failures exit with code 1."""
@@ -213,6 +220,16 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _check_appendable(path: str, columns: Sequence[str]) -> None:
+    # A row appended under other columns would be read as those.
+    if os.path.exists(path) and os.path.getsize(path) > 0:
+        with open(path, encoding="utf-8", newline="") as handle:
+            handle.readline()
+            header = next(csv.reader([handle.readline()]), [])
+        if header != list(columns):
+            raise ValidationError(f"{path} has columns {header}, not {list(columns)}")
+
+
 def _append_csv_row(path: str, invocation: str, columns: Sequence[str], row: list) -> None:
     fresh = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", encoding="utf-8", newline="") as handle:
@@ -223,16 +240,34 @@ def _append_csv_row(path: str, invocation: str, columns: Sequence[str], row: lis
         writer.writerow([_fmt(cell) for cell in row])
 
 
+_MC_COLUMNS = ["t", "samples", "seed", "observable", "base_x", "base_y",
+               "estimate", "stderr", "space_mean", "ball_mean", "z"]
+
+
 def cmd_mc(args) -> int:
     obs = parse_observable(args.obs)
     base = _parse_base(args.base)
+    if args.out is not None:
+        _check_appendable(args.out, _MC_COLUMNS)
     run = mc_average(args.t, args.samples, obs, args.seed, base=base)
-    target = obs.mean()
+    # The space mean is the limit of the ball average as t grows.  For the
+    # cusp indicators the ball average itself, the value estimated, is
+    # known exactly at 0 < t <= 12, and z measures the estimate against it.
+    space_mean = obs.mean()
+    ball_mean = z = None
+    if isinstance(obs, CuspIndicator) and 0.0 < run.t <= _ORBIT_SUM_T_MAX:
+        ball_mean = obs.ball_mean(run.t, base)
+        if run.standard_error > 0.0:
+            z = (run.estimate - ball_mean) / run.standard_error
     line = (
         f"t={args.t:g} samples={args.samples} seed={args.seed} obs={run.observable} "
         f"estimate={_fmt(run.estimate)} stderr={_fmt(run.standard_error)} "
-        f"target={_fmt(target)}"
+        f"space_mean={_fmt(space_mean)}"
     )
+    if ball_mean is not None:
+        line += f" ball_mean={_fmt(ball_mean)}"
+    if z is not None:
+        line += f" z={_fmt(z)}"
     if args.format == "json":
         payload = {
             "tool": "rankone", "version": __version__,
@@ -240,18 +275,19 @@ def cmd_mc(args) -> int:
             "t": args.t, "samples": args.samples, "seed": args.seed,
             "observable": run.observable, "base": [base.x, base.y],
             "estimate": run.estimate, "stderr": run.standard_error,
-            "target": target,
+            "space_mean": space_mean, "ball_mean": ball_mean, "z": z,
         }
         print(json.dumps(payload, indent=2))
     else:
         print(line)
     if args.out is not None:
+        # Every row has the same columns, so runs of any observable append
+        # to one file; a value that is not defined is an empty cell.
         _append_csv_row(
-            args.out, args._invocation,
-            ["t", "samples", "seed", "observable", "base_x", "base_y",
-             "estimate", "stderr", "target"],
+            args.out, args._invocation, _MC_COLUMNS,
             [args.t, args.samples, args.seed, run.observable, base.x, base.y,
-             run.estimate, run.standard_error, target],
+             run.estimate, run.standard_error, space_mean,
+             "" if ball_mean is None else ball_mean, "" if z is None else z],
         )
     return 0
 

@@ -205,6 +205,43 @@ def _certify_word(x_in, y_in, x, y, word):
     return worst
 
 
+def _fold_all(x, y, r2, keep, n, tmp):
+    # T^n S in one step, applied in place to every point and then undone
+    # at the indices keep: most points take it, and one pass over the
+    # whole arrays costs less than gathering them.  Every point is in the
+    # strip |x| <= 1/2 and r2 is its |z|^2; with v = x / |z|^2 the image
+    # -v + i y / |z|^2 of S goes back to the strip by T^n, n = rint(v), so
+    # x becomes n - v.  Leaves n in n and the new |z|^2 in r2.
+    saved = x[keep], y[keep]
+    x /= r2
+    y /= r2
+    np.rint(x, out=n)
+    np.subtract(n, x, out=x)
+    x[keep], y[keep] = saved
+    np.square(x, out=r2)
+    np.square(y, out=tmp)
+    r2 += tmp
+
+
+def _fold_some(x, y, r2, idx):
+    # The step of _fold_all for the few points at idx, gathered and
+    # scattered back with their |z|^2; returns their n.
+    r2i = r2[idx]
+    xi = x[idx]
+    xi /= r2i
+    n = np.rint(xi)
+    np.subtract(n, xi, out=xi)
+    yi = y[idx]
+    yi /= r2i
+    x[idx] = xi
+    y[idx] = yi
+    np.square(xi, out=xi)
+    np.square(yi, out=yi)
+    xi += yi
+    r2[idx] = xi
+    return n
+
+
 def _reduce_batch(x, y):
     """Fold points into {|Re| <= 1/2, |z| >= 1}, accumulating the word.
 
@@ -212,6 +249,13 @@ def _reduce_batch(x, y):
     sweep then applies S to the points with |z| < 1 together with the
     translation that brings them back to the strip; a point that did not
     take S is not translated again.
+
+    The word starts as the translation's (1, -m0; 0, 1), m0 = rint(x), and
+    the first sweep writes its product with T^n S directly: a point that
+    takes S gets (n, -n m0 - 1; 1, -m0), one that does not keeps
+    (1, -m0; 0, 1), bit for bit what the general step gives from that
+    word.  Every sweep counts against _SWEEP_CAP, the first one included,
+    and so does the last one, which finds no point left to move.
 
     The range is every point within hyperbolic distance 28 of i, that is
     (x^2 + 1) / y + y <= 2 cosh 28: for x in [-1/2, 1/2] it holds every y
@@ -227,80 +271,81 @@ def _reduce_batch(x, y):
     """
     x_in = np.asarray(x, dtype=np.float64)
     y_in = np.asarray(y, dtype=np.float64)
+    # 2 cosh d(i, z) = (x^2 + 1) / y + y; NaN fails min and max, and
+    # infinities the bound.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # 2 cosh d(i, z) = (x^2 + 1) / y + y; NaN and infinities fail it.
-        in_range = (y_in > 0.0) & ((x_in * x_in + 1.0) / y_in + y_in <= _TWO_COSH_REACH)
-    if not in_range.all():
+        tmp = np.square(x_in)
+        tmp += 1.0
+        tmp /= y_in
+        tmp += y_in
+        in_range = y_in.min() > 0.0 and tmp.max() <= _TWO_COSH_REACH
+    if not in_range:
         raise ValidationError(f"points to reduce must lie within hyperbolic distance {_REACH:g} of i")
-    # T^{-m}, m = rint(x), applied to the input and the identity word;
-    # 0.0 - m, not -m, gives the +0.0 that translating a zero entry gives.
+    if _SWEEP_CAP < 1:
+        raise ConvergenceError("reduction did not terminate within the iteration cap")
+    # T^{-m0}, m0 = rint(x); 0.0 - m0, not -m0, gives the +0.0 that
+    # translating a zero entry gives.
     m = np.rint(x_in)
     x = x_in - m
     y = y_in.copy()
     size = x.size
-    wa = np.ones(size)
-    wb = np.subtract(0.0, m)
-    wc = np.zeros(size)
-    wd = np.ones(size)
-    r2 = np.empty_like(x)
-    tmp = np.empty_like(x)
-    inside = np.empty(x.shape, dtype=bool)
-    np.square(x, out=r2)
+    neg_m0 = np.subtract(0.0, m)
+    r2 = np.square(x)
     np.square(y, out=tmp)
     r2 += tmp
-    for _ in range(_SWEEP_CAP):
-        # Every point is in the strip |x| <= 1/2 here, and r2 is its
-        # |z|^2: only S takes a point out of the strip, and the translation
-        # that goes with S brings back the points that took it.
+    inside = np.less(r2, _DOMAIN_EDGE)
+    count = np.count_nonzero(inside)
+    # The first sweep, against the word (1, -m0; 0, 1).  Where T^n S is
+    # taken the word's rows (a, b), (c, d) become n (a, b) - (c, d) and
+    # (a, b); where no point takes it, idx is empty.
+    if 2 * count > size:
+        wc = inside.astype(np.float64)
+        keep = np.logical_not(inside, out=inside).nonzero()[0]
+        wa = np.empty(size)
+        _fold_all(x, y, r2, keep, wa, tmp)
+        wb = np.multiply(wa, neg_m0)
+        wb -= 1.0
+        wd = neg_m0
+        wa[keep] = 1.0
+        wb[keep] = wd[keep]
+        wd[keep] = 1.0
+    else:
+        wc = inside.astype(np.float64)
+        idx = inside.nonzero()[0]
+        n = _fold_some(x, y, r2, idx)
+        b = neg_m0[idx]
+        wa = np.ones(size)
+        wa[idx] = n
+        wb = neg_m0.copy()
+        wb[idx] = n * b - 1.0
+        wd = np.ones(size)
+        wd[idx] = b
+    # The sweep above was the first of the _SWEEP_CAP; the loop ends with
+    # count 0 unless it runs out of sweeps.
+    for _ in range(_SWEEP_CAP - 1):
         np.less(r2, _DOMAIN_EDGE, out=inside)
         count = np.count_nonzero(inside)
         if count == 0:
             break
-        # S and the T^{-n} after it in one step: with v = x / |z|^2 the
-        # image -v + i y / |z|^2 takes n = rint(-v) = -m for m = rint(v),
-        # so x becomes m - v, and the word's rows (a, b), (c, d) become
-        # m (a, b) - (c, d) and (a, b).
         if 2 * count > size:
-            # Most points take S: apply it to the whole arrays, then put
-            # back the few that should not have taken it.
-            keep = np.flatnonzero(np.logical_not(inside, out=inside))
-            saved = x[keep], y[keep], wa[keep], wb[keep], wc[keep], wd[keep]
-            x /= r2
-            y /= r2
-            np.rint(x, out=m)
-            np.subtract(m, x, out=x)
+            keep = np.logical_not(inside, out=inside).nonzero()[0]
+            saved = wa[keep], wb[keep], wc[keep], wd[keep]
+            _fold_all(x, y, r2, keep, m, tmp)
             np.multiply(m, wa, out=tmp)
             np.subtract(tmp, wc, out=wc)
             np.multiply(m, wb, out=tmp)
             np.subtract(tmp, wd, out=wd)
             wa, wb, wc, wd = wc, wd, wa, wb
-            x[keep], y[keep], wa[keep], wb[keep], wc[keep], wd[keep] = saved
-            np.square(x, out=r2)
-            np.square(y, out=tmp)
-            r2 += tmp
+            wa[keep], wb[keep], wc[keep], wd[keep] = saved
         else:
-            # Few points take S: gather them, and scatter back their new
-            # point, word and |z|^2.
-            idx = np.flatnonzero(inside)
-            r2i = r2[idx]
-            xi = x[idx]
-            xi /= r2i
-            mi = np.rint(xi)
-            np.subtract(mi, xi, out=xi)
-            yi = y[idx]
-            yi /= r2i
-            x[idx] = xi
-            y[idx] = yi
+            idx = inside.nonzero()[0]
+            n = _fold_some(x, y, r2, idx)
             a, b = wa[idx], wb[idx]
-            wa[idx] = mi * a - wc[idx]
-            wb[idx] = mi * b - wd[idx]
+            wa[idx] = n * a - wc[idx]
+            wb[idx] = n * b - wd[idx]
             wc[idx] = a
             wd[idx] = b
-            np.square(xi, out=xi)
-            np.square(yi, out=yi)
-            xi += yi
-            r2[idx] = xi
-    else:
+    if count:
         raise ConvergenceError("reduction did not terminate within the iteration cap")
     word = (wa, wb, wc, wd)
     _certify_word(x_in, y_in, x, y, word)
@@ -561,13 +606,20 @@ def _run_chunk(t, base, obs, seq, size):
     # The chunk is drawn whole, so the substream order does not depend on
     # the block size.  Each block's temporaries stay in cache through the
     # reduction's sweeps, and the values are summed once at the end, so
-    # the pairwise sums match an unblocked chunk bit for bit.
-    values = np.empty(size)
-    for lo in range(0, size, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        x, y = _ball_xy(theta[block], tau[block], base.x, base.y)
+    # the pairwise sums match an unblocked chunk bit for bit.  A chunk of
+    # one block needs no buffer: it is mapped, reduced and evaluated in
+    # one pass.
+    if size <= _BLOCK:
+        x, y = _ball_xy(theta, tau, base.x, base.y)
         xr, yr, _ = _reduce_batch(x, y)
-        values[block] = obs.eval_batch(xr, yr)
+        values = obs.eval_batch(xr, yr)
+    else:
+        values = np.empty(size)
+        for lo in range(0, size, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            x, y = _ball_xy(theta[block], tau[block], base.x, base.y)
+            xr, yr, _ = _reduce_batch(x, y)
+            values[block] = obs.eval_batch(xr, yr)
     return float(values.sum()), float((values * values).sum())
 
 

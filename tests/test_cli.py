@@ -357,6 +357,10 @@ def test_mc_single_line_and_append(tmp_path, capsys):
     assert rows[0][2] == "3" and rows[1][2] == "4"
 
 
+_MC_COLUMNS = ["t", "samples", "seed", "observable", "base_x", "base_y",
+               "estimate", "stderr", "space_mean", "ball_mean", "z"]
+
+
 def test_mc_json_matches_mc_average_and_appends(tmp_path, capsys):
     out = tmp_path / "mc.csv"
     argv = ["mc", "--t", "1.5", "--samples", "2000", "--obs", "cusp:2.0",
@@ -364,24 +368,90 @@ def test_mc_json_matches_mc_average_and_appends(tmp_path, capsys):
     assert cli.main(argv) == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"tool", "version", "invocation", "t", "samples", "seed",
-                            "observable", "base", "estimate", "stderr", "target"}
+                            "observable", "base", "estimate", "stderr",
+                            "space_mean", "ball_mean", "z"}
     assert payload["tool"] == "rankone" and payload["version"] == rankone.__version__
     assert payload["invocation"] == "rankone " + " ".join(argv[:-1] + [shlex.quote(str(out))])
     assert (payload["t"], payload["samples"], payload["seed"]) == (1.5, 2000, 3)
     assert payload["observable"] == "cusp:2" and payload["base"] == [0.1, 1.3]
     obs = parse_observable("cusp:2.0")
-    run = mc_average(1.5, 2000, obs, 3, base=HPoint(0.1, 1.3))
+    base = HPoint(0.1, 1.3)
+    run = mc_average(1.5, 2000, obs, 3, base=base)
     # JSON floats round-trip, so equality here is bit for bit
     assert payload["estimate"] == run.estimate and payload["stderr"] == run.standard_error
-    assert payload["target"] == obs.mean()
+    assert payload["space_mean"] == obs.mean()
+    # the exact ball average, the value estimated, and the estimate's z
+    # against it; the space mean lies 20 standard errors away at t = 1.5
+    ball_mean = obs.ball_mean(1.5, base)
+    z = (run.estimate - ball_mean) / run.standard_error
+    assert payload["ball_mean"] == ball_mean and payload["z"] == z
+    assert abs(z) < 4.0 and abs(obs.mean() - ball_mean) > 20.0 * run.standard_error
     # --out still appends one CSV row in JSON mode
     comments, header, rows = _read_csv(out)
     assert len(comments) == 1 and len(rows) == 1
-    assert header == ["t", "samples", "seed", "observable", "base_x", "base_y",
-                      "estimate", "stderr", "target"]
+    assert header == _MC_COLUMNS
     assert float(rows[0][6]) == run.estimate and float(rows[0][7]) == run.standard_error
+    assert [float(v) for v in rows[0][8:]] == [obs.mean(), ball_mean, z]
     assert cli.main(argv) == 0
     assert len(_read_csv(out)[2]) == 2
+
+
+def test_mc_refuses_to_append_under_other_columns(tmp_path, capsys, monkeypatch):
+    # a file with the columns rankone mc wrote before space_mean replaced
+    # target: the run exits 1 before any draw, printing no result, and
+    # leaves the file as it was
+    out = tmp_path / "old.csv"
+    old = "# rankone 0.1.0 :: rankone mc\nt,samples,seed,observable,base_x,base_y,estimate,stderr,target\n1,10,1,cusp:2,0.1,1.3,0,0,0.47\n"
+    out.write_text(old)
+    argv = ["mc", "--t", "1", "--samples", "10", "--obs", "cusp:2", "--out", str(out)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no Monte Carlo run may start")
+
+    monkeypatch.setattr(cli, "mc_average", refuse)
+    assert cli.main(argv) == 1
+    printed = capsys.readouterr()
+    assert printed.out == "" and "columns" in printed.err
+    assert out.read_text() == old
+
+
+@pytest.mark.parametrize(
+    "t, obs, ball_mean, z",
+    [
+        ("1.5", "cusp:2.0", True, True),
+        ("12", "cusp:2.0", True, True),
+        # no exact ball average past t = 12, at t = 0, or for a disk
+        ("12.5", "cusp:2.0", False, False),
+        ("0", "cusp:2.0", False, False),
+        ("1.5", "disk:0,1.5,0.25", False, False),
+        # every sample is below the cusp line: standard error 0, no z
+        ("1e-9", "cusp:2.0", True, False),
+    ],
+)
+def test_mc_prints_ball_mean_and_z_where_defined(t, obs, ball_mean, z, tmp_path, capsys):
+    out = tmp_path / "mc.csv"
+    argv = ["mc", "--t", t, "--samples", "500", "--obs", obs, "--seed", "5"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    fields = dict(item.split("=", 1) for item in capsys.readouterr().out.split())
+    assert cli.main(argv + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    _, header, rows = _read_csv(out)
+    row = dict(zip(header, rows[0]))
+    assert "target" not in fields and "target" not in payload and header == _MC_COLUMNS
+    observable = parse_observable(obs)
+    assert float(fields["space_mean"]) == payload["space_mean"] == float(row["space_mean"]) == observable.mean()
+    for key, defined in (("ball_mean", ball_mean), ("z", z)):
+        assert (key in fields) == defined
+        assert (payload[key] is not None) == defined
+        assert (row[key] != "") == defined
+        if defined:
+            assert float(fields[key]) == payload[key] == float(row[key])
+    if ball_mean:
+        assert payload["ball_mean"] == observable.ball_mean(float(t), HPoint(0.1, 1.3))
+    if z:
+        assert payload["z"] == (payload["estimate"] - payload["ball_mean"]) / payload["stderr"]
+    else:
+        assert payload["stderr"] == 0.0 or not ball_mean
 
 
 def test_mc_scan_csv(tmp_path):

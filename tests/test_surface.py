@@ -249,23 +249,52 @@ def _tie_points():
     return x, np.tile(y, 3)
 
 
-@pytest.mark.parametrize("t", [0.01, 2.0, 6.0, 10.0, 15.0])
-def test_reduction_matches_masked_loop(t):
-    # boundary points: the lines |x| = 1/2 (where rounding ties), the
-    # corners, the unit circle, and points whose S image ties.  The
-    # reduction translates only the points that took S, so a word entry
-    # may differ from this loop, which translates every point, in the
-    # sign of a zero only; array_equal and the certificate do not see it.
+_MASKED_LOOP_TS = [0.01, 1.0, 2.0, 6.0, 10.0, 15.0]
+
+
+def _masked_loop_batches(t):
+    # MC sample points alone, and with the boundary points added: the
+    # lines |x| = 1/2 (where rounding ties), the corners, the unit circle,
+    # and points whose S image ties
     phi = np.linspace(math.pi / 3.0, 2.0 * math.pi / 3.0, 9)
     tie_x, tie_y = _tie_points()
     edge_x = np.concatenate([[0.5, -0.5, 0.5, -0.5, 1.5, -2.5, 0.5, 0.5], np.cos(phi), tie_x])
     edge_y = np.concatenate([[math.sqrt(3.0) / 2.0] * 2 + [0.3, 2.0, 0.7, 1.0, 1e-3, 1.0], np.sin(phi), tie_y])
-    # many of them take S at once, and S puts them on a half-integer exactly
-    r2 = tie_x * tie_x + tie_y * tie_y
-    assert np.count_nonzero((np.abs(tie_x) <= 0.5) & (r2 < 1.0) & (-tie_x / r2 % 1.0 == 0.5)) >= 10
+    yield _orbit_points(t, 1000, 99)
     for seed, size in enumerate((1, 2, 1000, 4097, 8191, 8192, 8193, 65536)):
         x, y = _orbit_points(t, size, seed)
-        x, y = np.concatenate([x, edge_x]), np.concatenate([y, edge_y])
+        yield np.concatenate([x, edge_x]), np.concatenate([y, edge_y])
+
+
+def _first_sweep_case(x, y):
+    # which form the reduction's first sweep takes: no point takes S,
+    # fewer than half do, or more than half do
+    xs = x - np.rint(x)
+    count = np.count_nonzero(xs * xs + y * y < surface._DOMAIN_EDGE)
+    return "none" if count == 0 else "dense" if 2 * count > x.size else "sparse"
+
+
+def test_masked_loop_batches_meet_every_first_sweep_case():
+    cases = {t: [_first_sweep_case(x, y) for x, y in _masked_loop_batches(t)] for t in _MASKED_LOOP_TS}
+    assert {case for row in cases.values() for case in row} == {"none", "sparse", "dense"}
+    # at t = 1 about 41% of the sample points take S
+    x, y = _orbit_points(1.0, 1000, 99)
+    xs = x - np.rint(x)
+    assert 0.35 < np.mean(xs * xs + y * y < surface._DOMAIN_EDGE) < 0.47
+    assert cases[0.01][0] == "none" and cases[1.0][0] == "sparse" and cases[6.0][0] == "dense"
+
+
+@pytest.mark.parametrize("t", _MASKED_LOOP_TS)
+def test_reduction_matches_masked_loop(t):
+    # The reduction translates only the points that took S, so a word
+    # entry may differ from this loop, which translates every point, in
+    # the sign of a zero only; array_equal and the certificate do not see
+    # it.  Many tie points take S at once, and S puts them on a
+    # half-integer exactly.
+    tie_x, tie_y = _tie_points()
+    r2 = tie_x * tie_x + tie_y * tie_y
+    assert np.count_nonzero((np.abs(tie_x) <= 0.5) & (r2 < 1.0) & (-tie_x / r2 % 1.0 == 0.5)) >= 10
+    for x, y in _masked_loop_batches(t):
         got_x, got_y, got_word = surface._reduce_batch(x, y)
         ref_x, ref_y, ref_word = _masked_reduce(x, y)
         assert np.array_equal(got_x, ref_x) and np.array_equal(got_y, ref_y)
@@ -306,6 +335,53 @@ def test_reduction_rejects_bad_points_at_once(x, y, monkeypatch):
         surface._reduce_batch(np.array([0.3, x]), np.array([0.8, y]))
     with pytest.raises(ConvergenceError):
         surface._reduce_batch(np.array([0.3]), np.array([0.8]))
+
+
+@pytest.mark.parametrize(
+    "cap, reduces", [(0, (False, False, False)), (1, (True, False, False)), (2, (True, True, False)), (3, (True, True, True))]
+)
+def test_sweep_cap_counts_every_sweep(cap, reduces, monkeypatch):
+    # 0.1 + 1.3i lies in the domain, 0.3 + 0.8i takes S once and
+    # 0.3 + 0.05i twice; the cap counts the first sweep and the last one,
+    # which finds no point left to move
+    monkeypatch.setattr(surface, "_SWEEP_CAP", cap)
+    for (x, y), ok in zip(((0.1, 1.3), (0.3, 0.8), (0.3, 0.05)), reduces):
+        if ok:
+            xr, yr, _ = surface._reduce_batch(np.array([x]), np.array([y]))
+            assert xr[0] ** 2 + yr[0] ** 2 >= 1.0
+        else:
+            with pytest.raises(ConvergenceError, match="cap"):
+                surface._reduce_batch(np.array([x]), np.array([y]))
+
+
+# Points in the domain, points that take S once from m0 = 0 (with n = -0
+# and n = +0) and from m0 = 1, and points that take it twice, with their
+# words, the signs of zero entries included.
+_WORD_POINTS = [(0.1, 1.3), (-0.1, 1.3), (-0.1, 0.8), (0.1, 0.8), (1.2, 0.8), (-2.3, 0.05), (0.3, 0.05)]
+_WORDS = [
+    (1.0, 0.0, 0.0, 1.0),
+    (1.0, 0.0, 0.0, 1.0),
+    (-0.0, -1.0, 1.0, 0.0),
+    (0.0, -1.0, 1.0, 0.0),
+    (0.0, -1.0, 1.0, -1.0),
+    (-4.0, -9.0, -3.0, -7.0),
+    (-4.0, 1.0, 3.0, -1.0),
+]
+
+
+@pytest.mark.parametrize("pad", [None, (0.1, 1.3), (0.3, 0.8)], ids=["alone", "sparse", "dense"])
+def test_reduction_words_bitwise(pad):
+    # alone or among points that do not take S (the first sweep gathers
+    # the few that do) or that do (it sweeps the whole batch); the two
+    # points in the domain alone take no S at all
+    x, y = (np.array(v) for v in zip(*_WORD_POINTS))
+    if pad is not None:
+        x, y = np.concatenate([x, np.full(10, pad[0])]), np.concatenate([y, np.full(10, pad[1])])
+    _, _, word = surface._reduce_batch(x, y)
+    for i, want in enumerate(_WORDS):
+        assert [float(e[i]).hex() for e in word] == [v.hex() for v in want]
+    _, _, word = surface._reduce_batch(x[:2], y[:2])
+    assert [float(e[0]).hex() for e in word] == [v.hex() for v in _WORDS[0]]
 
 
 def test_reduction_flags_nan_from_underflow():
@@ -634,10 +710,12 @@ def test_mc_seed_determinism():
 
 
 # float.hex of (estimate, standard error) of the average over the disk
-# about the base point.  No n is a multiple of the block or chunk size, so
-# partial blocks and a partial final chunk both run.  The cusp entries lie
-# within 1.2 sigma of CuspIndicator.ball_mean; the t = 0 disk entry is the
-# value at the base point, exactly.
+# about the base point.  Most n are no multiple of the block or chunk size,
+# so partial blocks and a partial final chunk both run; the last four are
+# chunks of one block, 1,000 points as in a scan and exactly one full
+# block.  The cusp entries lie within 1.6 sigma of
+# CuspIndicator.ball_mean; the t = 0 disk entry is the value at the base
+# point, exactly.
 PINNED_MC = [
     (2.0, 100000, "cusp:2", 1, "0x1.6e8fb00bcbe62p-2", "0x1.8d69f66182dc2p-10"),
     (8.0, 100000, "disk:0,1.5,0.25", 42, "0x1.820c49ba5e354p-3", "0x1.4438bf16f1b05p-10"),
@@ -648,6 +726,10 @@ PINNED_MC = [
     (0.0, 30001, "disk:0.1,1.3,0.2", 7, "0x1.0000000000000p+0", "0x0.0p+0"),
     (10.0, 100001, "cusp:2", 11, "0x1.ea955025267d4p-2", "0x1.9e1f8f749a43fp-10"),
     (10.0, 90001, "disk:0,1.5,0.25", 13, "0x1.7f5025a3242c2p-3", "0x1.54d3465804780p-10"),
+    (5.5, 1000, "cusp:2", 17, "0x1.e666666666666p-2", "0x1.02dbf65e5ef4fp-6"),
+    (9.5, 1000, "disk:0,1.5,0.25", 23, "0x1.b22d0e5604189p-3", "0x1.a7bd21d96fdcdp-7"),
+    (1.0, 1000, "cusp:1.2", 8, "0x1.33b645a1cac08p-1", "0x1.fbae534b9a201p-7"),
+    (1.0, 8192, "disk:0,1.5,0.25", 4, "0x1.14c0000000000p-2", "0x1.419456d03f721p-8"),
 ]
 
 
