@@ -77,25 +77,31 @@ class HPoint:
             raise ValidationError("point needs finite x and y > 0")
 
 
-def _mobius_xy(a, b, c, d, x, y):
+def _mobius_xy(a, b, c, d, x, y, out=None):
     # Real Moebius action with the imaginary part written explicitly as
     # det * y / |cz + d|^2, which keeps it positive for det = 1.  With
     # cz + d = p + i c y, p is formed once; the arguments are not written.
-    p = c * x
+    # The map works in three arrays of the broadcast shape, out or new
+    # ones, and returns the image in the second and third.
+    if out is None:
+        shape = np.broadcast(a, b, c, d, x, y).shape
+        out = (np.empty(shape), np.empty(shape), np.empty(shape))
+    p, xn, den = out
+    np.multiply(c, x, out=p)
     p += d
-    den = p * p
-    cy = c * y
-    cy *= cy
-    den += cy
-    xn = a * x
+    np.multiply(c, y, out=xn)
+    xn *= xn
+    np.multiply(p, p, out=den)
+    den += xn
+    np.multiply(a, x, out=xn)
     xn += b
     xn *= p
-    acyy = a * c
+    acyy = np.multiply(a, c, out=p)
     acyy *= y
     acyy *= y
     xn += acyy
     xn /= den
-    return xn, y / den
+    return xn, np.divide(y, den, out=den)
 
 
 def _dist_xy(x1, y1, x2, y2):
@@ -108,12 +114,18 @@ def _dist_xy(x1, y1, x2, y2):
 def _so21_radius(t, u):
     # m(B_tau) / m(B_t) = sinh^2(tau/2) / sinh^2(t/2); arcsinh keeps the
     # digits at small u that arccosh(1 + u (cosh t - 1)) would lose.
-    return 2.0 * np.arcsinh(np.sqrt(u) * math.sinh(0.5 * t))
+    # Overwrites the uniforms u with the radii and returns u.
+    np.sqrt(u, out=u)
+    u *= math.sinh(0.5 * t)
+    np.arcsinh(u, out=u)
+    u *= 2.0
+    return u
 
 
 def _draw_polar(t, rng, n):
     # One (2, n) block of the stream: row 0 is the angle, scaled to
-    # [0, pi) in place, and row 1 the radial uniform.
+    # [0, pi) in place, and row 1 the radial uniform, mapped to the
+    # radius in place.
     draws = rng.random((2, n))
     draws[0] *= math.pi
     return draws[0], _so21_radius(t, draws[1])
@@ -155,7 +167,7 @@ def _ball_xy(theta, tau, x0, y0):
 # Reduction to the standard fundamental domain.
 
 
-def _certify_word(x_in, y_in, x, y, word):
+def _certify_word(x_in, y_in, x, y, word, work=None):
     """Check that each word carries its input point to the reduced point.
 
     Raises ConvergenceError unless every point lies in the domain (to
@@ -171,22 +183,37 @@ def _certify_word(x_in, y_in, x, y, word):
     t = 2-27.7 and points at every scale within _REACH of i, the worst
     residual measured was 0.6 eps (1 + (1 + |x_in|) / y_in) y, 0.074 of
     tol.  Returns the worst residual as a fraction of tol.
+
+    work is three float64 arrays of the batch's shape, the first holding
+    |z|^2 = x^2 + y^2 of the iterate; _reduce_batch passes the sweeps'
+    |z|^2, formed by the same operations in the same order, and two
+    buffers it no longer needs.  The domain test reads |z|^2, and the
+    determinant, the image and the residual are then formed in the three
+    arrays, which the certificate overwrites; with work given it
+    allocates no array of the batch's size.  Without it, the certificate
+    forms |z|^2 and the buffers itself.
     """
     wa, wb, wc, wd = word
-    # Written as "not ok" so that a NaN, which fails every comparison,
-    # fails the check instead of slipping past "any error too large".
-    r2 = np.square(x)
-    r2 += np.square(y)
-    if not (np.abs(x).max() <= 0.5 + 1e-12 and r2.min() >= 1.0 - 1e-12):
+    if work is None:
+        r2 = np.square(x)
+        r2 += np.square(y)
+        work = (r2, np.empty_like(r2), np.empty_like(r2))
+    r2, det, bc = work
+    # Written as "not ok" so that a NaN, which fails every comparison and
+    # makes max and min NaN, fails the check instead of slipping past
+    # "any error too large".
+    edge = 0.5 + 1e-12
+    if not (x.max() <= edge and x.min() >= -edge and r2.min() >= 1.0 - 1e-12):
         raise ConvergenceError("reduction left a point outside the domain")
     # In range |ad| and |bc| stay below 2^53, so both products and their
     # difference are exact.
-    det = wa * wd
-    det -= wb * wc
-    if not (det == 1.0).all():
+    np.multiply(wa, wd, out=det)
+    np.multiply(wb, wc, out=bc)
+    det -= bc
+    if not (det.min() == 1.0 and det.max() == 1.0):
         raise ConvergenceError("accumulated word does not have determinant 1")
     # The word's image of the input.
-    num, den = _mobius_xy(wa, wb, wc, wd, x_in, y_in)
+    num, den = _mobius_xy(wa, wb, wc, wd, x_in, y_in, out=work)
     num -= x
     np.abs(num, out=num)
     den -= y
@@ -347,8 +374,9 @@ def _reduce_batch(x, y):
             wd[idx] = b
     if count:
         raise ConvergenceError("reduction did not terminate within the iteration cap")
+    # r2 is the |z|^2 of the returned iterate; tmp and m are free.
     word = (wa, wb, wc, wd)
-    _certify_word(x_in, y_in, x, y, word)
+    _certify_word(x_in, y_in, x, y, word, (r2, tmp, m))
     return x, y, word
 
 

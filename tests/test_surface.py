@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -482,6 +483,145 @@ def test_certificate_rejects_nan(part):
         surface._certify_word(x_in, y_in, x, y, word)
 
 
+def _certify_reference(x_in, y_in, x, y, word):
+    # _certify_word's operations in the same order, each term its own
+    # array and |z|^2 formed from the iterate passed in
+    wa, wb, wc, wd = word
+    r2 = np.square(x) + np.square(y)
+    if not (np.abs(x).max() <= 0.5 + 1e-12 and r2.min() >= 1.0 - 1e-12):
+        raise ConvergenceError("reduction left a point outside the domain")
+    if not (wa * wd - wb * wc == 1.0).all():
+        raise ConvergenceError("accumulated word does not have determinant 1")
+    p = wc * x_in + wd
+    den = p * p + (wc * y_in) * (wc * y_in)
+    gx = ((wa * x_in + wb) * p + wa * wc * y_in * y_in) / den
+    gy = y_in / den
+    scale = (1.0 + (1.0 + np.abs(x_in)) / y_in) * y
+    worst = float((np.maximum(np.abs(gx - x), np.abs(gy - y)) / scale).max()) / (surface._WORD_K * surface._EPS)
+    if not worst <= 1.0:
+        raise ConvergenceError("accumulated word does not reproduce the reduced point")
+    return worst
+
+
+def _corrupted(x, y, word, i):
+    # the reduction's output with point (or slice) i corrupted in each way
+    # the certificate must judge
+    a, b, c, d = word
+
+    def word_with(entries):
+        broken = [e.copy() for e in word]
+        for row, value in entries.items():
+            broken[row][i] = value
+        return x, y, broken
+
+    def point(px, py):
+        moved_x, moved_y = x.copy(), y.copy()
+        moved_x[i], moved_y[i] = px, py
+        return moved_x, moved_y, word
+
+    ai, bi, ci, di = a[i], b[i], c[i], d[i]
+    yield word_with({0: ai + ci, 1: bi + di})  # T gamma
+    yield word_with({0: -ci, 1: -di, 2: ai, 3: bi})  # S gamma
+    yield word_with({0: ai + ci, 1: bi + di, 2: ci - ai, 3: di - bi})  # determinant 2
+    for row, entry in enumerate((ai, bi, ci, di)):
+        for step in (1.0, -1.0):
+            yield word_with({row: entry + step})
+    for px, py in (
+        (np.nextafter(x[i], np.inf), y[i]),
+        (np.nextafter(x[i], -np.inf), y[i]),
+        (x[i], np.nextafter(y[i], np.inf)),
+        (x[i], np.nextafter(y[i], -np.inf)),
+        (x[i] + 1.0, y[i]),
+        (x[i] - 1.0, y[i]),
+        (x[i], y[i] + 1.0),
+        (x[i], y[i] - 1.0),
+        (math.nan, y[i]),
+        (x[i], math.nan),
+        # on either side of the domain test's edges, |x| = 1/2 + 1e-12
+        # and |z|^2 = 1 - 1e-12
+        (np.copysign(0.5 + 1e-12, x[i]), y[i]),
+        (np.copysign(np.nextafter(0.5 + 1e-12, 1.0), x[i]), y[i]),
+        (x[i], np.sqrt(1.0 - 5e-13 - x[i] * x[i])),
+        (x[i], np.sqrt(1.0 - 2e-12 - x[i] * x[i])),
+    ):
+        yield point(px, py)
+    yield word_with({0: math.nan})
+    yield word_with({3: math.nan})
+
+
+def _verdict(certify, *args):
+    try:
+        return certify(*args)
+    except ConvergenceError as err:
+        return str(err)
+
+
+def test_certificate_verdicts_match_the_reference():
+    # every corruption of one point, and of all points at once, of the
+    # range's edges and of Monte Carlo points at t = 2, 10 and 20; the
+    # certificate is called directly and with the buffers the sweeps
+    # hand it, and both must give the reference's verdict, the worst
+    # residual included
+    inputs = [_edge_points()] + [_orbit_points(t, 200, 40 + k) for k, t in enumerate((2.0, 10.0, 20.0))]
+    seen = set()
+    for points in inputs:
+        x_in, y_in, x, y, word = _reduced(*points)
+        for i in list(range(0, x.size, x.size // 8)) + [slice(None)]:
+            for cx, cy, cword in _corrupted(x, y, word, i):
+                want = _verdict(_certify_reference, x_in, y_in, cx, cy, cword)
+                assert _verdict(surface._certify_word, x_in, y_in, cx, cy, cword) == want
+                r2 = np.square(cx)
+                r2 += np.square(cy)
+                work = (r2, np.empty_like(r2), np.empty_like(r2))
+                assert _verdict(surface._certify_word, x_in, y_in, cx, cy, cword, work) == want
+                seen.add(want if isinstance(want, str) else "accepted")
+    assert len(seen) == 4
+
+
+def test_sweeps_hand_the_certificate_the_iterates_r2(monkeypatch):
+    # the |z|^2 the sweeps pass is bitwise the one the certificate would
+    # form from the returned iterate, on batches whose sweeps take every
+    # form; the buffers share no memory with the points or the word
+    certify = surface._certify_word
+    checked = []
+
+    def spy(x_in, y_in, x, y, word, work):
+        r2 = np.square(x)
+        r2 += np.square(y)
+        assert np.array_equal(work[0].view(np.uint64), r2.view(np.uint64))
+        arrays = (x_in, y_in, x, y, *word)
+        assert not any(np.may_share_memory(w, v) for w in work for v in arrays)
+        assert not any(np.may_share_memory(u, v) for u, v in zip(work, work[1:] + work[:1]))
+        checked.append(x.size)
+        return certify(x_in, y_in, x, y, word, work)
+
+    monkeypatch.setattr(surface, "_certify_word", spy)
+    for t in (0.01, 1.0, 6.0):
+        for x, y in _masked_loop_batches(t):
+            surface._reduce_batch(x, y)
+    assert len(checked) == 27
+
+
+def test_reduction_allocates_at_most_13_batch_arrays():
+    # the certificate works in the sweeps' spare buffers; with fresh
+    # temporaries for its terms the traced peak of this batch is 19.2
+    # arrays
+    x, y = _orbit_points(6.0, 8192, 5)
+    surface._reduce_batch(x, y)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        surface._reduce_batch(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak - before <= 13 * 8 * 8192
+
+
 @pytest.mark.parametrize("y", [1e-8, 1e-10, 1e-12])
 def test_reduction_at_small_y(y):
     xs = np.random.default_rng(int(-math.log10(y))).uniform(-0.5, 0.5, 200)
@@ -862,6 +1002,18 @@ def test_ks_radial_sampler():
 def test_ks_rejects_wrong_radial_law(t, mutant, monkeypatch):
     monkeypatch.setattr(surface, "_so21_radius", mutant)
     assert not ks_radial_test(t, 20000, 4).ok
+
+
+def test_radial_map_in_place_keeps_the_bits():
+    # _so21_radius overwrites its uniforms with the radii the expression
+    # gives, and the KS statistics read as before it did
+    u = np.random.default_rng(2).random(1000)
+    want = 2.0 * np.arcsinh(np.sqrt(u) * math.sinh(0.5 * 3.0))
+    got = surface._so21_radius(3.0, u)
+    assert got is u and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    pinned = [(0.1, 20000, 4, "0x1.17996e723d100p-8"), (3.0, 100000, 42, "0x1.4c3fe30c33400p-9"), (6.0, 20000, 4, "0x1.17996e723d0c0p-8")]
+    for t, n, seed, statistic in pinned:
+        assert ks_radial_test(t, n, seed).statistic.hex() == statistic
 
 
 def test_decay_scan_shapes():
