@@ -430,5 +430,5 @@ def gauss_2f1_neg(a, b, c, x) -> np.ndarray:
     for mask, region_rows in ((~conn, _pfaff_rows), (conn, _connection_rows)):
         if live and mask.any():
             for i, row in zip(live, region_rows([triples[i] for i in live], flat[mask])):
-                out[i, mask] = np.real(row)
+                out[i][mask] = row.real
     return out.reshape((len(triples),) + np.shape(x))

@@ -12,6 +12,11 @@ against their exact normalized areas.  For the cusp indicators the exact
 disk average is also known, as a finite sum over the orbit of x0
 (CuspIndicator.ball_mean).
 
+Samples come in chunks of _CHUNK, each drawn from its own substream of
+the seed, and each chunk is streamed through blocks of _BLOCK samples
+that are drawn, mapped, reduced and summed in turn: no array holds a
+chunk, and the samples and sums do not depend on _BLOCK.
+
 The reduction takes points within hyperbolic distance 28 of i (for
 |x| <= 1/2, every y in [1e-12, 1e12]), so the Monte Carlo takes radii
 with t + d(i, base) < 28; anything beyond is rejected with
@@ -37,7 +42,8 @@ from .model import DecayReport
 
 _CHUNK = 65536
 # Points per block within a chunk: small enough that one block's working
-# arrays stay in cache through the reduction's sweeps.
+# arrays stay in cache through the reduction's sweeps, and each of them
+# (64 KiB) below glibc's 128 KiB mmap threshold.
 _BLOCK = 8192
 _DOMAIN_EDGE = 1.0 - 1e-15
 # Sweeps before the reduction gives up with ConvergenceError.
@@ -122,13 +128,14 @@ def _so21_radius(t, u):
     return u
 
 
-def _draw_polar(t, rng, n):
-    # One (2, n) block of the stream: row 0 is the angle, scaled to
-    # [0, pi) in place, and row 1 the radial uniform, mapped to the
-    # radius in place.
-    draws = rng.random((2, n))
-    draws[0] *= math.pi
-    return draws[0], _so21_radius(t, draws[1])
+def _draw_polar(t, angles, radii, n):
+    # One block of n samples: n angle uniforms from the generator angles,
+    # scaled to [0, pi) in place, then n radial uniforms from radii, mapped
+    # to the radius in place.  With one generator for both, the two arrays
+    # are rows 0 and 1 of its random((2, n)).
+    theta = angles.random(n)
+    theta *= math.pi
+    return theta, _so21_radius(t, radii.random(n))
 
 
 def _ball_xy(theta, tau, x0, y0):
@@ -295,9 +302,17 @@ def _reduce_batch(x, y):
     reduced point has y < 320.  At d(i, z) <= 20.3, the Monte Carlo reach
     at t = 20, the tolerance is below 1.4e-6 y.  The returned point is
     the sweep's own iterate.
+
+    x and y are 1-D and of one length; anything else is rejected with
+    ValidationError before any work.  An empty batch returns empty
+    arrays without a sweep.
     """
     x_in = np.asarray(x, dtype=np.float64)
     y_in = np.asarray(y, dtype=np.float64)
+    if x_in.ndim != 1 or x_in.shape != y_in.shape:
+        raise ValidationError("points to reduce must be two 1-D arrays of one length")
+    if x_in.size == 0:
+        return np.empty(0), np.empty(0), tuple(np.empty(0) for _ in range(4))
     # 2 cosh d(i, z) = (x^2 + 1) / y + y; NaN fails min and max, and
     # infinities the bound.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -533,6 +548,8 @@ class CuspIndicator:
         return _cusp_orbit_sum(t, self.height, float(x0[0]), float(y0[0]))
 
     def eval_batch(self, x, y):
+        # 0.0 or 1.0 per point, as from every observable: mc_average's
+        # block sums are then exact integers.
         return (np.asarray(y) > self.height).astype(np.float64)
 
 
@@ -565,6 +582,7 @@ class DiskIndicator:
         return 2.0 * math.pi * (math.cosh(self.radius) - 1.0) / _SURFACE_AREA
 
     def eval_batch(self, x, y):
+        # 0.0 or 1.0 per point.
         q = np.subtract(x, self.center.x)
         q *= q
         dy = np.subtract(y, self.center.y)
@@ -583,6 +601,7 @@ class ConstantObservable:
         return 1.0
 
     def eval_batch(self, x, y):
+        # 1.0 per point.
         return np.ones_like(np.asarray(x, dtype=np.float64))
 
 
@@ -629,26 +648,26 @@ def _chunk_sizes(n: int, chunk: int):
 
 
 def _run_chunk(t, base, obs, seq, size):
-    rng = np.random.Generator(np.random.PCG64(seq))
-    theta, tau = _draw_polar(t, rng, size)
-    # The chunk is drawn whole, so the substream order does not depend on
-    # the block size.  Each block's temporaries stay in cache through the
-    # reduction's sweeps, and the values are summed once at the end, so
-    # the pairwise sums match an unblocked chunk bit for bit.  A chunk of
-    # one block needs no buffer: it is mapped, reduced and evaluated in
-    # one pass.
-    if size <= _BLOCK:
-        x, y = _ball_xy(theta, tau, base.x, base.y)
+    # The chunk's substream is the rng.random((2, size)) of a generator on
+    # seq: row 0 the angles, row 1 the radial uniforms.  Blocks stream it
+    # in order, the angles from that generator and the radial uniforms
+    # from a second one advanced past the angles, so no array holds the
+    # chunk and the samples do not depend on _BLOCK.  A chunk of one
+    # block reads both rows from the one generator.  Every observable
+    # returns 0.0 or 1.0, so each block's sums are exact integers and the
+    # chunk totals are the same bits however the chunk is blocked.
+    angles = np.random.Generator(np.random.PCG64(seq))
+    radii = angles
+    if size > _BLOCK:
+        radii = np.random.Generator(np.random.PCG64(seq).advance(size))
+    total = total_sq = 0.0
+    for lo in range(0, size, _BLOCK):
+        x, y = _ball_xy(*_draw_polar(t, angles, radii, min(_BLOCK, size - lo)), base.x, base.y)
         xr, yr, _ = _reduce_batch(x, y)
         values = obs.eval_batch(xr, yr)
-    else:
-        values = np.empty(size)
-        for lo in range(0, size, _BLOCK):
-            block = slice(lo, lo + _BLOCK)
-            x, y = _ball_xy(theta[block], tau[block], base.x, base.y)
-            xr, yr, _ = _reduce_batch(x, y)
-            values[block] = obs.eval_batch(xr, yr)
-    return float(values.sum()), float((values * values).sum())
+        total += float(values.sum())
+        total_sq += float(values @ values)
+    return total, total_sq
 
 
 _DEFAULT_BASE = HPoint(0.1, 1.3)
@@ -686,7 +705,9 @@ def mc_average(
     gives the exact value of this average.
 
     Samples are drawn in fixed-size chunks, each from its own substream
-    of the master seed, and reduced in chunk order.  At t = 0 every sample
+    of the master seed, and reduced in chunk order.  Each chunk streams
+    its substream through cache-sized blocks, so no array holds a chunk
+    and the samples do not depend on the block size.  At t = 0 every sample
     is x0 itself, so the estimate is obs at x0 exactly, with standard error
     0.  The supported radii are t + d(i, base) < 28, so t < 27.72 at the
     default base (0.1, 1.3): every sample then lies in the reduction's
@@ -739,8 +760,8 @@ class KSResult:
 def ks_radial_test(t: float, n: int, seed: int) -> KSResult:
     """Compare the empirical law of the sampled radius with the Haar CDF.
 
-    The radii come from the Monte Carlo's own (2, n) draw of angle and
-    radial uniforms.  The reference CDF is the volume profile's cdf on
+    The radii come from the Monte Carlo's own draw, _draw_polar, as one
+    block of n angle and n radial uniforms from one generator.  The reference CDF is the volume profile's cdf on
     SO(2,1), read as 0 or 1 outside [0, t].  Its volumes, 2 sinh^2(tau/2),
     share algebra but no code with _so21_radius, which inverts them; the
     tests check them against a quadrature of the density.  The threshold
@@ -755,7 +776,7 @@ def ks_radial_test(t: float, n: int, seed: int) -> KSResult:
     seed = _check_seed(seed)
     profile = build_volume_profile(_GROUP, float(t))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    _, tau = _draw_polar(t, rng, n)
+    _, tau = _draw_polar(t, rng, rng, n)
     tau = np.sort(tau)
     cdf = profile.cdf(np.clip(tau, 0.0, t), float(t))
     grid = np.arange(1, n + 1, dtype=np.float64) / n

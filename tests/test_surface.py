@@ -180,7 +180,7 @@ def _masked_reduce(x, y):
 def _orbit_points(t, size, seed):
     # the MC pipeline's points before reduction, for the whole draw at once
     rng = np.random.default_rng(seed)
-    return surface._ball_xy(*surface._draw_polar(t, rng, size), 0.1, 1.3)
+    return surface._ball_xy(*surface._draw_polar(t, rng, rng, size), 0.1, 1.3)
 
 
 def _orbit_mp(theta, tau, x0, y0):
@@ -194,7 +194,8 @@ def _orbit_mp(theta, tau, x0, y0):
 
 def _orbit_draws(t):
     # the sampler's draws and the angles where tan is 0 or huge
-    theta, tau = surface._draw_polar(t, np.random.default_rng(17), 300)
+    rng = np.random.default_rng(17)
+    theta, tau = surface._draw_polar(t, rng, rng, 300)
     edges = [0.0, math.nextafter(math.pi / 2, 0.0), math.pi / 2, math.nextafter(math.pi / 2, 4.0), math.nextafter(math.pi, 0.0)]
     pairs = [(a, r) for a in edges for r in (0.0, t)]
     theta = np.concatenate([theta, [p[0] for p in pairs]])
@@ -602,24 +603,58 @@ def test_sweeps_hand_the_certificate_the_iterates_r2(monkeypatch):
     assert len(checked) == 27
 
 
-def test_reduction_allocates_at_most_13_batch_arrays():
-    # the certificate works in the sweeps' spare buffers; with fresh
-    # temporaries for its terms the traced peak of this batch is 19.2
-    # arrays
-    x, y = _orbit_points(6.0, 8192, 5)
-    surface._reduce_batch(x, y)
+def _traced_peak(call):
+    # bytes call() allocates at its peak above what was traced before it,
+    # after one untraced call to warm caches
+    call()
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before, _ = tracemalloc.get_traced_memory()
-        surface._reduce_batch(x, y)
+        call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         if started:
             tracemalloc.stop()
-    assert peak - before <= 13 * 8 * 8192
+    return peak - before
+
+
+def test_reduction_allocates_at_most_13_batch_arrays():
+    # the certificate works in the sweeps' spare buffers; with fresh
+    # temporaries for its terms the traced peak of this batch is 19.2
+    # arrays
+    x, y = _orbit_points(6.0, 8192, 5)
+    assert _traced_peak(lambda: surface._reduce_batch(x, y)) <= 13 * 8 * 8192
+
+
+def test_reduction_of_empty_batch(monkeypatch):
+    # no sweep runs: with none allowed, a nonempty batch fails the cap
+    monkeypatch.setattr(surface, "_SWEEP_CAP", 0)
+    x, y, word = surface._reduce_batch(np.array([]), np.array([]))
+    assert len(word) == 4
+    for v in (x, y, *word):
+        assert v.shape == (0,) and v.dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (np.float64(0.3), np.float64(0.8)),
+        (np.array(0.3), np.array(0.8)),
+        (np.full((2, 2), 0.3), np.full((2, 2), 0.8)),
+        (np.array([0.3, 0.1]), np.array([0.8])),
+        (np.array([0.3]), np.array([[0.8]])),
+        (np.array([]), np.array([0.8])),
+    ],
+)
+def test_reduction_rejects_batches_not_1d_of_one_length(x, y, monkeypatch):
+    # before any work: with no sweeps allowed, a batch that got that far
+    # would fail the iteration cap with ConvergenceError instead
+    monkeypatch.setattr(surface, "_SWEEP_CAP", 0)
+    with pytest.raises(ValidationError, match="1-D"):
+        surface._reduce_batch(x, y)
 
 
 @pytest.mark.parametrize("y", [1e-8, 1e-10, 1e-12])
@@ -788,7 +823,7 @@ def test_parse_observable():
 
 def _assert_radius_law(t, rng, n):
     # x0 + y0 k(theta) a_{-tau} i lies at distance exactly tau from x0 + i y0
-    theta, tau = surface._draw_polar(t, rng, n)
+    theta, tau = surface._draw_polar(t, rng, rng, n)
     x, y = surface._ball_xy(theta, tau, 0.1, 1.3)
     np.testing.assert_allclose(surface._dist_xy(0.1, 1.3, x, y), tau, rtol=0.0, atol=1e-9)
     assert np.all(tau <= t) and np.all((theta >= 0.0) & (theta < math.pi))
@@ -879,6 +914,58 @@ def test_mc_output_pinned_bitwise(t, n, obs, seed, estimate, stderr):
     assert (run.estimate.hex(), run.standard_error.hex()) == (estimate, stderr)
 
 
+@pytest.mark.parametrize("t, n, obs, seed, estimate, stderr", PINNED_MC)
+def test_mc_output_does_not_depend_on_block(t, n, obs, seed, estimate, stderr, monkeypatch):
+    # blocks stream each chunk's substream in order and their sums are
+    # exact integers, so the block size moves no bit
+    for block in (1000, 4096, 65536):
+        monkeypatch.setattr(surface, "_BLOCK", block)
+        run = mc_average(t, n, parse_observable(obs), seed)
+        assert (run.estimate.hex(), run.standard_error.hex()) == (estimate, stderr)
+
+
+class _Recorder:
+    # a generator that keeps a copy of every array of uniforms it draws
+    def __init__(self, rng, log):
+        self.rng, self.log = rng, log
+
+    def random(self, n):
+        u = self.rng.random(n)
+        self.log.append(u.copy())
+        return u
+
+
+@pytest.mark.parametrize("size", [1, 2, 8191, 8192, 8193, 65536])
+def test_chunk_blocks_stream_its_substream(size, monkeypatch):
+    # the blocks' angle and radial uniforms, end to end, are rows 0 and 1
+    # of one (2, size) draw from the chunk's generator; a chunk of one
+    # block reads both rows from that one generator
+    seq = np.random.SeedSequence(7, spawn_key=(3,))
+    angles, radii, generators = [], [], []
+    draw = surface._draw_polar
+
+    def spy(t, a, r, n):
+        generators.append((a, r))
+        return draw(t, _Recorder(a, angles), _Recorder(r, radii), n)
+
+    monkeypatch.setattr(surface, "_draw_polar", spy)
+    surface._run_chunk(6.0, HPoint(0.1, 1.3), ConstantObservable(), seq, size)
+    want = np.random.Generator(np.random.PCG64(seq)).random((2, size))
+    assert len(generators) == -(-size // surface._BLOCK)
+    assert all((a is r) == (size <= surface._BLOCK) for a, r in generators)
+    for got, row in ((angles, want[0]), (radii, want[1])):
+        got = np.concatenate(got)
+        assert np.array_equal(got.view(np.uint64), row.view(np.uint64))
+
+
+def test_mc_traced_peak_is_one_block():
+    # no array holds a chunk: a 10^5-sample call peaks at one block's
+    # working set, 1.4 MB; with the chunk drawn whole and its values
+    # buffered it peaked at 2.9 MB
+    peak = _traced_peak(lambda: mc_average(6.0, 100_000, CuspIndicator(2.0), 3))
+    assert peak <= 1.6e6
+
+
 def test_mc_error_scaling():
     # stderr shrinks like 1/sqrt(N)
     small = mc_average(3.0, 20000, CuspIndicator(2.0), 3)
@@ -947,6 +1034,9 @@ def test_mc_validation(monkeypatch):
     for t, n in ((0.0, 100), (-1.0, 100), (math.nan, 100), (1.0, 99)):
         with pytest.raises(ValidationError):
             ks_radial_test(t, n, 1)
+    # the refusal above guards every draw: a valid call reaches it
+    with pytest.raises(AssertionError, match="no draw"):
+        mc_average(1.0, 100, ConstantObservable(), 1)
     monkeypatch.undo()
     # just inside the range the run completes
     run = mc_average(edge - 1e-5, 2000, CuspIndicator(2.0), 1, base=base)
