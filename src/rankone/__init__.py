@@ -62,7 +62,6 @@ from .surface import (
     mc_average,
     parse_observable,
 )
-from .acceptance import ALL_CRITERIA, CriterionResult, run_all
 
 __version__ = "0.1.0"
 
@@ -114,7 +113,4 @@ __all__ = [
     "ks_radial_test",
     "mc_average",
     "parse_observable",
-    "ALL_CRITERIA",
-    "CriterionResult",
-    "run_all",
 ]

@@ -23,7 +23,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .acceptance import run_all
 from .ballavg import (
     ball_volume,
     psi_bound_check,
@@ -188,6 +187,13 @@ def cmd_psi(args) -> int:
 def cmd_volume(args) -> int:
     group = _group(args)
     if args.t is not None:
+        # The single radius prints one bare number, so the table's options
+        # would be dropped without a word.
+        table_only = {"--out": args.out is not None, "--format json": args.format == "json",
+                      "--eps": args.eps is not None}
+        for flag, given in table_only.items():
+            if given:
+                raise ValidationError(f"{flag} needs a radius range (--t-max), not --t")
         print(_fmt(ball_volume(group, args.t)))
         return 0
     if args.t_max is None:
@@ -339,6 +345,8 @@ def cmd_grid(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .acceptance import run_all
+
     results = run_all(report=print)
     passed = sum(1 for r in results if r.passed)
     print(f"{passed}/{len(results)} criteria passed")

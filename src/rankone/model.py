@@ -28,7 +28,6 @@ from .groups import (
     complementary,
     parse_group,
     parse_param,
-    trivial,
 )
 
 
@@ -159,13 +158,12 @@ def _as_grid(ts, minimum: float) -> np.ndarray:
 
 
 def _multipliers(spec: PuritySpectrum, ts: np.ndarray, atoms: bool) -> np.ndarray:
-    """psi rows of the atoms, when `atoms` is set, then of the omega components.
+    """psi rows of atoms 1, 2, ..., when `atoms` is set, then of the omega components.
 
-    One _psi_rows call, so one _ball_volumes pass, gives every row.  Atom 0
-    is the constants, the trivial parameter: its row is exactly 1, as
-    averaging leaves them untouched.
+    One _psi_rows call, so one _ball_volumes pass, gives every row.  Atom 0,
+    the constants, has no row: averaging leaves them untouched.
     """
-    params = [trivial()] + [complementary(s) for s in spec.atoms[1:]] if atoms else []
+    params = [complementary(s) for s in spec.atoms[1:]] if atoms else []
     return _psi_rows(spec.group, params + [p for p, _ in spec.omega], ts)
 
 
@@ -225,8 +223,8 @@ def direction_convergence(spec: PuritySpectrum, f: SpectralVector, t_grid) -> np
     if f.atom_norms[1] <= 0.0:
         raise ValidationError("direction check needs mass on atom 1")
     ts = _as_grid(t_grid, minimum=1e-12)
-    # Row 0, the constants, is left out: the deviation is measured from them.
-    mult = _multipliers(spec, ts, atoms=True)[1:]
+    # The constants have no row: the deviation is measured from them.
+    mult = _multipliers(spec, ts, atoms=True)
     weights = np.asarray(f.atom_norms[1:] + f.omega_norms, dtype=np.float64)
     comps = mult * weights[:, None]
     norms = np.sqrt(np.sum(comps**2, axis=0))

@@ -7,15 +7,16 @@ projective rotation angle plus a radius from the exact radial law,
 m(B_tau) = 2 pi (cosh tau - 1), inverted in closed form.  Each sample
 moves x0 by one map built from the tangent of the angle and e^{-tau}, so
 no sine or cosine is taken.  The sample points are folded back into the
-standard fundamental domain, where indicator observables are compared
-against their exact normalized areas.  For the cusp indicators the exact
-disk average is also known, as a finite sum over the orbit of x0
-(CuspIndicator.ball_mean).
+standard fundamental domain.  Every observable is the indicator of a
+region there, evaluated as a boolean mask, so the estimator counts hits:
+the estimate is the hit fraction, compared against the region's exact
+normalized area.  For the cusp indicators the exact disk average is also
+known, as a finite sum over the orbit of x0 (CuspIndicator.ball_mean).
 
 Samples come in chunks of _CHUNK, each drawn from its own substream of
 the seed, and each chunk is streamed through blocks of _BLOCK samples
-that are drawn, mapped, reduced and summed in turn: no array holds a
-chunk, and the samples and sums do not depend on _BLOCK.
+that are drawn, mapped, reduced and counted in turn: no array holds a
+chunk, and the samples and counts do not depend on _BLOCK.
 
 The reduction takes points within hyperbolic distance 28 of i (for
 |x| <= 1/2, every y in [1e-12, 1e12]), so the Monte Carlo takes radii
@@ -548,9 +549,7 @@ class CuspIndicator:
         return _cusp_orbit_sum(t, self.height, float(x0[0]), float(y0[0]))
 
     def eval_batch(self, x, y):
-        # 0.0 or 1.0 per point, as from every observable: mc_average's
-        # block sums are then exact integers.
-        return (np.asarray(y) > self.height).astype(np.float64)
+        return np.asarray(y) > self.height
 
 
 class DiskIndicator:
@@ -582,13 +581,12 @@ class DiskIndicator:
         return 2.0 * math.pi * (math.cosh(self.radius) - 1.0) / _SURFACE_AREA
 
     def eval_batch(self, x, y):
-        # 0.0 or 1.0 per point.
         q = np.subtract(x, self.center.x)
         q *= q
         dy = np.subtract(y, self.center.y)
         dy *= dy
         q += dy
-        return (q < np.multiply(y, self._scale)).astype(np.float64)
+        return q < np.multiply(y, self._scale)
 
 
 class ConstantObservable:
@@ -601,8 +599,7 @@ class ConstantObservable:
         return 1.0
 
     def eval_batch(self, x, y):
-        # 1.0 per point.
-        return np.ones_like(np.asarray(x, dtype=np.float64))
+        return np.ones(np.shape(x), dtype=bool)
 
 
 def parse_observable(text: str):
@@ -640,34 +637,28 @@ class MCRun:
     standard_error: float
 
 
-def _chunk_sizes(n: int, chunk: int):
-    sizes = [chunk] * (n // chunk)
-    if n % chunk:
-        sizes.append(n % chunk)
-    return sizes
-
-
 def _run_chunk(t, base, obs, seq, size):
     # The chunk's substream is the rng.random((2, size)) of a generator on
     # seq: row 0 the angles, row 1 the radial uniforms.  Blocks stream it
     # in order, the angles from that generator and the radial uniforms
     # from a second one advanced past the angles, so no array holds the
     # chunk and the samples do not depend on _BLOCK.  A chunk of one
-    # block reads both rows from the one generator.  Every observable
-    # returns 0.0 or 1.0, so each block's sums are exact integers and the
-    # chunk totals are the same bits however the chunk is blocked.
+    # block reads both rows from the one generator.  The observable is an
+    # indicator whose eval_batch returns a boolean mask, and the chunk
+    # returns its number of hits, the same however the chunk is blocked.
     angles = np.random.Generator(np.random.PCG64(seq))
     radii = angles
     if size > _BLOCK:
         radii = np.random.Generator(np.random.PCG64(seq).advance(size))
-    total = total_sq = 0.0
+    hits = 0
     for lo in range(0, size, _BLOCK):
         x, y = _ball_xy(*_draw_polar(t, angles, radii, min(_BLOCK, size - lo)), base.x, base.y)
         xr, yr, _ = _reduce_batch(x, y)
-        values = obs.eval_batch(xr, yr)
-        total += float(values.sum())
-        total_sq += float(values @ values)
-    return total, total_sq
+        mask = np.asarray(obs.eval_batch(xr, yr))
+        if mask.dtype != bool or mask.shape != xr.shape:
+            raise ValidationError(f"observable {obs.label()} must return one boolean per point")
+        hits += np.count_nonzero(mask)
+    return hits
 
 
 _DEFAULT_BASE = HPoint(0.1, 1.3)
@@ -701,8 +692,11 @@ def mc_average(
 
     Each sample evaluates obs at a point drawn uniformly from the
     hyperbolic disk {z : d(z, x0) <= t}, x0 the base point, folded into
-    the fundamental domain.  For cusp indicators CuspIndicator.ball_mean
-    gives the exact value of this average.
+    the fundamental domain.  obs is an indicator: its eval_batch returns
+    a boolean mask, one entry per point, and the estimate is the fraction
+    of hits; any other mask is rejected with ValidationError.  For cusp
+    indicators CuspIndicator.ball_mean gives the exact value of this
+    average.
 
     Samples are drawn in fixed-size chunks, each from its own substream
     of the master seed, and reduced in chunk order.  Each chunk streams
@@ -725,18 +719,16 @@ def mc_average(
         base = _DEFAULT_BASE
     _check_reach(t, base)
     label = obs.label()
-    sizes = _chunk_sizes(n, _CHUNK)
-    # Chunk i draws from the i-th child of SeedSequence(seed), the one its
-    # spawn() would return.
-    partials = [
-        _run_chunk(float(t), base, obs, np.random.SeedSequence(seed, spawn_key=(i,)), size)
-        for i, size in enumerate(sizes)
-    ]
-    total = sum(p[0] for p in partials)
-    total_sq = sum(p[1] for p in partials)
-    estimate = total / n
+    hits = 0
+    for i, lo in enumerate(range(0, n, _CHUNK)):
+        # Chunk i draws from the i-th child of SeedSequence(seed), the one
+        # its spawn() would return.
+        seq = np.random.SeedSequence(seed, spawn_key=(i,))
+        hits += _run_chunk(float(t), base, obs, seq, min(_CHUNK, n - lo))
+    estimate = hits / n
+    # An indicator's sum of squares is its number of hits.
     if n > 1:
-        variance = max(total_sq - n * estimate * estimate, 0.0) / (n - 1)
+        variance = max(hits - n * estimate * estimate, 0.0) / (n - 1)
     else:
         variance = 0.0
     stderr = math.sqrt(variance / n)

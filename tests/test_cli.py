@@ -37,6 +37,24 @@ def test_volume_single_value(capsys):
     assert float(out) == pytest.approx(0.40671510196175464, rel=1e-12)
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--out", "volume.json"], "--out"),
+    (["--format", "json"], "--format json"),
+    (["--eps", "0.01"], "--eps"),
+], ids=["out", "format-json", "eps"])
+def test_volume_single_radius_rejects_table_options(flags, name, tmp_path, monkeypatch, capsys):
+    # --t prints one bare number, so a table option would be dropped:
+    # it exits 1 naming the flag, before any volume or file
+    calls = []
+    monkeypatch.setattr(cli, "ball_volume", lambda *args: calls.append(args))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["volume", "--group", "so:3", "--t", "1", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"rankone: error: {name} " in captured.err
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
 def test_missing_required_flag_exits_1(capsys):
     assert cli.main(["mc", "--samples", "10"]) == 1
     err = capsys.readouterr().err

@@ -6,11 +6,15 @@ re-exported API, each listed once in rankone.__all__, the one list of
 public names.  A module-level _PRIVATE constant, function or class must be
 read somewhere in the package, so no private helper lives on for the tests
 alone.  A method defined on a class must be read, as an attribute or a
-string, in the package, the benchmark or the tests.
+string, in the package, the benchmark or the tests.  `import rankone`
+loads neither the acceptance suite nor the CLI.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +62,18 @@ def test_package_all_is_its_imports():
     assert len(imported) == len(set(imported)), "a name is imported twice"
     assert len(public) == len(set(public)), "a name is listed twice in __all__"
     assert sorted(imported) == sorted(public)
+
+
+def test_import_loads_neither_acceptance_nor_cli():
+    # only `rankone verify` reads the acceptance suite, and it imports it
+    # when it runs
+    env = dict(os.environ, PYTHONPATH=str(Path(rankone.__file__).parent.parent))
+    code = (
+        "import sys, rankone\n"
+        "print(sorted(m for m in ('rankone.acceptance', 'rankone.cli') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _constants(tree: ast.Module) -> set:

@@ -12,7 +12,7 @@ import rankone.spherical
 from rankone import model
 from rankone.ballavg import psi_on_grid
 from rankone.errors import ValidationError
-from rankone.groups import complementary, make_group, principal
+from rankone.groups import complementary, make_group, principal, trivial
 from rankone.model import (
     PuritySpectrum,
     SpectralVector,
@@ -48,10 +48,13 @@ def unit_f():
 
 def test_average_preserves_constants(spec):
     ts = np.array([0.5, 5.0, 20.0])
+    # atom 0, the constants, is the trivial parameter: psi is 1 there and
+    # _multipliers gives it no row
+    assert np.all(psi_on_grid(spec.group, trivial(), ts) == 1.0)  # exact, not approximate
     rows = model._multipliers(spec, ts, atoms=True)
-    atom, omega = rows[: len(spec.atoms)], rows[len(spec.atoms) :]
-    assert np.all(atom[0] == 1.0)  # exact, not approximate
-    assert np.all(np.abs(atom[1:]) < 1.0)
+    assert rows.shape == (len(spec.atoms) - 1 + len(spec.omega), ts.size)
+    atom, omega = rows[: len(spec.atoms) - 1], rows[len(spec.atoms) - 1 :]
+    assert np.all(np.abs(atom) < 1.0)
     assert np.all(np.abs(omega) < 1.0)
     np.testing.assert_allclose(model._multipliers(spec, ts, atoms=False), omega, rtol=0.0, atol=1e-15)
 

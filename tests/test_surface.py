@@ -783,10 +783,35 @@ def test_cusp_ball_mean_rejects_radii_outside_its_domain(t, monkeypatch):
 
 
 def test_observable_eval():
+    # every observable is an indicator, a boolean mask that mc_average counts
     cusp = CuspIndicator(2.0).eval_batch(np.array([0.1, 0.1]), np.array([2.5, 1.9]))
-    np.testing.assert_array_equal(cusp, [1.0, 0.0])
-    disk = DiskIndicator(HPoint(0.0, 1.5), 0.2)
-    np.testing.assert_array_equal(disk.eval_batch(np.array([0.0, 0.4]), np.array([1.5, 1.1])), [1.0, 0.0])
+    np.testing.assert_array_equal(cusp, [True, False])
+    disk = DiskIndicator(HPoint(0.0, 1.5), 0.2).eval_batch(np.array([0.0, 0.4]), np.array([1.5, 1.1]))
+    np.testing.assert_array_equal(disk, [True, False])
+    const = ConstantObservable().eval_batch(np.array([0.0, 0.4]), np.array([1.5, 1.1]))
+    np.testing.assert_array_equal(const, [True, True])
+    assert all(mask.dtype == bool for mask in (cusp, disk, const))
+
+
+class _Duck:
+    # a caller-supplied observable: a label, and eval_batch as given
+    def __init__(self, eval_batch):
+        self.eval_batch = eval_batch
+
+    def label(self):
+        return "duck"
+
+
+@pytest.mark.parametrize("eval_batch", [
+    lambda x, y: (y > 2.0).astype(np.float64),
+    lambda x, y: 1.0 / y,
+    lambda x, y: np.stack([y > 2.0, y > 3.0]),
+], ids=["float-indicator", "float-function", "two-rows-per-point"])
+def test_mc_rejects_an_observable_without_a_boolean_mask(eval_batch):
+    # counting nonzero entries would take every value of 1 / y as a hit,
+    # and count a two-row mask's points twice, without an error
+    with pytest.raises(ValidationError, match="one boolean per point"):
+        mc_average(2.0, 1000, _Duck(eval_batch), 1)
 
 
 def test_disk_containment_enforced():
