@@ -13,10 +13,10 @@ numerator in closed form (Koornwinder 1984, section 2):
 
     int_0^t phi_s Delta = Delta(t) sinh t cosh t 2F1(a+1, b+1; c+1; -sinh(t)^2) / (2c),
 
-with a, b = (rho +- s)/2 and c = alpha + 1.  Every ball volume, those
-of the volume profile (the radial CDF of a ball and its inverse)
-included, comes from _ball_volumes, the closed-form antiderivative of
-Delta for the integer multiplicities of RankOneGroup.
+with a, b = (rho +- s)/2 and c = alpha + 1.  Every ball volume comes
+from _ball_volumes, the closed-form antiderivative of Delta for the
+integer multiplicities of RankOneGroup; the volume profile's inverse
+radial CDF and the radial CDF of surface.ks_radial_test read it directly.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 from .groups import RankOneGroup, SpectralParam, check_param, complementary
-from .spherical import _jacobi_2f1, _with_ones, hc_c_function
+from .spherical import _jacobi_2f1, hc_c_function
 # Unused here: perfbench/spans.py traces this name and needs it to stay.
 from .spherical import spherical_fn_many  # noqa: F401
 
@@ -191,7 +191,7 @@ def volume_regularity(group: RankOneGroup, t, eps: float):
 
 @dataclass(frozen=True, eq=False)
 class VolumeProfile:
-    """Ball volumes on [0, t_max], with the radial CDF of a ball and its inverse.
+    """Ball volumes on [0, t_max], and the inverse of a ball's radial CDF.
 
     Every volume is one _ball_volumes call.  `cumulative` holds
     m(B_t) at the _KNOTS equispaced `knots`; sample_radius bisects on
@@ -209,14 +209,6 @@ class VolumeProfile:
         if t.size and (np.min(t) < -1e-12 or np.max(t) > self.t_max + 1e-12):
             raise ValidationError(f"radius outside profile range [0, {self.t_max}]")
         return ball_volume(self.group, np.clip(t, 0.0, self.t_max))
-
-    def cdf(self, tau, t: float):
-        """Radial law m(B_tau) / m(B_t) of B_t, from one pass over tau with t appended."""
-        tau = np.asarray(tau, dtype=np.float64)
-        masses = self.volume(np.append(tau.ravel(), t))
-        if not masses[-1] > 0.0:
-            raise ValidationError("cdf undefined for zero-volume ball")
-        return _shaped(tau, masses[:-1] / masses[-1])
 
     def sample_radius(self, t: float, u) -> np.ndarray:
         """Invert the radial CDF of B_t at the uniform variates u.
@@ -284,6 +276,8 @@ def _psi_rows(group: RankOneGroup, params: Sequence[SpectralParam], ts: Sequence
         raise ValidationError("radius grid must be strictly increasing")
     _check_radius(group, float(ts[-1]))
     # Averaging the constant function is exact, no 2F1 or volume involved.
+    # Its kernel 2F1(rho + 1, 1; alpha + 2; x) would also take the 2F1's
+    # degenerate path: a - b = rho is an integer on so:odd, su, sp and f4.
     live = [i for i, param in enumerate(params) if not param.is_trivial]
     if not live:
         return np.ones((len(params),) + ts.shape)
@@ -296,7 +290,12 @@ def _psi_rows(group: RankOneGroup, params: Sequence[SpectralParam], ts: Sequence
     overshoot = np.abs(values).max() - 1.0
     if overshoot > 1e-9:
         raise ConvergenceError(f"|psi| exceeded 1 by {overshoot:.3e}; evaluation unreliable")
-    return _with_ones(np.clip(values, -1.0, 1.0, out=values), live, len(params))
+    np.clip(values, -1.0, 1.0, out=values)
+    if len(live) == len(params):
+        return values
+    rows = np.ones((len(params),) + ts.shape)
+    rows[live] = values
+    return rows
 
 
 def psi_on_grid(group: RankOneGroup, param: SpectralParam, ts: Sequence[float]) -> np.ndarray:
@@ -314,7 +313,7 @@ def psi_bound_check(
 
     Every parameter must satisfy re s <= r; the return value is the max of
     |psi_s(t)| e^{(rho-r)t} / t over the grid and parameter set, and 0.0
-    for an empty parameter set.
+    for an empty parameter set; the grid is checked either way.
     """
     if not (r > 0.0):
         raise ValidationError("r must be positive")
@@ -322,8 +321,6 @@ def psi_bound_check(
     if ts.size == 0:
         raise ValidationError("empty t grid")
     params = list(params)
-    if not params:
-        return 0.0
     for param in params:
         re_s = param.re_s(group)
         if re_s > r + 1e-12:
@@ -331,7 +328,7 @@ def psi_bound_check(
                 f"parameter {param.label()} has re_s = {re_s} > r = {r}; bound does not apply"
             )
     values = np.abs(_psi_rows(group, params, ts))
-    return float(np.max(values * np.exp((group.rho - r) * ts) / ts))
+    return float(np.max(values * np.exp((group.rho - r) * ts) / ts, initial=0.0))
 
 
 def psi_asymptotic_constant(group: RankOneGroup, param: SpectralParam) -> float:

@@ -185,19 +185,24 @@ def cmd_psi(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    group = _group(args)
+    # Ball volumes do not depend on rho', so volume takes --group alone.
+    group = parse_group(args.group)
     if args.t is not None:
         # The single radius prints one bare number, so the table's options
         # would be dropped without a word.
         table_only = {"--out": args.out is not None, "--format json": args.format == "json",
-                      "--eps": args.eps is not None}
+                      "--eps": args.eps is not None, "--t-min": args.t_min is not None,
+                      "--t-max": args.t_max is not None, "--steps": args.steps is not None}
         for flag, given in table_only.items():
             if given:
-                raise ValidationError(f"{flag} needs a radius range (--t-max), not --t")
+                raise ValidationError(f"{flag} applies to the radius table only, not to --t")
         print(_fmt(ball_volume(group, args.t)))
         return 0
     if args.t_max is None:
         raise ValidationError("need --t or --t-min/--t-max/--steps")
+    # None until here, so that --t refuses them even at their default values.
+    args.t_min = 0.1 if args.t_min is None else args.t_min
+    args.steps = 50 if args.steps is None else args.steps
     ts = _linspace(args)
     volumes = ball_volume(group, ts)
     regularity = volume_regularity(group, ts, args.eps) if args.eps else np.full_like(ts, math.nan)
@@ -359,11 +364,12 @@ def _add_output(parser):
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _add_group(parser):
+def _add_group(parser, rho_prime=True):
     parser.add_argument("--group", default="so:3",
                         help="so:n | su:n | sp:n | f4 | custom:n1,n2 (default so:3)")
-    parser.add_argument("--rho-prime", type=float, default=None,
-                        help="restricted decay parameter bound (default: rho)")
+    if rho_prime:
+        parser.add_argument("--rho-prime", type=float, default=None,
+                            help="restricted decay parameter bound (default: rho)")
 
 
 def _add_range(parser, t_min, t_max, steps):
@@ -400,12 +406,12 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_psi)
 
     p = sub.add_parser("volume", help="Haar volume of B_t")
-    _add_group(p)
+    _add_group(p, rho_prime=False)
     _add_output(p)
     p.add_argument("--t", type=float, default=None, help="single radius: print m(B_t)")
-    p.add_argument("--t-min", type=float, default=0.1)
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--t-min", type=float, default=None, help="table: smallest radius (default 0.1)")
+    p.add_argument("--t-max", type=float, default=None, help="table: largest radius")
+    p.add_argument("--steps", type=int, default=None, help="table: number of radii (default 50)")
     p.add_argument("--eps", type=float, default=None,
                    help="also emit the shell regularity ratio at this width")
     p.set_defaults(fn=cmd_volume)

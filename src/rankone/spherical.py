@@ -62,34 +62,27 @@ def _jacobi_2f1(group: RankOneGroup, params: Sequence[SpectralParam], ts: np.nda
 
 
 def _phi_rows(group: RankOneGroup, params: Sequence[SpectralParam], ts) -> np.ndarray:
-    """phi_s(a_t) of every parameter at the radii ts >= 0, one row each, from one 2F1 call."""
+    """phi_s(a_t) of every parameter at the radii ts >= 0, one row each, from one 2F1 call.
+
+    The constant function's row is exact: its b = (rho - s)/2 is 0, for
+    which gauss_2f1_neg returns ones.
+    """
     ts = np.asarray(ts, dtype=np.float64)
     # Written so that NaN fails the test too.
     if ts.size and not ts.min() >= 0.0:
         raise ValidationError("t >= 0 required")
-    # No radii, like the constant function, needs no 2F1.
-    live = [i for i, param in enumerate(params) if not param.is_trivial]
-    if not live or ts.size == 0:
+    # No radii need no 2F1.
+    if ts.size == 0:
         return np.ones((len(params),) + ts.shape)
-
-    values = _jacobi_2f1(group, [params[i] for i in live], ts, 0.0)
+    values = _jacobi_2f1(group, params, ts, 0.0)
     np.copyto(values, 1.0, where=ts == 0.0)
-    for i, row in zip(live, values):
+    for param, row in zip(params, values):
         overshoot = np.abs(row).max() - 1.0
         if overshoot > _UNIT_SLACK:
             raise ConvergenceError(
-                f"|phi| exceeded 1 by {overshoot:.3e} for {params[i].label()}; evaluation is unreliable"
+                f"|phi| exceeded 1 by {overshoot:.3e} for {param.label()}; evaluation is unreliable"
             )
-    return _with_ones(np.clip(values, -1.0, 1.0, out=values), live, len(params))
-
-
-def _with_ones(values: np.ndarray, live: list, count: int) -> np.ndarray:
-    """count rows: values at the indices `live`, and 1 (the constant function's) elsewhere."""
-    if len(live) == count:
-        return values
-    rows = np.ones((count,) + values.shape[1:])
-    rows[live] = values
-    return rows
+    return np.clip(values, -1.0, 1.0, out=values)
 
 
 def spherical_fn_many(group: RankOneGroup, param: SpectralParam, ts) -> np.ndarray:

@@ -281,23 +281,15 @@ def test_profile_check_shared_pass_matches_ball_volume(group):
     np.testing.assert_allclose(_ball_volumes(group, radii[::-1])[::-1], shared, rtol=1e-14)
 
 
-def test_profile_cdf_normalized(h3):
-    profile = build_volume_profile(h3, 5.0)
-    assert float(profile.cdf(5.0, 5.0)) == pytest.approx(1.0, abs=1e-12)
-    assert float(profile.cdf(0.0, 5.0)) == 0.0
-    mid = float(profile.cdf(2.5, 5.0))
-    assert 0.0 < mid < 1.0
-
-
 def test_profile_sample_radius_inverts_cdf(h3):
     profile = build_volume_profile(h3, 5.0)
     us = np.array([1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-12])
     taus = profile.sample_radius(5.0, us)
-    np.testing.assert_allclose(profile.cdf(taus, 5.0), us, atol=1e-10)
+    np.testing.assert_allclose(ball_volume(h3, taus) / ball_volume(h3, 5.0), us, atol=1e-10)
     # sampling a smaller ball through the same cache
     taus3 = profile.sample_radius(3.0, us)
     assert np.max(taus3) <= 3.0
-    np.testing.assert_allclose(profile.cdf(taus3, 3.0), us, atol=1e-10)
+    np.testing.assert_allclose(ball_volume(h3, taus3) / ball_volume(h3, 3.0), us, atol=1e-10)
 
 
 def test_profile_sampling_distribution(h3):
@@ -340,6 +332,7 @@ _REJECTED = {
     "bound-r-0": lambda g, prof: psi_bound_check(g, [complementary(0.4)], [1.0, 2.0], 0.0),
     "bound-r-neg": lambda g, prof: psi_bound_check(g, [complementary(0.4)], [1.0, 2.0], -0.4),
     "bound-empty-grid": lambda g, prof: psi_bound_check(g, [complementary(0.4)], [], 0.4),
+    "bound-no-params-bad-grid": lambda g, prof: psi_bound_check(g, [], [-1.0, math.nan], 0.5),
     "asymptotic-principal": lambda g, prof: psi_asymptotic_constant(g, principal(1.0)),
     "asymptotic-at-rho": lambda g, prof: psi_asymptotic_constant(g, complementary(g.rho)),
 }
@@ -396,7 +389,7 @@ def test_profile_domain_has_no_floor(name):
     profile = build_volume_profile(group, 0.01)
     us = np.concatenate([[0.0, 1e-12, 1.0], np.random.default_rng(3).random(200)])
     taus = profile.sample_radius(0.01, us)
-    np.testing.assert_allclose(profile.cdf(taus, 0.01), us, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(ball_volume(group, taus) / ball_volume(group, 0.01), us, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["so:2", "so:3", "sp:2", "f4"])
@@ -417,20 +410,24 @@ def test_profile_small_radius_on_so2():
 
 
 def test_import_loads_no_scipy():
-    # scipy is a test-only oracle, and numpy.ma and numpy.polynomial are never
-    # needed: neither the import nor an MC call nor a psi grid nor a ball
-    # volume may pull them in
+    # scipy is a test-only oracle, and numpy.ma is never needed: neither the
+    # import nor an MC call nor a psi grid nor a ball volume may pull them
+    # in.  numpy.polynomial comes in with the first exact cusp orbit sum,
+    # whose Gauss-Legendre rule it supplies, and not before.
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rankone.__file__)))
     code = (
         "import sys, numpy as np, rankone as r\n"
-        "r.mc_average(6.0, 4096, r.parse_observable('cusp:2'), seed=1)\n"
+        "cusp = r.parse_observable('cusp:2')\n"
+        "r.mc_average(6.0, 4096, cusp, seed=0)\n"
         "r.psi_on_grid(r.make_group('so', 3), r.principal(1.0), np.linspace(0.5, 4.0, 8))\n"
         "r.ball_volume(r.make_group('su', 3), np.linspace(0.0, 4.0, 8))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-        "             or m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'polynomial'])))"
+        "             or m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'polynomial'])))\n"
+        "cusp.ball_mean(1.0)\n"
+        "print('numpy.polynomial' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "True"]
 
 
 def test_psi_frozen_value(h3):

@@ -41,7 +41,10 @@ def test_volume_single_value(capsys):
     (["--out", "volume.json"], "--out"),
     (["--format", "json"], "--format json"),
     (["--eps", "0.01"], "--eps"),
-], ids=["out", "format-json", "eps"])
+    (["--t-min", "5"], "--t-min"),
+    (["--t-max", "9"], "--t-max"),
+    (["--steps", "9"], "--steps"),
+], ids=["out", "format-json", "eps", "t-min", "t-max", "steps"])
 def test_volume_single_radius_rejects_table_options(flags, name, tmp_path, monkeypatch, capsys):
     # --t prints one bare number, so a table option would be dropped:
     # it exits 1 naming the flag, before any volume or file

@@ -31,6 +31,20 @@ def test_zero_parameter_short_circuit():
     assert np.all(gauss_2f1_neg([0.5], [0.0], 1.0, ts) == 1.0)
 
 
+@pytest.mark.parametrize("zero", [(0.0, 0.3), (1.2, 0.0)])
+def test_zero_pair_among_others_is_exact_and_changes_no_other_row(zero):
+    # a pair with a = 0 or b = 0, wherever it stands beside a real pair and
+    # a conjugate pair, gives exact ones in both regions, and the other
+    # rows are bit for bit those of the call without it
+    xs = np.array([-0.0, -0.2, -2.5, -7.0, -1e4])
+    pairs = [(0.35, 0.95), (0.5 + 8.0j, 0.5 - 8.0j)]
+    others = gauss_2f1_neg(*zip(*pairs), 1.5, xs)
+    for at in range(len(pairs) + 1):
+        rows = gauss_2f1_neg(*zip(*pairs[:at], zero, *pairs[at:]), 1.5, xs)
+        assert [v.hex() for v in rows[at]] == ["0x1.0000000000000p+0"] * xs.size
+        np.testing.assert_array_equal(np.delete(rows, at, axis=0), others)
+
+
 def test_parameter_symmetry():
     xs = np.array([-0.3, -2.1, -17.0])
     a, b, c = 0.43, 1.27, 1.5
